@@ -13,19 +13,28 @@ them at every datum in range:
   generic-split       generic split data have exactly 2^f weights
   qtable-crosscheck   the f = 1 tables vs the general recipes
 
-The enumeration side runs on a vectorized engine that performs the same
-greedy window decode as the scalar recipe functions, chunk by chunk; the
-test suite pins the two implementations against each other exhaustively on
-small parameters and by sampling on large ones.
+The enumeration side runs on a table-driven engine.  For each subset B the
+recipe's greedy window decode depends only on n mod q+1 (irreducible side)
+or on the ratio n1 - n2 mod q-1 (reducible side).  So each field decodes
+those q±1 classes once, for all 2^f subsets, into tables built on first
+use.  With n = k (q+1) + r, the irreducible solution is then
+a = (k + C_B[r]) mod (q-1) with the digit code of r; on the reducible side
+a = n1 - (B-part digit sum) mod (q-1).  The kernels evaluate every n in
+range by one divmod (or one subtraction) plus gathers from the tables,
+chunk by chunk, with chunks capped at a fixed number of (row, subset)
+cells.  The test suite pins the engine against the scalar recipe functions
+exhaustively on small parameters, including fields where each class mod q+1
+has many lifts, and by sampling on large ones.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
-classes enumerated (each costing up to 2^f window solves, all vectorized),
+classes enumerated (each one gathered and compared across all 2^f subsets),
 and `verify_sweep` refuses to start when the planned total exceeds the
 budget.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +43,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParamError
+from .errors import BudgetExceeded, IllegalShape, ParamError
 from .modarith import FieldParams, subset_complement
 from .weights import LabeledWeight, canonical_weight
 
@@ -112,6 +121,13 @@ def _decode(v: np.ndarray, B: int, ell: int, f: int):
     return bcode, s_in, s_out, t == 0
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    # the table caches hand the same arrays to every caller
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _check_params(p: FieldParams) -> None:
     if p.m_big >= _ENGINE_CAP:
         raise ParamError(f"vectorized engine capped at m_big < 2^40, got {p.m_big}")
@@ -121,33 +137,52 @@ def _check_params(p: FieldParams) -> None:
 # irreducible engine
 
 
+@lru_cache(maxsize=None)
+def _irred_tables(ell: int, f: int):
+    """Decode of every class r mod q+1, for every subset B.
+
+    Writing n = k (q+1) + r, admissibility and the digit code of n depend on
+    r alone, and a = (k + C[r]) mod (q-1) exactly.  Returns (admissible, C,
+    bcode), each of shape (q+1, 2^f).
+    """
+    p = FieldParams(ell, f)
+    q, P, M = p.q, p.m_plus, p.m_big
+    nB = 1 << f
+    R = np.arange(P, dtype=np.int64)
+    admissible = np.empty((P, nB), dtype=bool)
+    C = np.empty((P, nB), dtype=np.int64)
+    bcode = np.empty((P, nB), dtype=np.int64)
+    for B in range(nB):
+        anchor = irred.missing_class(B, p)
+        low = anchor - q
+        ok_B = (R - anchor) % P != 0
+        v = low + (R - low) % P
+        bc, _, s_out, ok = _decode(v, B, ell, f)
+        if not bool(np.all(ok[ok_B])):
+            raise AssertionError("admissible class failed to decode in window")
+        # v = r mod q+1, so the remaining term of n = k (q+1) + r is
+        # (q+1) (k + C[r]) mod q^2 - 1
+        rem = (R - v - P * s_out) % M
+        if bool(np.any(rem[ok_B] % P)):
+            raise AssertionError("remaining term not divisible by q+1")
+        admissible[:, B] = ok_B
+        C[:, B] = rem // P
+        bcode[:, B] = bc
+    return _read_only(admissible, C, bcode)
+
+
 def _irred_kernel(p: FieldParams, N: np.ndarray):
     """Per-subset solve for every n in N (all assumed valid).
 
     Returns (admis, a_mat, bcode_mat), each of shape (len(N), 2^f).
     """
-    f, ell, q = p.f, p.ell, p.q
-    P, M = p.m_plus, p.m_big
+    admissible, C, bcode = _irred_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
-    nB = 1 << f
-    admis = np.empty((len(N), nB), dtype=bool)
-    a_mat = np.zeros((len(N), nB), dtype=np.int64)
-    bcode_mat = np.zeros((len(N), nB), dtype=np.int64)
-    for B in range(nB):
-        anchor = irred.missing_class(B, p)
-        low = anchor - q
-        ok_B = (N - anchor) % P != 0
-        v = low + (N - low) % P
-        bcode, s_in, s_out, ok = _decode(v, B, ell, f)
-        if not bool(np.all(ok[ok_B])):
-            raise AssertionError("admissible class failed to decode in window")
-        rem = (N - v - P * s_out) % M
-        if bool(np.any(rem[ok_B] % P)):
-            raise AssertionError("remaining term not divisible by q+1")
-        a_mat[:, B] = (rem // P) % D
-        bcode_mat[:, B] = bcode
-        admis[:, B] = ok_B
-    return admis, a_mat, bcode_mat
+    k, r = np.divmod(N, p.m_plus)
+    a_mat = np.take(C, r, axis=0)
+    a_mat += (k % D)[:, np.newaxis]
+    np.subtract(a_mat, D, out=a_mat, where=a_mat >= D)
+    return np.take(admissible, r, axis=0), a_mat, np.take(bcode, r, axis=0)
 
 
 def _distinct_counts(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -173,8 +208,10 @@ class _IrredScan:
 
 
 def _valid_irred_chunks(p: FieldParams):
-    for start in range(0, p.m_big, _CHUNK):
-        N = np.arange(start, min(start + _CHUNK, p.m_big), dtype=np.int64)
+    # cap the cells (rows x 2^f), not the rows, so wide fields stay small
+    rows = min(_CHUNK, (_CHUNK << 4) >> p.f)
+    for start in range(0, p.m_big, rows):
+        N = np.arange(start, min(start + rows, p.m_big), dtype=np.int64)
         N = N[N % p.m_plus != 0]
         if len(N):
             yield N
@@ -243,33 +280,49 @@ def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
 # reducible engine
 
 
+@lru_cache(maxsize=None)
+def _red_tables(ell: int, f: int):
+    """Both window solutions of every ratio class n mod q-1, for every subset B.
+
+    Returns (doubled, s_in, bcode): doubled of shape (q-1, 2^f), the B-part
+    digit sums and digit codes of shape (q-1, 2^f, 2); slot 1 is only
+    meaningful where doubled is set.
+    """
+    p = FieldParams(ell, f)
+    D = max(p.m_minus, 1)
+    nB = 1 << f
+    n = np.arange(D, dtype=np.int64)
+    doubled = np.empty((D, nB), dtype=bool)
+    s_in_t = np.empty((D, nB, 2), dtype=np.int64)
+    bcode_t = np.empty((D, nB, 2), dtype=np.int64)
+    for B in range(nB):
+        low = red.doubled_class(B, p) + 1 - p.q
+        off = (n - low) % D
+        dbl = off == 0
+        doubled[:, B] = dbl
+        for slot, v in enumerate((low + off, low + off + D)):
+            bc, s_in, _, ok = _decode(v, B, ell, f)
+            need = ok if slot == 0 else ok[dbl]
+            if not bool(np.all(need)):
+                raise AssertionError("window solution failed to decode")
+            s_in_t[:, B, slot] = s_in
+            bcode_t[:, B, slot] = bc
+    return _read_only(doubled, s_in_t, bcode_t)
+
+
 def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
     """Per-subset solve for every pair; two solution slots per subset.
 
     Returns (doubled, a_mat, bcode_mat) with slot axes of shape
     (len, 2^f, 2); slot 1 is only meaningful where doubled is set.
     """
-    f, ell, q = p.f, p.ell, p.q
+    doubled, s_in, bcode = _red_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
-    nB = 1 << f
     n = (N1 - N2) % D
-    doubled = np.empty((len(N1), nB), dtype=bool)
-    a_mat = np.zeros((len(N1), nB, 2), dtype=np.int64)
-    bcode_mat = np.zeros((len(N1), nB, 2), dtype=np.int64)
-    for B in range(nB):
-        top = red.doubled_class(B, p)
-        low = top + 1 - q
-        off = (n - low) % D
-        dbl = off == 0
-        doubled[:, B] = dbl
-        for slot, v in enumerate((low + off, low + off + D)):
-            bcode, s_in, s_out, ok = _decode(v, B, ell, f)
-            need = ok if slot == 0 else ok[dbl]
-            if not bool(np.all(need)):
-                raise AssertionError("window solution failed to decode")
-            a_mat[:, B, slot] = (N1 - s_in) % D
-            bcode_mat[:, B, slot] = bcode
-    return doubled, a_mat, bcode_mat
+    a_mat = np.take(s_in, n, axis=0)
+    np.subtract(N1[:, np.newaxis, np.newaxis], a_mat, out=a_mat)
+    a_mat %= D
+    return np.take(doubled, n, axis=0), a_mat, np.take(bcode, n, axis=0)
 
 
 @dataclass
@@ -696,7 +749,7 @@ def _run_qtable(ell: int, f: int):
         ):
             try:
                 shape = qtable.RationalShape(ell, b, kind)
-            except Exception:
+            except IllegalShape:
                 continue
             checked += 1
             table = qtable.weights_over_Q(shape)
@@ -776,9 +829,12 @@ def verify_sweep(
 
     Raises BudgetExceeded before doing any work when the planned cost
     (sum of ell^(2f) residue classes) exceeds the budget.  With jobs > 1 the
-    tasks are distributed over a process pool; reports merge in task order,
-    so the result is identical to a serial run.
+    tasks are distributed over a process pool of at most min(jobs, tasks,
+    CPUs) workers; reports merge in task order, so the result is identical
+    to a serial run.
     """
+    if jobs < 1:
+        raise ParamError(f"jobs must be at least 1, got {jobs}")
     if kind not in _KIND_RUNNERS:
         raise ParamError(f"unknown verification kind {kind!r}")
     if kind == "qtable-crosscheck":
@@ -794,8 +850,11 @@ def verify_sweep(
         )
     t0 = time.monotonic()
     args = [(kind, ell, f) for ell, f in tasks]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers on the first submit, so never ask for
+    # more than there are tasks or CPUs to run them
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, args))
     else:
         results = [_run_one(a) for a in args]

@@ -432,6 +432,16 @@ def test_verify_bad_ell_list(capsys):
         assert "error:" in err
 
 
+def test_verify_rejects_nonpositive_jobs(capsys):
+    for bad in ["0", "-3"]:
+        code, out, err = run_cli(
+            capsys, ["verify", "counts-irred", "--ell", "3", "--f-max", "1", "--jobs", bad]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParamError: jobs must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 

@@ -1,7 +1,10 @@
+import contextlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+from serreweights import qtable, sweeps
 from serreweights.errors import BudgetExceeded, ParamError
 from serreweights.irreducible import labeled_weight_set as irred_labeled
 from serreweights.irreducible import niveau_two
@@ -18,9 +21,12 @@ from serreweights.sweeps import (
 )
 
 SMALL = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
+# every class mod q+1 (or ratio class mod q-1) has many lifts here, so these
+# pin a = (k + C[r]) mod (q-1) and the ratio-line tables of the engine
+MANY_PERIODS = [(2, 3), (2, 4), (3, 3)]
 
 
-@pytest.mark.parametrize("ell,f", SMALL)
+@pytest.mark.parametrize("ell,f", SMALL + MANY_PERIODS)
 def test_engine_matches_object_level_irred_exhaustive(ell, f):
     p = FieldParams(ell, f)
     for n in range(p.m_big):
@@ -30,7 +36,7 @@ def test_engine_matches_object_level_irred_exhaustive(ell, f):
         assert irred_labeled_via_engine(d) == irred_labeled(d), (ell, f, n)
 
 
-@pytest.mark.parametrize("ell,f", SMALL)
+@pytest.mark.parametrize("ell,f", SMALL + MANY_PERIODS)
 def test_engine_matches_object_level_red_exhaustive(ell, f):
     p = FieldParams(ell, f)
     m = max(p.m_minus, 1)
@@ -102,3 +108,40 @@ def test_reports_deterministic_and_parallel_identical():
 def test_unknown_kind_rejected():
     with pytest.raises(ParamError):
         verify_sweep("counts-bogus", [3], 1, budget=10**6)
+
+
+def test_irred_chunks_cover_valid_n_with_capped_cells():
+    p = FieldParams(2, 8)
+    chunks = list(sweeps._valid_irred_chunks(p))
+    assert max(len(N) for N in chunks) << p.f <= sweeps._CHUNK << 4
+    covered = [int(n) for N in chunks for n in N]
+    assert covered == [n for n in range(p.m_big) if n % p.m_plus]
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,expected",
+    [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (3, 1, []), (1, 64, [])],
+)
+def test_worker_pool_bounded_by_tasks_and_cpus(monkeypatch, jobs, cpus, expected):
+    sizes = []
+
+    def recording_pool(max_workers):
+        # records the pool size, then maps serially: no process is started
+        sizes.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    r = verify_sweep("counts-irred", [2, 3, 5], 1, budget=10**6, jobs=jobs)
+    assert sizes == expected
+    assert r.to_dict() == verify_sweep("counts-irred", [2, 3, 5], 1, budget=10**6).to_dict()
+
+
+def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
+    # only an illegal shape may be skipped; any other error is a bug to report
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken shape constructor")
+
+    monkeypatch.setattr(qtable, "RationalShape", broken)
+    with pytest.raises(RuntimeError):
+        verify_sweep("qtable-crosscheck", [5], 1, budget=10**6)
