@@ -76,10 +76,8 @@ def _subset_str(B: int, f: int) -> str:
     return "{" + ",".join(str(i) for i in subset_indices(B, f)) + "}"
 
 
-def _labeled_rows(labeled, f: int):
-    order = sorted(labeled, key=lambda lw: (weight_sort_key(lw.weight), lw.B))
-    for lw in order:
-        yield lw.weight, lw.B
+def _labeled_rows(labeled):
+    return sorted(labeled, key=lambda lw: (weight_sort_key(lw.weight), lw.B))
 
 
 def _weights_json(ws) -> list[dict]:
@@ -88,8 +86,8 @@ def _weights_json(ws) -> list[dict]:
 
 def _labeled_json(labeled, f: int) -> list[dict]:
     return [
-        {"weight": weight_to_dict(V), "B": list(subset_indices(B, f))}
-        for V, B in _labeled_rows(labeled, f)
+        {"weight": weight_to_dict(lw.weight), "B": list(subset_indices(lw.B, f))}
+        for lw in _labeled_rows(labeled)
     ]
 
 
@@ -99,71 +97,55 @@ def _tsv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _b_str(V) -> str:
-    return ",".join(str(x) for x in V.b)
+def _weight_cells(V) -> list[str]:
+    return [str(V.a), ",".join(str(x) for x in V.b), str(V)]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_irred(args) -> tuple[str, int]:
-    p = FieldParams(args.ell, args.f)
-    d = irred.niveau_two(p, args.n)
-    labeled = irred.labeled_weight_set(d)
-    ws = irred.weight_set(d)
-    injective = irred.projection_is_injective(d)
+def _render_labeled(args, recipe, d, header: str) -> tuple[str, int]:
+    """json / tsv / pretty output of the labeled set of d and the weights it
+    projects to; recipe is the irreducible or the reducible module."""
+    f = d.params.f
+    labeled = recipe.labeled_weight_set(d)
+    ws = frozenset(lw.weight for lw in labeled)
     if args.format == "json":
-        payload = _labeled_json(labeled, p.f) if args.labels else _weights_json(ws)
+        payload = _labeled_json(labeled, f) if args.labels else _weights_json(ws)
         return _json(payload), EXIT_OK
     if args.format == "tsv":
         if args.labels:
             rows = [
-                [str(V.a), _b_str(V), str(V), ",".join(map(str, subset_indices(B, p.f)))]
-                for V, B in _labeled_rows(labeled, p.f)
+                _weight_cells(lw.weight) + [",".join(map(str, subset_indices(lw.B, f)))]
+                for lw in _labeled_rows(labeled)
             ]
             return _tsv(["a", "b", "weight", "B"], rows), EXIT_OK
-        rows = [[str(V.a), _b_str(V), str(V)] for V in sorted(ws, key=weight_sort_key)]
+        rows = [_weight_cells(V) for V in sorted(ws, key=weight_sort_key)]
         return _tsv(["a", "b", "weight"], rows), EXIT_OK
     lines = [
-        f"ell={p.ell} f={p.f} n={d.n}  labeled={len(labeled)}"
-        f" weights={len(ws)} injective={'yes' if injective else 'no'}"
+        f"{header}  labeled={len(labeled)} weights={len(ws)}"
+        f" injective={'yes' if recipe.projection_is_injective(d) else 'no'}"
     ]
-    for V, B in _labeled_rows(labeled, p.f):
-        lines.append(f"  B={_subset_str(B, p.f)}  {V}")
+    for lw in _labeled_rows(labeled):
+        lines.append(f"  B={_subset_str(lw.B, f)}  {lw.weight}")
     lines.append(f"weights: {format_weight_set(ws)}")
     return "\n".join(lines), EXIT_OK
+
+
+def _cmd_irred(args) -> tuple[str, int]:
+    d = irred.niveau_two(FieldParams(args.ell, args.f), args.n)
+    return _render_labeled(args, irred, d, f"ell={args.ell} f={args.f} n={d.n}")
 
 
 def _cmd_red(args) -> tuple[str, int]:
     p = FieldParams(args.ell, args.f)
     ext = red.ExtClass(args.ext)
     d = red.niveau_one(p, args.n1, args.n2, ext)
-    labeled = red.labeled_weight_set(d)
     if ext is red.ExtClass.SPLIT:
-        ws = red.weight_set_split(d)
-        if args.format == "json":
-            payload = _labeled_json(labeled, p.f) if args.labels else _weights_json(ws)
-            return _json(payload), EXIT_OK
-        if args.format == "tsv":
-            if args.labels:
-                rows = [
-                    [str(V.a), _b_str(V), str(V), ",".join(map(str, subset_indices(B, p.f)))]
-                    for V, B in _labeled_rows(labeled, p.f)
-                ]
-                return _tsv(["a", "b", "weight", "B"], rows), EXIT_OK
-            rows = [[str(V.a), _b_str(V), str(V)] for V in sorted(ws, key=weight_sort_key)]
-            return _tsv(["a", "b", "weight"], rows), EXIT_OK
-        lines = [
-            f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=split"
-            f"  labeled={len(labeled)} weights={len(ws)}"
-            f" injective={'yes' if red.projection_is_injective(d) else 'no'}"
-        ]
-        for V, B in _labeled_rows(labeled, p.f):
-            lines.append(f"  B={_subset_str(B, p.f)}  {V}")
-        lines.append(f"weights: {format_weight_set(ws)}")
-        return "\n".join(lines), EXIT_OK
+        return _render_labeled(args, red, d, f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=split")
 
+    labeled = red.labeled_weight_set(d)
     certain, possible = red.weight_sets_partial(d)
     if args.format == "json":
         payload = {
@@ -174,31 +156,20 @@ def _cmd_red(args) -> tuple[str, int]:
             payload["labeled"] = _labeled_json(labeled, p.f)
         return _json(payload), EXIT_OK
     if args.format == "tsv":
-        rows = [["certain", str(V.a), _b_str(V), str(V)] for V in sorted(certain, key=weight_sort_key)]
-        rows += [["possible", str(V.a), _b_str(V), str(V)] for V in sorted(possible, key=weight_sort_key)]
+        rows = [["certain"] + _weight_cells(V) for V in sorted(certain, key=weight_sort_key)]
+        rows += [["possible"] + _weight_cells(V) for V in sorted(possible, key=weight_sort_key)]
         return _tsv(["part", "a", "b", "weight"], rows), EXIT_OK
     lines = [
         f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=unknown"
         f"  labeled={len(labeled)} h1_dim={red.h1_dim(d)}"
     ]
-    for V, B in _labeled_rows(labeled, p.f):
-        rep = red.dim_report(_find_label(labeled, V, B), d)
-        if rep.decidable:
-            dim_txt = f"dim={rep.dim}"
-        else:
-            lo, hi = rep.dim_bounds
-            dim_txt = f"dim={lo}..{hi}"
-        lines.append(f"  B={_subset_str(B, p.f)}  {V}  {dim_txt}")
+    for lw in _labeled_rows(labeled):
+        lo, hi = red.dim_report(lw, d).dim_bounds
+        dim_txt = f"dim={lo}" if lo == hi else f"dim={lo}..{hi}"
+        lines.append(f"  B={_subset_str(lw.B, p.f)}  {lw.weight}  {dim_txt}")
     lines.append(f"certain: {format_weight_set(certain)}")
     lines.append(f"possible: {format_weight_set(possible)}")
     return "\n".join(lines), EXIT_OK
-
-
-def _find_label(labeled, V, B):
-    for lw in labeled:
-        if lw.weight == V and lw.B == B:
-            return lw
-    raise AssertionError("labeled weight vanished mid-render")
 
 
 def _cmd_qtable(args) -> tuple[str, int]:

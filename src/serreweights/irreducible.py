@@ -28,6 +28,7 @@ from .modarith import (
     FieldParams,
     Residue,
     signed_digit_solve,
+    small_residue_witness,
     subset_complement,
     subsets,
     window_top,
@@ -166,31 +167,16 @@ def labeled_count_formula(d: NiveauTwoDatum) -> int:
 # injectivity of the projection to plain weights
 
 
-def _small_injectivity_bound(ell: int, f: int) -> int:
-    # ell (ell^(f-2) - 1) / (ell - 1); negative sentinel for f = 1
-    if f < 2:
-        return -1
-    return ell * (ell ** (f - 2) - 1) // (ell - 1)
-
-
 def injectivity_witness(d: NiveauTwoDatum) -> tuple[int, int] | None:
     """A pair (r, m) with ell^r n = m mod q+1 and |m| small, if one exists.
 
     The projection from labeled weights to weights is injective exactly when
-    no such pair exists; |m| ranges over 0..ell(ell^(f-2)-1)/(ell-1), which is
-    empty for f = 1 and {0} for f = 2 (and m = 0 is unreachable since q+1
-    never divides n).
+    no such pair exists; |m| ranges over 0..ell + .. + ell^(f-2), which is
+    {0} for f <= 2 (and m = 0 is unreachable since q+1 never divides n).
+    One O(f) pass over r = 0..2f-1, shared with the reducible recipe.
     """
     p = d.params
-    bound = _small_injectivity_bound(p.ell, p.f)
-    if bound < 0:
-        return None
-    for r in range(2 * p.f):
-        c = (pow(p.ell, r, p.m_plus) * d.n) % p.m_plus
-        for m in range(-bound, bound + 1):
-            if c == m % p.m_plus:
-                return (r, m)
-    return None
+    return small_residue_witness(d.n, p.ell, p.f, p.m_plus, 2 * p.f)
 
 
 def projection_is_injective(d: NiveauTwoDatum) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParamError, ParamMismatch
 
@@ -36,6 +36,8 @@ __all__ = [
     "signed_digit_sum",
     "signed_digit_solve",
     "window_top",
+    "witness_bound",
+    "small_residue_witness",
     "subsets",
     "subset_indices",
     "subset_from_indices",
@@ -268,9 +270,30 @@ def signed_digit_solve(v: int, B: int, params: FieldParams) -> tuple[int, ...] |
     return tuple(digits)
 
 
-def window_values(B: int, params: FieldParams) -> Iterator[int]:
-    """All window values for B (test helper; ell^f items)."""
-    import itertools
+# ---------------------------------------------------------------------------
+# the injectivity witness search
 
-    for b in itertools.product(range(1, params.ell + 1), repeat=params.f):
-        yield signed_digit_sum(b, B, params)
+
+def witness_bound(ell: int, f: int) -> int:
+    """ell + ell^2 + .. + ell^(f-2): the largest |m| a witness may use (0 for f < 3)."""
+    return (ell ** (f - 1) - ell) // (ell - 1) if f >= 2 else 0
+
+
+def small_residue_witness(
+    n: int, ell: int, f: int, modulus: int, rounds: int
+) -> tuple[int, int] | None:
+    """First (r, m) with r < rounds, ell^r n = m mod modulus and |m| <= witness_bound.
+
+    The modulus (q+1 or q-1) exceeds twice the bound, so only the centred
+    residue of ell^r n can qualify: O(rounds) work, no scan over m.
+    """
+    bound = witness_bound(ell, f)
+    assert 2 * bound < modulus, "small residues must be distinct"
+    c = n % modulus
+    for r in range(rounds):
+        if c <= bound:
+            return (r, c)
+        if c >= modulus - bound:
+            return (r, c - modulus)
+        c = c * ell % modulus
+    return None

@@ -33,8 +33,9 @@ from .errors import NotInLabeledSet, ParamError, WrongExtClass
 from .modarith import (
     FieldParams,
     Residue,
+    digits_base_ell,
     signed_digit_solve,
-    signed_digit_sum,
+    small_residue_witness,
     subset_complement,
     subsets,
     window_top,
@@ -203,17 +204,11 @@ def injectivity_witness(d: ReducibleDatum) -> tuple[int, int] | None:
     """A pair (r, m) with ell^r n = m mod q-1 and |m| small, if one exists.
 
     m = 0 is always allowed, so a trivial character ratio (n = 0) always
-    fails injectivity; the witness there is (0, 0).
+    fails injectivity; the witness there is (0, 0).  One O(f) pass over
+    r = 0..f-1, shared with the irreducible recipe.
     """
     p = d.params
-    m_cap = max(0, p.ell * (p.ell ** (p.f - 2) - 1) // (p.ell - 1)) if p.f >= 2 else 0
-    D = max(p.m_minus, 1)
-    for r in range(p.f):
-        c = (pow(p.ell, r, D) * d.n) % D
-        for m in range(-m_cap, m_cap + 1):
-            if c == m % D:
-                return (r, m)
-    return None
+    return small_residue_witness(d.n, p.ell, p.f, max(p.m_minus, 1), p.f)
 
 
 def projection_is_injective(d: ReducibleDatum) -> bool:
@@ -343,19 +338,15 @@ def weight_sets_partial(
 def is_generic(d: ReducibleDatum) -> bool:
     """Whether the ratio exponent is generic: hit by some digit vector with
     every digit in {1..ell-2}, other than the two constant vectors (1..1)
-    and (ell-2..ell-2).  Vacuously false for ell <= 3."""
+    and (ell-2..ell-2).  Vacuously false for ell <= 3.
+
+    Such a digit sum is below q-1, so it is the canonical residue and its
+    digits are the base-ell digits of n: an O(f) digit test.
+    """
     p = d.params
-    m = max(p.m_minus, 1)
-    lo, hi = 1, p.ell - 2
-    if hi < lo:
-        return False
-    banned = {(lo,) * p.f, (hi,) * p.f}
-    for b in itertools.product(range(lo, hi + 1), repeat=p.f):
-        if b in banned:
-            continue
-        if sum(bi * p.ell**i for i, bi in enumerate(b)) % m == d.n:
-            return True
-    return False
+    b = digits_base_ell(d.n, p)
+    interior = all(1 <= bi <= p.ell - 2 for bi in b)
+    return interior and b != (1,) * p.f and b != (p.ell - 2,) * p.f
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ them at every datum in range:
   generic-split       generic split data have exactly 2^f weights
   qtable-crosscheck   the f = 1 tables vs the general recipes
 
+The closed-form side is the exported labeled_count_formula,
+injectivity_witness and is_generic themselves, not copies.  Each depends on
+n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
+datum per class to fill a lookup table.
+
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
 or on the ratio n1 - n2 mod q-1 (reducible side).  So each field decodes
@@ -240,40 +245,25 @@ def _irred_scan(ell: int, f: int) -> _IrredScan:
     return _IrredScan(labeled, distinct, det_bad, checked)
 
 
-@lru_cache(maxsize=None)
-def _closed_irred_lut(ell: int, f: int) -> np.ndarray:
-    """Closed-form labeled count as a function of n mod q+1 (index 0 unused)."""
+def _per_irred_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
+    # every closed form of an irreducible datum depends on n mod q+1 only
     p = FieldParams(ell, f)
-    P = p.m_plus
-    lut = np.zeros(P, dtype=np.int16)
-    if ell == 2:
-        if f % 2 == 0:
-            lut[:] = 2**f - 1
-        else:
-            for r in range(P):
-                lut[r] = 2**f - 3 if r % 3 == 0 else 2**f
-    else:
-        A = irred._ambiguous_classes_irred(ell, f)
-        for r in range(P):
-            lut[r] = 2**f - (1 if r in A else 0)
+    lut = np.zeros(p.m_plus, dtype=dtype)
+    for r in range(1, p.m_plus):
+        lut[r] = closed_form(irred.niveau_two(p, r))
     return lut
 
 
 @lru_cache(maxsize=None)
+def _closed_irred_lut(ell: int, f: int) -> np.ndarray:
+    """Exported closed-form labeled count per class n mod q+1 (index 0 unused)."""
+    return _per_irred_class(ell, f, irred.labeled_count_formula, np.int16)
+
+
+@lru_cache(maxsize=None)
 def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
-    """Witness-criterion verdict as a function of n mod q+1."""
-    p = FieldParams(ell, f)
-    P = p.m_plus
-    flag = np.zeros(P, dtype=bool)
-    bound = -1 if f < 2 else ell * (ell ** (f - 2) - 1) // (ell - 1)
-    if bound >= 0:
-        small = {m % P for m in range(-bound, bound + 1)}
-        classes = np.arange(P, dtype=np.int64)
-        small_arr = np.array(sorted(small), dtype=np.int64)
-        for r in range(2 * f):
-            c = (pow(ell, r, P) * classes) % P
-            flag |= np.isin(c, small_arr)
-    return flag
+    """Exported witness criterion per class n mod q+1 (index 0 unused)."""
+    return _per_irred_class(ell, f, lambda d: irred.injectivity_witness(d) is not None, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -378,69 +368,31 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     return _RedScan(labeled, distinct, det_bad, certain_missing, checked=D)
 
 
-@lru_cache(maxsize=None)
-def _closed_red_lut(ell: int, f: int) -> np.ndarray:
-    """Closed-form labeled count as a function of the ratio exponent."""
-    q = ell**f
-    D = max(q - 1, 1)
-    lut = np.zeros(D, dtype=np.int16)
-    base = 2**f
-    if ell == 2:
-        for n in range(D):
-            if f % 2 == 0:
-                lut[n] = base + 4 if n == 0 else (base + 3 if n % 3 == 0 else base)
-            else:
-                lut[n] = base + 2 if n == 0 else base + 1
-        return lut
-    if ell == 3:
-        A = red._ambiguous_classes_red(3, f)
-        half = D // 2
-        for n in range(D):
-            if (n == 0 and f % 2 == 0) or n == half:
-                lut[n] = base + 2
-            else:
-                lut[n] = base + 1 if n in A else base
-        return lut
-    A = red._ambiguous_classes_red(ell, f)
-    for n in range(D):
-        if n == 0 and f % 2 == 0:
-            lut[n] = base + 2
-        else:
-            lut[n] = base + 1 if n in A else base
+def _per_ratio_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
+    # every closed form of a split datum depends on the ratio n1 - n2 only
+    p = FieldParams(ell, f)
+    lut = np.zeros(max(p.m_minus, 1), dtype=dtype)
+    for n in range(len(lut)):
+        lut[n] = closed_form(red.niveau_one(p, n, 0, red.ExtClass.SPLIT))
     return lut
 
 
 @lru_cache(maxsize=None)
+def _closed_red_lut(ell: int, f: int) -> np.ndarray:
+    """Exported closed-form labeled count per ratio exponent."""
+    return _per_ratio_class(ell, f, red.labeled_count_formula, np.int16)
+
+
+@lru_cache(maxsize=None)
 def _inj_red_lut(ell: int, f: int) -> np.ndarray:
-    q = ell**f
-    D = max(q - 1, 1)
-    flag = np.zeros(D, dtype=bool)
-    bound = max(0, ell * (ell ** (f - 2) - 1) // (ell - 1)) if f >= 2 else 0
-    small = {m % D for m in range(-bound, bound + 1)}
-    classes = np.arange(D, dtype=np.int64)
-    small_arr = np.array(sorted(small), dtype=np.int64)
-    for r in range(f):
-        c = (pow(ell, r, D) * classes) % D
-        flag |= np.isin(c, small_arr)
-    return flag
+    """Exported witness criterion per ratio exponent."""
+    return _per_ratio_class(ell, f, lambda d: red.injectivity_witness(d) is not None, bool)
 
 
 @lru_cache(maxsize=None)
 def _generic_lut(ell: int, f: int) -> np.ndarray:
-    """Marks ratio exponents hit by an interior digit vector."""
-    import itertools
-
-    D = max(ell**f - 1, 1)
-    flag = np.zeros(D, dtype=bool)
-    lo, hi = 1, ell - 2
-    if hi < lo:
-        return flag
-    banned = {(lo,) * f, (hi,) * f}
-    for b in itertools.product(range(lo, hi + 1), repeat=f):
-        if b in banned:
-            continue
-        flag[sum(bi * ell**i for i, bi in enumerate(b)) % D] = True
-    return flag
+    """Exported genericity test per ratio exponent."""
+    return _per_ratio_class(ell, f, red.is_generic, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +517,6 @@ def _run_injectivity_irred(ell: int, f: int):
 
 def _run_injectivity_red(ell: int, f: int):
     scan = _red_scan(ell, f)
-    D = max(ell**f - 1, 1)
     enum_fails = scan.distinct < scan.labeled
     crit = _inj_red_lut(ell, f)
     bad = enum_fails != crit

@@ -9,8 +9,10 @@ functions (and the vectorized engine) against them.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from typing import Iterator
 
-from serreweights.modarith import FieldParams, subset_indices
+from serreweights.modarith import FieldParams, signed_digit_sum, subset_indices
 from serreweights.weights import LabeledWeight, canonical_weight
 
 
@@ -64,3 +66,41 @@ def as_labeled_set(raw, params: FieldParams) -> frozenset[LabeledWeight]:
 
 def project_weights(raw) -> set[tuple[int, tuple[int, ...]]]:
     return {(a, b) for a, b, _ in raw}
+
+
+def window_values(B: int, params: FieldParams) -> Iterator[int]:
+    """All window values for B (ell^f items)."""
+    for b in itertools.product(range(1, params.ell + 1), repeat=params.f):
+        yield signed_digit_sum(b, B, params)
+
+
+def brute_injectivity_witness(
+    n: int, ell: int, f: int, modulus: int, rounds: int
+) -> tuple[int, int] | None:
+    """First (r, m), r-major and m ascending, with ell^r n = m mod modulus
+    and |m| <= ell + .. + ell^(f-2): every candidate m is tried."""
+    bound = sum(ell**i for i in range(1, f - 1))
+    for r in range(rounds):
+        c = pow(ell, r, modulus) * n % modulus
+        for m in range(-bound, bound + 1):
+            if c == m % modulus:
+                return (r, m)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _generic_classes(ell: int, f: int) -> frozenset[int]:
+    D = max(ell**f - 1, 1)
+    lo, hi = 1, ell - 2
+    banned = {(lo,) * f, (hi,) * f}
+    return frozenset(
+        sum(bi * ell**i for i, bi in enumerate(b)) % D
+        for b in itertools.product(range(lo, hi + 1), repeat=f)
+        if b not in banned
+    )
+
+
+def brute_is_generic(ell: int, f: int, n: int) -> bool:
+    """Whether n mod q-1 is hit by a digit vector in {1..ell-2}^f other
+    than (1..1) and (ell-2..ell-2): all (ell-2)^f vectors are enumerated."""
+    return n % max(ell**f - 1, 1) in _generic_classes(ell, f)

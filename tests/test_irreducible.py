@@ -21,7 +21,13 @@ from serreweights.irreducible import (
 from serreweights.modarith import FieldParams, subsets, window_top
 from serreweights.weights import LabeledWeight, canonical_weight, twist_weight
 
-from oracles import as_labeled_set, brute_labeled_irred, project_weights
+from oracles import (
+    as_labeled_set,
+    brute_injectivity_witness,
+    brute_labeled_irred,
+    project_weights,
+    window_values,
+)
 
 FULL_RANGES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
 FAST_RANGES = FULL_RANGES + [(2, 4), (5, 2), (11, 1), (13, 1)]
@@ -65,8 +71,6 @@ def test_frozen_examples():
 
 def test_missing_class_is_the_unique_gap():
     """Window values hit every class mod q+1 except one, the window top + 1."""
-    from serreweights.modarith import window_values
-
     for ell, f in [(2, 2), (3, 1), (3, 2), (5, 1)]:
         p = FieldParams(ell, f)
         for B in subsets(f):
@@ -119,6 +123,21 @@ def test_injectivity_criterion_matches_enumeration(ell, f):
             assert (pow(ell, r, p.m_plus) * n - m) % p.m_plus == 0
             bound = ell * (ell ** (f - 2) - 1) // (ell - 1) if f >= 2 else -1
             assert abs(m) <= bound
+
+
+# f = 1 and f = 2 (where the witness bound is 0), ell = 2, and wider bounds
+WITNESS_FIELDS = [(2, 1), (3, 1), (13, 1), (2, 2), (5, 2), (11, 2), (2, 5), (7, 3), (13, 3)]
+
+
+@pytest.mark.parametrize("ell,f", WITNESS_FIELDS)
+def test_injectivity_witness_matches_oracle(ell, f):
+    """The O(f) centred-residue search returns the double loop's exact (r, m)
+    on every class mod q+1, and on a lift of each class."""
+    p = FieldParams(ell, f)
+    for r in range(1, p.m_plus):
+        for n in (r, r + p.m_plus * (r % p.q)):
+            want = brute_injectivity_witness(n, ell, f, p.m_plus, 2 * f)
+            assert injectivity_witness(niveau_two(p, n)) == want, (ell, f, n)
 
 
 def test_injectivity_vacuous_for_f_at_most_2():

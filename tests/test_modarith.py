@@ -17,8 +17,10 @@ from serreweights.modarith import (
     subset_indices,
     subsets,
     window_top,
-    window_values,
+    witness_bound,
 )
+
+from oracles import window_values
 
 SMALL_PARAMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 
@@ -142,3 +144,14 @@ def test_window_solve_consistency(params, B_seed, v):
     assert (b is not None) == inside
     if b is not None:
         assert signed_digit_sum(b, B, p) == v
+
+
+def test_witness_bound_below_half_of_both_moduli():
+    """2 * bound < q - 1 <= q + 1, so -bound..bound are distinct residues and
+    only the centred residue can be a witness; pure arithmetic, no search."""
+    for ell in (2, 3, 5, 7, 11, 13):
+        for f in range(1, 13):
+            bound = witness_bound(ell, f)
+            assert bound == sum(ell**i for i in range(1, f - 1))
+            q = ell**f
+            assert 2 * bound < max(q - 1, 1) < q + 1, (ell, f)

@@ -29,7 +29,13 @@ from serreweights.reducible import (
 )
 from serreweights.weights import LabeledWeight, canonical_weight, twist_weight
 
-from oracles import as_labeled_set, brute_labeled_red
+from oracles import (
+    as_labeled_set,
+    brute_injectivity_witness,
+    brute_is_generic,
+    brute_labeled_red,
+    window_values,
+)
 
 FULL_RANGES = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]
 
@@ -181,6 +187,21 @@ def test_injectivity_criterion_matches_enumeration(ell, f):
             assert (pow(ell, r, m) * n - mm) % m == 0
 
 
+# f = 1 and f = 2 (where the witness bound is 0), ell = 2, and wider bounds
+WITNESS_FIELDS = [(2, 1), (3, 1), (13, 1), (2, 2), (5, 2), (11, 2), (2, 5), (7, 3), (13, 3)]
+
+
+@pytest.mark.parametrize("ell,f", WITNESS_FIELDS)
+def test_injectivity_witness_matches_oracle(ell, f):
+    """The O(f) centred-residue search returns the double loop's exact (r, m)
+    on every ratio class (for ell = 2, f = 1 the modulus q-1 is 1)."""
+    p = FieldParams(ell, f)
+    m = max(p.m_minus, 1)
+    for n in range(m):
+        want = brute_injectivity_witness(n, ell, f, m, f)
+        assert injectivity_witness(niveau_one(p, n, 0, ExtClass.SPLIT)) == want, (ell, f, n)
+
+
 def test_trivial_ratio_always_collides():
     """n = 0 is never injective: the witness (0, 0) always applies."""
     for ell, f in FULL_RANGES:
@@ -190,8 +211,6 @@ def test_trivial_ratio_always_collides():
 
 
 def test_doubled_class_counts_two_window_solutions():
-    from serreweights.modarith import window_values
-
     for ell, f in [(2, 2), (3, 1), (3, 2), (5, 1)]:
         p = FieldParams(ell, f)
         m = max(p.m_minus, 1)
@@ -213,6 +232,21 @@ def test_is_generic():
     # ell = 7, f = 2: digits (2, 5) are interior and not constant
     assert is_generic(niveau_one(FieldParams(7, 2), 2 + 5 * 7, 0, ExtClass.SPLIT))
     assert not is_generic(niveau_one(FieldParams(7, 2), 1 + 1 * 7, 0, ExtClass.SPLIT))
+
+
+@pytest.mark.parametrize(
+    "ell,f",
+    [(2, 1), (2, 4), (3, 1), (3, 3), (5, 1), (5, 3), (7, 1), (7, 3), (11, 2), (13, 2), (13, 3)],
+)
+def test_is_generic_matches_oracle(ell, f):
+    """The digit test agrees with enumerating every interior digit vector,
+    on every ratio class; for ell = 2 and ell = 3 it is always False."""
+    p = FieldParams(ell, f)
+    for n in range(max(p.m_minus, 1)):
+        want = brute_is_generic(ell, f, n)
+        assert is_generic(niveau_one(p, n, 0, ExtClass.SPLIT)) == want, (ell, f, n)
+        if ell <= 3:
+            assert not want
 
 
 @pytest.mark.parametrize("ell,f", [(3, 2), (5, 1), (2, 2)])
