@@ -146,7 +146,7 @@ def _cmd_red(args) -> tuple[str, int]:
         return _render_labeled(args, red, d, f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=split")
 
     labeled = red.labeled_weight_set(d)
-    certain, possible = red.weight_sets_partial(d)
+    certain, possible = red.weight_sets_partial(d, labeled=labeled)
     if args.format == "json":
         payload = {
             "certain": _weights_json(certain),

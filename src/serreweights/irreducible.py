@@ -27,6 +27,7 @@ from .errors import InvalidNiveauTwo
 from .modarith import (
     FieldParams,
     Residue,
+    check_subset_limit,
     signed_digit_solve,
     small_residue_witness,
     subset_complement,
@@ -91,6 +92,7 @@ def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
     by q+1 (the remainder is divisible by construction).
     """
     p = d.params
+    check_subset_limit(p)
     out = []
     for B in subsets(p.f):
         lw = _solve_for_subset(d, B)

@@ -38,6 +38,8 @@ __all__ = [
     "window_top",
     "witness_bound",
     "small_residue_witness",
+    "MAX_SUBSET_F",
+    "check_subset_limit",
     "subsets",
     "subset_indices",
     "subset_from_indices",
@@ -191,6 +193,20 @@ def digits_base_ell(a: "Residue | int", params: FieldParams) -> tuple[int, ...]:
 def subsets(f: int) -> range:
     """All subsets of {0..f-1} as bitmasks 0 .. 2^f - 1."""
     return range(1 << f)
+
+
+# A single-datum weight set loops over all 2^f subsets: about 2 s per labeled
+# set at (2, 16), doubling with each further f.
+MAX_SUBSET_F = 16
+
+
+def check_subset_limit(params: FieldParams) -> None:
+    """Refuse, before any work, a datum whose 2^f subset loop is too long."""
+    if params.f > MAX_SUBSET_F:
+        raise ParamError(
+            f"f = {params.f} is past the limit f <= {MAX_SUBSET_F}: "
+            f"a weight set enumerates all 2^f subsets"
+        )
 
 
 def subset_indices(B: int, f: int) -> tuple[int, ...]:

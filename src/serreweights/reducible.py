@@ -33,6 +33,7 @@ from .errors import NotInLabeledSet, ParamError, WrongExtClass
 from .modarith import (
     FieldParams,
     Residue,
+    check_subset_limit,
     digits_base_ell,
     signed_digit_solve,
     small_residue_witness,
@@ -106,6 +107,7 @@ def labeled_weight_set(d: ReducibleDatum) -> frozenset[LabeledWeight]:
     """All labeled weights of the datum; every subset B contributes one
     weight, or two when n lands on the doubled class of B."""
     p = d.params
+    check_subset_limit(p)
     m = max(p.m_minus, 1)
     out = []
     for B in subsets(p.f):
@@ -313,6 +315,8 @@ def weight_set_split(d: ReducibleDatum) -> frozenset[SerreWeight]:
 
 def weight_sets_partial(
     d: ReducibleDatum,
+    *,
+    labeled: frozenset[LabeledWeight] | None = None,
 ) -> tuple[frozenset[SerreWeight], frozenset[SerreWeight]]:
     """(certain, possible) for a non-split datum with unknown class.
 
@@ -320,11 +324,13 @@ def weight_sets_partial(
     subspace equal to all of H^1, so it contains every extension class.
     Everything else in the projection stays possible.  The certain set is
     never empty: the full-label representative always has a full subspace.
+    A caller that already holds labeled_weight_set(d) passes it as labeled.
     """
     if d.ext is not ExtClass.NONSPLIT_UNKNOWN:
         raise WrongExtClass("weight_sets_partial requires a non-split datum")
     h1 = h1_dim(d)
-    labeled = labeled_weight_set(d)
+    if labeled is None:
+        labeled = labeled_weight_set(d)
     certain = set()
     for lw in labeled:
         rep = dim_report(lw, d)

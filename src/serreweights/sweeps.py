@@ -31,6 +31,14 @@ cells.  The test suite pins the engine against the scalar recipe functions
 exhaustively on small parameters, including fields where each class mod q+1
 has many lifts, and by sampling on large ones.
 
+The symmetry sweep needs no kernel call.  Per chunk it runs one divmod by
+q+1 for n and one for each image (q n, ell n and n + (q+1), mod q^2-1),
+then gathers rows of narrow-int tables: the digit codes, -1 where a class
+is not admissible, must be equal, and the a values must agree, compared as
+a difference of C entries against the difference of the k's.  The twist
+law is an identity of the factorization (n + (q+1) has the same r and
+k + 1), so the engine-vs-scalar tests are what pin it.
+
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one gathered and compared across all 2^f subsets),
 and `verify_sweep` refuses to start when the planned total exceeds the
@@ -573,6 +581,33 @@ def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
     return (bcode - top * top_pow) * ell + top
 
 
+@lru_cache(maxsize=None)
+def _symmetry_tables(ell: int, f: int):
+    """The irreducible tables laid out for the symmetry laws, in narrow ints.
+
+    Returns (code, shifted, C, ellC, code_conj, C_conj, code_frob, C_frob),
+    each of shape (q+1, 2^f).  code is the digit code, -1 where the class is
+    not admissible, so comparing codes also compares admissibility; shifted
+    is the code of the cyclically shifted digits with the same -1 marking;
+    ellC is ell C mod q-1.  The *_conj and *_frob tables have their columns
+    already permuted by the subset maps of conjugation and Frobenius.
+    """
+    p = FieldParams(ell, f)
+    nB = 1 << f
+    dtype = np.int16 if p.q < 1 << 14 else np.int32
+    admissible, C, bcode = _irred_tables(ell, f)
+    code = np.where(admissible, bcode, -1).astype(dtype)
+    shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1).astype(dtype)
+    ellC = (ell * C) % max(p.m_minus, 1)
+    C = C.astype(dtype)
+    conj_cols = [subset_complement(B, f) for B in range(nB)]
+    frob_cols = [((B << 1) & (nB - 1)) | (0 if B >> (f - 1) & 1 else 1) for B in range(nB)]
+    return _read_only(
+        code, shifted, C, ellC.astype(dtype),
+        code[:, conj_cols], C[:, conj_cols], code[:, frob_cols], C[:, frob_cols],
+    )
+
+
 def _run_symmetry(ell: int, f: int):
     p = FieldParams(ell, f)
     _check_params(p)
@@ -584,11 +619,6 @@ def _run_symmetry(ell: int, f: int):
     bad_total = 0
     checked = 0
 
-    conj_cols = np.array([subset_complement(B, f) for B in range(nB)])
-    frob_cols = np.array(
-        [((B << 1) & mask) | (0 if B >> (f - 1) & 1 else 1) for B in range(nB)]
-    )
-
     def report(kind: str, ns):
         nonlocal bad_total
         bad_total += len(ns)
@@ -596,32 +626,34 @@ def _run_symmetry(ell: int, f: int):
             if len(mism) < _MAX_WITNESSES:
                 mism.append({"ell": ell, "f": f, "check": kind, "n": int(n)})
 
+    code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, f)
     for N in _valid_irred_chunks(p):
-        admis, a_mat, bcode_mat = _irred_kernel(p, N)
-        # conjugation: same weights at q n, labels complemented
-        admis_c, a_c, bcode_c = _irred_kernel(p, (q * N) % M)
-        ok = (
-            (admis_c[:, conj_cols] == admis)
-            & ((a_c[:, conj_cols] == a_mat) | ~admis)
-            & ((bcode_c[:, conj_cols] == bcode_mat) | ~admis)
-        ).all(axis=1)
-        report("conjugation-irred", N[~ok])
-        # frobenius: shifted everything at ell n
-        admis_f, a_f, bcode_f = _irred_kernel(p, (ell * N) % M)
-        ok = (
-            (admis_f[:, frob_cols] == admis)
-            & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~admis)
-            & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~admis)
-        ).all(axis=1)
-        report("frobenius-irred", N[~ok])
-        # twist naturality at c = 1 (composition generates every twist)
-        admis_t, a_t, bcode_t = _irred_kernel(p, (N + P) % M)
-        ok = (
-            (admis_t == admis)
-            & ((a_t == (a_mat + 1) % D) | ~admis)
-            & ((bcode_t == bcode_mat) | ~admis)
-        ).all(axis=1)
-        report("twist-irred", N[~ok])
+        k, r = np.divmod(N, P)
+        code = np.take(code_t, r, axis=0)
+        C = np.take(C_t, r, axis=0)
+        free = code < 0  # not admissible at n: only the code has to match
+        # With n = k (q+1) + r, a = (k + C[r]) mod q-1.  A law that maps n to
+        # an image with a(image) = t(a(n)) then reads, per subset,
+        # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.
+        laws = (
+            # conjugation: same weights at q n, labels complemented
+            ("conjugation-irred", q * N, code_conj, C_conj, code, C, k),
+            # frobenius: shifted everything at ell n
+            ("frobenius-irred", ell * N, code_frob, C_frob,
+             np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k),
+            # twist naturality at c = 1 (composition generates every twist)
+            ("twist-irred", N + P, code_t, C_t, code, C, k + 1),
+        )
+        for kind, image, code_img, C_img, want_code, want_C, want_k in laws:
+            k_img, r_img = np.divmod(image % M, P)
+            diff = np.take(C_img, r_img, axis=0)
+            diff -= want_C
+            # diff lies in (-(q-1), q-1), so it is want mod q-1 iff it is
+            # want or want - (q-1)
+            want = ((want_k - k_img) % D).astype(diff.dtype)
+            a_ok = (diff == want[:, np.newaxis]) | (diff == (want - D)[:, np.newaxis]) | free
+            ok = (np.take(code_img, r_img, axis=0) == want_code) & a_ok
+            report(kind, N[~ok.all(axis=1)])
         checked += len(N)
 
     # reducible symmetries along the ratio line
@@ -639,6 +671,7 @@ def _run_symmetry(ell: int, f: int):
     k2_s = np.where(doubled_s, keys_s[:, :, 1], keys_s[:, :, 0])
     lo_s = np.minimum(keys_s[:, :, 0], k2_s)
     hi_s = np.maximum(keys_s[:, :, 0], k2_s)
+    conj_cols = [subset_complement(B, f) for B in range(nB)]
     ok = (
         (doubled_s[:, conj_cols] == doubled)
         & (lo_s[:, conj_cols] == lo)

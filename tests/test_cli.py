@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from serreweights import cli, sweeps
+from serreweights import irreducible as irred
+from serreweights import reducible as red
+from serreweights.modarith import MAX_SUBSET_F
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +108,22 @@ def test_red_unknown_json(capsys):
         "certain": [{"ell": 5, "f": 1, "a": 0, "b": [2]}],
         "possible": [{"ell": 5, "f": 1, "a": 2, "b": [2]}],
     }
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_red_unknown_builds_labeled_set_once(capsys, monkeypatch, fmt):
+    calls = []
+    real = red.labeled_weight_set
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(red, "labeled_weight_set", counting)
+    argv = ["red", "--ell", "3", "--f", "2", "--n1", "5", "--n2", "0", "--ext", "unknown"]
+    code, _, _ = run_cli(capsys, argv + ["--format", fmt, "--labels"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_red_unknown_pretty_shows_dims(capsys):
@@ -285,6 +304,30 @@ def test_global_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["global", "--input", str(tmp_path / "absent.json")])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irred", "--ell", "2", "--f", "30", "--n", "1"],
+        ["red", "--ell", "2", "--f", "30", "--n1", "1", "--n2", "0"],
+        ["red", "--ell", "2", "--f", "30", "--n1", "1", "--n2", "0", "--ext", "unknown"],
+        ["global", "--stdin"],
+    ],
+)
+def test_subset_limit_refuses_before_any_work(capsys, monkeypatch, argv):
+    # reaching the 2^f subset loop fails the test instead of hanging it
+    def no_loop(f):
+        raise RuntimeError(f"2^{f} subset loop reached")
+
+    monkeypatch.setattr(irred, "subsets", no_loop)
+    monkeypatch.setattr(red, "subsets", no_loop)
+    datum = {"ell": 2, "primes": [{"f": 30, "case": "irreducible", "n": 1}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(datum)))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"f <= {MAX_SUBSET_F}" in err
 
 
 # ---------------------------------------------------------------------------

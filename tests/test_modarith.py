@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from serreweights.errors import ParamError, ParamMismatch
 from serreweights.modarith import (
+    MAX_SUBSET_F,
     FieldParams,
     Residue,
+    check_subset_limit,
     digits_base_ell,
     frobenius_shift,
     is_prime,
@@ -44,6 +46,12 @@ def test_field_params_validation():
     with pytest.raises(ParamError):
         FieldParams(3, 20)
     FieldParams(13, 3)  # fine
+
+
+def test_subset_limit_edge():
+    check_subset_limit(FieldParams(2, MAX_SUBSET_F))
+    with pytest.raises(ParamError, match=f"f <= {MAX_SUBSET_F}"):
+        check_subset_limit(FieldParams(2, MAX_SUBSET_F + 1))
 
 
 def test_moduli_frozen_values():

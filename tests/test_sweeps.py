@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -145,3 +146,61 @@ def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
     monkeypatch.setattr(qtable, "RationalShape", broken)
     with pytest.raises(RuntimeError):
         verify_sweep("qtable-crosscheck", [5], 1, budget=10**6)
+
+
+def _clear_table_caches():
+    for fn in vars(sweeps).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+@pytest.fixture
+def fresh_tables():
+    # a corrupted table must never stay cached for later tests
+    _clear_table_caches()
+    yield
+    _clear_table_caches()
+
+
+def _corrupt_irred(which):
+    admissible, C, bcode = (t.copy() for t in sweeps._irred_tables(3, 3))
+    if which == "C":
+        C[5, 3] = (C[5, 3] + 1) % 26
+    elif which == "bcode":
+        bcode[5, 3] += 1
+    else:
+        admissible[5, 3] = not admissible[5, 3]
+    return admissible, C, bcode
+
+
+@pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
+def test_symmetry_catches_corrupted_irred_table(monkeypatch, fresh_tables, which):
+    tables = _corrupt_irred(which)
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
+    checked, mism, bad = sweeps._run_symmetry(3, 3)
+    assert checked == 702 + 4 * 26
+    assert bad == 104
+    assert len(mism) == 25
+    assert all(w["check"] == "conjugation-irred" for w in mism)
+    assert [w["n"] for w in mism[:3]] == [5, 23, 33]
+    # 52 conjugation and 52 frobenius failures; twist is an identity of the tables
+    monkeypatch.setattr(sweeps, "_MAX_WITNESSES", 10**6)
+    failing = Counter(w["check"] for w in sweeps._run_symmetry(3, 3)[1])
+    assert failing == {"conjugation-irred": 52, "frobenius-irred": 52}
+
+
+def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
+    doubled, s_in, bcode = (t.copy() for t in sweeps._red_tables(3, 3))
+    s_in[4, 2, 0] += 1
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_red_tables", lambda ell, f: (doubled, s_in, bcode))
+    checked, mism, bad = sweeps._run_symmetry(3, 3)
+    assert checked == 702 + 4 * 26
+    assert bad == 4
+    assert [(w["check"], w["n"]) for w in mism] == [
+        ("swap-red", 4),
+        ("swap-red", 22),
+        ("frobenius-red", 4),
+        ("frobenius-red", 10),
+    ]
