@@ -15,6 +15,11 @@ Reducing mod q+1 turns the b-part into the signed digit window for B, so for
 each B the congruence has a solution iff n avoids a single excluded class mod
 q+1, and then the solution is unique.  The B-label corresponds to a choice of
 embeddings; the weight itself is (a, b).
+
+Writing n = k (q+1) + r, the window decode depends on r alone, and
+a = (k + C_B[r]) mod (q-1) exactly.  `class_tables` decodes any set of
+classes r for all subsets at once: one row serves a single datum, every row
+serves the verification sweeps.
 """
 
 from __future__ import annotations
@@ -23,23 +28,26 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InvalidNiveauTwo
 from .modarith import (
     FieldParams,
     Residue,
     check_subset_limit,
-    signed_digit_solve,
     small_residue_witness,
     subset_complement,
     subsets,
+    window_decode,
     window_top,
 )
-from .weights import LabeledWeight, SerreWeight, canonical_weight
+from .weights import LabeledWeight, SerreWeight, canonical_weight, labeled_weights
 
 __all__ = [
     "NiveauTwoDatum",
     "niveau_two",
     "missing_class",
+    "class_tables",
     "labeled_weight_set",
     "weight_set",
     "labeled_count_formula",
@@ -48,6 +56,7 @@ __all__ = [
     "conjugate_datum",
     "frobenius_datum",
     "twist_datum",
+    "frobenius_subset",
     "frobenius_labeled",
 ]
 
@@ -74,8 +83,9 @@ def niveau_two(params: FieldParams, n: "int | Residue") -> NiveauTwoDatum:
     return NiveauTwoDatum(params, int(n) % params.m_big)
 
 
-def missing_class(B: int, params: FieldParams) -> int:
-    """The unique class mod q+1 with no solution for the subset B.
+def missing_class(B: "int | np.ndarray", params: FieldParams) -> "int | np.ndarray":
+    """The unique class mod q+1 with no solution for the subset B (or for
+    each mask of an array B).
 
     Equals window_top(B) + 1: the window covers ell^f consecutive integers,
     one short of a full period mod q+1, and the value just above the top is
@@ -84,40 +94,40 @@ def missing_class(B: int, params: FieldParams) -> int:
     return window_top(B, params) + 1
 
 
-def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
-    """All labeled weights (V_{a,b}, B) attached to the datum.
+def class_tables(params: FieldParams, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window decode of the classes r mod q+1 (an integer array), for every subset B.
 
-    Per subset B: solve the window congruence v = n mod q+1, decode the
-    digit vector, then recover a by exact division of the remaining term
-    by q+1 (the remainder is divisible by construction).
+    Per class and subset: solve the window congruence v = r mod q+1 and
+    decode the digit vector; the remaining term of n = k (q+1) + r is then
+    (q+1) (k + C) mod q^2 - 1.  Returns (admissible, C, bcode), each of
+    shape (len(r), 2^f), with bcode the digit code sum (b_i - 1) ell^i.
     """
+    q, P, M = params.q, params.m_plus, params.m_big
+    B = np.arange(len(subsets(params.f)), dtype=np.int64)  # every subset mask
+    R = np.asarray(r, dtype=np.int64)[:, np.newaxis]
+    low = missing_class(B, params) - q  # the bottom of the window
+    off = (R - low) % P
+    admissible = off != q  # off = q is the missing class, just above the top
+    v = low + off
+    bcode, _, s_out, ok = window_decode(v, B, params.ell, params.f)
+    if not ok[admissible].all():
+        raise AssertionError("admissible class failed to decode in window")
+    # (q+1) s_out < 2 (q^2 - 1) < 2^63, so this stays exact in int64
+    rem = (R - v - P * s_out) % M
+    if (rem[admissible] % P).any():
+        raise AssertionError("remaining term not divisible by q+1")
+    return admissible, rem // P, bcode
+
+
+def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
+    """All labeled weights (V_{a,b}, B) attached to the datum: one row of
+    `class_tables`, with a = (k + C_B[r]) mod (q-1) for n = k (q+1) + r."""
     p = d.params
     check_subset_limit(p)
-    out = []
-    for B in subsets(p.f):
-        lw = _solve_for_subset(d, B)
-        if lw is not None:
-            out.append(lw)
-    result = frozenset(out)
-    assert len(result) == len(out), "labeled elements must be pairwise distinct"
-    return result
-
-
-def _solve_for_subset(d: NiveauTwoDatum, B: int) -> LabeledWeight | None:
-    p = d.params
-    anchor = missing_class(B, p)
-    if (d.n - anchor) % p.m_plus == 0:
-        return None
-    low = anchor - p.q
-    v = low + (d.n - low) % p.m_plus
-    b = signed_digit_solve(v, B, p)
-    assert b is not None, "admissible class must decode inside the window"
-    s_out = sum(bi * p.ell**i for i, bi in enumerate(b) if not (B >> i & 1))
-    # n - (window value + (q+1) * off-B part) = a (q+1) mod q^2 - 1
-    remainder = (d.n - v - p.m_plus * s_out) % p.m_big
-    assert remainder % p.m_plus == 0, "remaining term must be divisible by q+1"
-    a = (remainder // p.m_plus) % max(p.m_minus, 1)
-    return LabeledWeight(canonical_weight(a, b, p), B)
+    k, r = divmod(d.n, p.m_plus)
+    admissible, C, bcode = (t[0] for t in class_tables(p, [r]))
+    (Bs,) = np.nonzero(admissible)
+    return labeled_weights((k + C[Bs]) % max(p.m_minus, 1), bcode[Bs], Bs, p)
 
 
 def weight_set(d: NiveauTwoDatum) -> frozenset[SerreWeight]:
@@ -205,21 +215,24 @@ def twist_datum(d: NiveauTwoDatum, c: int) -> NiveauTwoDatum:
     return niveau_two(d.params, d.n + c * d.params.m_plus)
 
 
+def frobenius_subset(B: "int | np.ndarray", f: int) -> "int | np.ndarray":
+    """Label of the Frobenius image: B shifts cyclically up one slot, and the
+    wrapped top digit crosses ell^(2f) = 1, which flips its side of the
+    subset.  B may be an array of masks."""
+    return ((B << 1) & ((1 << f) - 1)) | (1 - (B >> (f - 1) & 1))
+
+
 def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
     """Image of a labeled weight under n -> ell n.
 
-    The digits shift cyclically up one slot; the wrapped top digit crosses
-    ell^(2f) = 1, which flips its side of the subset, so B shifts with the
-    wrap bit complemented; a picks up a factor ell.
+    The digits shift cyclically up one slot, the label moves by
+    `frobenius_subset`, and a picks up a factor ell.
     """
     p = lw.weight.params
-    f = p.f
     b = lw.weight.b
     new_b = (b[-1],) + b[:-1]
-    top = lw.B >> (f - 1) & 1
-    new_B = ((lw.B << 1) & ((1 << f) - 1)) | (0 if top else 1)
     new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
-    return LabeledWeight(canonical_weight(new_a, new_b, p), new_B)
+    return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))
 
 
 def conjugate_labeled(lw: LabeledWeight) -> LabeledWeight:

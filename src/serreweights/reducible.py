@@ -11,7 +11,9 @@ weight set exactly when
 Subtracting, the difference n = n1 - n2 must equal the signed digit window
 value for B mod q-1; the window has q = (q-1) + 1 consecutive integers, so
 every class has one solution and the class of the window top has two.  Then
-a = n1 - (B-part) is forced.
+a = n1 - (B-part) is forced.  `class_tables` decodes any set of ratio
+classes for all subsets at once: one row serves a single datum, every row
+serves the verification sweeps.
 
 For a non-split datum the weight set depends on where the extension class
 lands inside H^1; each labeled weight carves out a subspace L whose dimension
@@ -29,25 +31,28 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NotInLabeledSet, ParamError, WrongExtClass
 from .modarith import (
     FieldParams,
     Residue,
     check_subset_limit,
     digits_base_ell,
-    signed_digit_solve,
     small_residue_witness,
     subset_complement,
     subsets,
+    window_decode,
     window_top,
 )
-from .weights import LabeledWeight, SerreWeight, canonical_weight
+from .weights import LabeledWeight, SerreWeight, canonical_weight, labeled_weights
 
 __all__ = [
     "ExtClass",
     "ReducibleDatum",
     "niveau_one",
     "doubled_class",
+    "class_tables",
     "labeled_weight_set",
     "labeled_count_formula",
     "injectivity_witness",
@@ -61,6 +66,7 @@ __all__ = [
     "swap_datum",
     "frobenius_datum",
     "twist_datum",
+    "frobenius_subset",
     "frobenius_labeled",
     "swap_labeled",
 ]
@@ -98,34 +104,46 @@ def niveau_one(
     return ReducibleDatum(params, int(n1) % m, int(n2) % m, ext)
 
 
-def doubled_class(B: int, params: FieldParams) -> int:
-    """Window top for B: the one class mod q-1 with two window solutions."""
+def doubled_class(B: "int | np.ndarray", params: FieldParams) -> "int | np.ndarray":
+    """Window top for B: the one class mod q-1 with two window solutions
+    (for each mask of an array B)."""
     return window_top(B, params)
+
+
+def class_tables(params: FieldParams, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both window solutions of the ratio classes n mod q-1 (an integer
+    array), for every subset B.
+
+    Returns (valid, s_in, bcode), each of shape (len(n), 2^f, 2): slot 0
+    holds the solution every class has, slot 1 the second one of a class
+    that lands on the doubled class of B; valid marks the slots that hold a
+    solution (slot 1 exactly where the class is doubled).  s_in is the
+    B-part digit sum and bcode the digit code sum (b_i - 1) ell^i.
+    """
+    D = max(params.m_minus, 1)
+    B = np.arange(len(subsets(params.f)), dtype=np.int64)  # every subset mask
+    low = doubled_class(B, params) + 1 - params.q
+    off = (np.asarray(n, dtype=np.int64)[:, np.newaxis] - low) % D
+    # the window holds a full period plus one value
+    v = (low + off)[:, :, np.newaxis] + np.array([0, D])
+    bcode, s_in, _, ok = window_decode(v, B[:, np.newaxis], params.ell, params.f)
+    valid = np.ones_like(ok)
+    valid[:, :, 1] = off == 0
+    if not ok[valid].all():
+        raise AssertionError("window solution failed to decode")
+    return valid, s_in, bcode
 
 
 def labeled_weight_set(d: ReducibleDatum) -> frozenset[LabeledWeight]:
     """All labeled weights of the datum; every subset B contributes one
-    weight, or two when n lands on the doubled class of B."""
+    weight, or two when n lands on the doubled class of B.  One row of
+    `class_tables`, with a = n1 - (B-part) mod (q-1)."""
     p = d.params
     check_subset_limit(p)
-    m = max(p.m_minus, 1)
-    out = []
-    for B in subsets(p.f):
-        top = doubled_class(B, p)
-        low = top + 1 - p.q
-        v = low + (d.n - low) % m
-        vs = [v]
-        if (d.n - low) % m == 0:
-            vs.append(v + m)  # the window holds a full period plus one value
-        for vv in vs:
-            b = signed_digit_solve(vv, B, p)
-            assert b is not None, "window solution must decode"
-            s_in = sum(bi * p.ell**i for i, bi in enumerate(b) if B >> i & 1)
-            a = (d.n1 - s_in) % m
-            out.append(LabeledWeight(canonical_weight(a, b, p), B))
-    result = frozenset(out)
-    assert len(result) == len(out), "labeled elements must be pairwise distinct"
-    return result
+    valid, s_in, bcode = (t[0] for t in class_tables(p, [d.n]))
+    Bs, slots = np.nonzero(valid)
+    a = (d.n1 - s_in[Bs, slots]) % max(p.m_minus, 1)
+    return labeled_weights(a, bcode[Bs, slots], Bs, p)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +394,21 @@ def twist_datum(d: ReducibleDatum, c: int) -> ReducibleDatum:
     return ReducibleDatum(d.params, (d.n1 + c) % m, (d.n2 + c) % m, d.ext)
 
 
+def frobenius_subset(B: "int | np.ndarray", f: int) -> "int | np.ndarray":
+    """Label of the Frobenius image: B shifts cyclically up one slot (no wrap
+    complement here: ell^f = 1 mod q-1).  B may be an array of masks."""
+    return ((B << 1) & ((1 << f) - 1)) | (B >> (f - 1) & 1)
+
+
 def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
-    """Image of a labeled weight under Frobenius base change: digits and the
-    subset shift cyclically (no wrap complement here: ell^f = 1 mod q-1),
-    and a picks up a factor ell."""
+    """Image of a labeled weight under Frobenius base change: digits shift
+    cyclically, the label moves by `frobenius_subset`, and a picks up a
+    factor ell."""
     p = lw.weight.params
-    f = p.f
     b = lw.weight.b
     new_b = (b[-1],) + b[:-1]
-    new_B = ((lw.B << 1) & ((1 << f) - 1)) | (lw.B >> (f - 1) & 1)
     new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
-    return LabeledWeight(canonical_weight(new_a, new_b, p), new_B)
+    return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))
 
 
 def swap_labeled(lw: LabeledWeight) -> LabeledWeight:

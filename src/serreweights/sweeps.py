@@ -20,16 +20,19 @@ datum per class to fill a lookup table.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
-or on the ratio n1 - n2 mod q-1 (reducible side).  So each field decodes
-those q±1 classes once, for all 2^f subsets, into tables built on first
-use.  With n = k (q+1) + r, the irreducible solution is then
+or on the ratio n1 - n2 mod q-1 (reducible side).  So each field takes the
+recipe modules' class_tables of all those q±1 classes once, for all 2^f
+subsets, built on first use; the same builders give the single-datum
+labeled sets one row at a time, so the recipe has one implementation.
+With n = k (q+1) + r, the irreducible solution is then
 a = (k + C_B[r]) mod (q-1) with the digit code of r; on the reducible side
 a = n1 - (B-part digit sum) mod (q-1).  The kernels evaluate every n in
 range by one divmod (or one subtraction) plus gathers from the tables,
 chunk by chunk, with chunks capped at a fixed number of (row, subset)
-cells.  The test suite pins the engine against the scalar recipe functions
-exhaustively on small parameters, including fields where each class mod q+1
-has many lifts, and by sampling on large ones.
+cells.  The test suite pins the labeled sets against the definitional
+oracles of tests/oracles.py exhaustively on small parameters, including
+fields where each class mod q+1 has many lifts, and by sampling on large
+ones.
 
 The symmetry sweep needs no kernel call.  Per chunk it runs one divmod by
 q+1 for n and one for each image (q n, ell n and n + (q+1), mod q^2-1),
@@ -37,7 +40,8 @@ then gathers rows of narrow-int tables: the digit codes, -1 where a class
 is not admissible, must be equal, and the a values must agree, compared as
 a difference of C entries against the difference of the k's.  The twist
 law is an identity of the factorization (n + (q+1) has the same r and
-k + 1), so the engine-vs-scalar tests are what pin it.
+k + 1), so the labeled-set-vs-oracle tests on those many-lift fields are
+what pin it.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one gathered and compared across all 2^f subsets),
@@ -58,7 +62,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, IllegalShape, ParamError
 from .modarith import FieldParams, subset_complement
-from .weights import LabeledWeight, canonical_weight
 
 from . import irreducible as irred
 from . import qtable
@@ -70,8 +73,6 @@ __all__ = [
     "plan_tasks",
     "estimate_cost",
     "verify_sweep",
-    "irred_labeled_via_engine",
-    "red_labeled_via_engine",
 ]
 
 _CHUNK = 1 << 18
@@ -103,35 +104,7 @@ def estimate_cost(tasks: Iterable[tuple[int, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized window decode
-
-
-def _decode(v: np.ndarray, B: int, ell: int, f: int):
-    """Greedy signed-digit decode of every entry of v at once.
-
-    Returns (bcode, s_in, s_out, ok): bcode encodes the digits as
-    sum (b_i - 1) ell^i, s_in / s_out are the B / complement digit sums,
-    and ok marks entries that decode exactly (i.e. lie in the window).
-    """
-    t = v.astype(np.int64, copy=True)
-    bcode = np.zeros_like(t)
-    s_in = np.zeros_like(t)
-    s_out = np.zeros_like(t)
-    pw = 1
-    for i in range(f):
-        if B >> i & 1:
-            d = (t - 1) % ell + 1
-            t -= d
-            t //= ell
-            s_in += d * pw
-        else:
-            d = (-t - 1) % ell + 1
-            t += d
-            t //= ell
-            s_out += d * pw
-        bcode += (d - 1) * pw
-        pw *= ell
-    return bcode, s_in, s_out, t == 0
+# engine helpers
 
 
 def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -152,36 +125,14 @@ def _check_params(p: FieldParams) -> None:
 
 @lru_cache(maxsize=None)
 def _irred_tables(ell: int, f: int):
-    """Decode of every class r mod q+1, for every subset B.
+    """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
+    each of shape (q+1, 2^f).
 
     Writing n = k (q+1) + r, admissibility and the digit code of n depend on
-    r alone, and a = (k + C[r]) mod (q-1) exactly.  Returns (admissible, C,
-    bcode), each of shape (q+1, 2^f).
+    r alone, and a = (k + C[r]) mod (q-1) exactly.
     """
     p = FieldParams(ell, f)
-    q, P, M = p.q, p.m_plus, p.m_big
-    nB = 1 << f
-    R = np.arange(P, dtype=np.int64)
-    admissible = np.empty((P, nB), dtype=bool)
-    C = np.empty((P, nB), dtype=np.int64)
-    bcode = np.empty((P, nB), dtype=np.int64)
-    for B in range(nB):
-        anchor = irred.missing_class(B, p)
-        low = anchor - q
-        ok_B = (R - anchor) % P != 0
-        v = low + (R - low) % P
-        bc, _, s_out, ok = _decode(v, B, ell, f)
-        if not bool(np.all(ok[ok_B])):
-            raise AssertionError("admissible class failed to decode in window")
-        # v = r mod q+1, so the remaining term of n = k (q+1) + r is
-        # (q+1) (k + C[r]) mod q^2 - 1
-        rem = (R - v - P * s_out) % M
-        if bool(np.any(rem[ok_B] % P)):
-            raise AssertionError("remaining term not divisible by q+1")
-        admissible[:, B] = ok_B
-        C[:, B] = rem // P
-        bcode[:, B] = bc
-    return _read_only(admissible, C, bcode)
+    return _read_only(*irred.class_tables(p, np.arange(p.m_plus)))
 
 
 def _irred_kernel(p: FieldParams, N: np.ndarray):
@@ -280,47 +231,26 @@ def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _red_tables(ell: int, f: int):
-    """Both window solutions of every ratio class n mod q-1, for every subset B.
-
-    Returns (doubled, s_in, bcode): doubled of shape (q-1, 2^f), the B-part
-    digit sums and digit codes of shape (q-1, 2^f, 2); slot 1 is only
-    meaningful where doubled is set.
-    """
+    """`red.class_tables` of every ratio class n mod q-1: (valid, s_in,
+    bcode), each of shape (q-1, 2^f, 2), where valid marks the slots that
+    hold a window solution (slot 1 only on a doubled class)."""
     p = FieldParams(ell, f)
-    D = max(p.m_minus, 1)
-    nB = 1 << f
-    n = np.arange(D, dtype=np.int64)
-    doubled = np.empty((D, nB), dtype=bool)
-    s_in_t = np.empty((D, nB, 2), dtype=np.int64)
-    bcode_t = np.empty((D, nB, 2), dtype=np.int64)
-    for B in range(nB):
-        low = red.doubled_class(B, p) + 1 - p.q
-        off = (n - low) % D
-        dbl = off == 0
-        doubled[:, B] = dbl
-        for slot, v in enumerate((low + off, low + off + D)):
-            bc, s_in, _, ok = _decode(v, B, ell, f)
-            need = ok if slot == 0 else ok[dbl]
-            if not bool(np.all(need)):
-                raise AssertionError("window solution failed to decode")
-            s_in_t[:, B, slot] = s_in
-            bcode_t[:, B, slot] = bc
-    return _read_only(doubled, s_in_t, bcode_t)
+    return _read_only(*red.class_tables(p, np.arange(max(p.m_minus, 1))))
 
 
 def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
     """Per-subset solve for every pair; two solution slots per subset.
 
-    Returns (doubled, a_mat, bcode_mat) with slot axes of shape
-    (len, 2^f, 2); slot 1 is only meaningful where doubled is set.
+    Returns (valid, a_mat, bcode_mat), each of shape (len, 2^f, 2); a slot
+    is only meaningful where valid is set.
     """
-    doubled, s_in, bcode = _red_tables(p.ell, p.f)
+    valid, s_in, bcode = _red_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
     n = (N1 - N2) % D
     a_mat = np.take(s_in, n, axis=0)
     np.subtract(N1[:, np.newaxis, np.newaxis], a_mat, out=a_mat)
     a_mat %= D
-    return np.take(doubled, n, axis=0), a_mat, np.take(bcode, n, axis=0)
+    return np.take(valid, n, axis=0), a_mat, np.take(bcode, n, axis=0)
 
 
 @dataclass
@@ -342,11 +272,9 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     cyc = p.cyclotomic_exponent
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
-    doubled, a_mat, bcode_mat = _red_kernel(p, N, Z)
-    labeled = (nB + doubled.sum(axis=1)).astype(np.int16)
+    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
+    labeled = valid.sum(axis=(1, 2)).astype(np.int16)
 
-    valid = np.ones((D, nB, 2), dtype=bool)
-    valid[:, :, 1] = doubled
     keys = (a_mat + D * bcode_mat).reshape(D, 2 * nB)
     distinct = _distinct_counts(keys, valid.reshape(D, 2 * nB)).astype(np.int16)
 
@@ -404,41 +332,6 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-datum reconstruction through the engine (for cross-validation)
-
-
-def irred_labeled_via_engine(d: irred.NiveauTwoDatum) -> frozenset[LabeledWeight]:
-    p = d.params
-    D = max(p.m_minus, 1)
-    admis, a_mat, bcode_mat = _irred_kernel(p, np.array([d.n], dtype=np.int64))
-    out = []
-    for B in range(1 << p.f):
-        if not admis[0, B]:
-            continue
-        bc = int(bcode_mat[0, B])
-        b = tuple(bc // p.ell**i % p.ell + 1 for i in range(p.f))
-        out.append(LabeledWeight(canonical_weight(int(a_mat[0, B]) % D, b, p), B))
-    return frozenset(out)
-
-
-def red_labeled_via_engine(d: red.ReducibleDatum) -> frozenset[LabeledWeight]:
-    p = d.params
-    D = max(p.m_minus, 1)
-    doubled, a_mat, bcode_mat = _red_kernel(
-        p, np.array([d.n1], dtype=np.int64), np.array([d.n2], dtype=np.int64)
-    )
-    out = []
-    for B in range(1 << p.f):
-        for slot in range(2):
-            if slot == 1 and not doubled[0, B]:
-                continue
-            bc = int(bcode_mat[0, B, slot])
-            b = tuple(bc // p.ell**i % p.ell + 1 for i in range(p.f))
-            out.append(LabeledWeight(canonical_weight(int(a_mat[0, B, slot]) % D, b, p), B))
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
 # per-kind task runners: return (checked, mismatches)
 
 
@@ -484,8 +377,8 @@ def _run_counts_red(ell: int, f: int):
     for start in range(0, D * D, pair_chunk):
         part = idx[start : start + pair_chunk]
         N1, N2 = part // D, part % D
-        doubled, a_mat, bcode_mat = _red_kernel(p, N1, N2)
-        counts = nB + doubled.sum(axis=1)
+        valid, a_mat, bcode_mat = _red_kernel(p, N1, N2)
+        counts = valid.sum(axis=(1, 2))
         bad_pairs = counts != lut[(N1 - N2) % D]
         total_bad += int(bad_pairs.sum())
         for j in np.nonzero(bad_pairs)[0]:
@@ -495,8 +388,6 @@ def _run_counts_red(ell: int, f: int):
                 {"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "enumerated": int(counts[j]), "closed_form": int(lut[(N1[j] - N2[j]) % D])}
             )
         # determinant law across the grid, while the triples are in hand
-        valid = np.ones((len(part), nB, 2), dtype=bool)
-        valid[:, :, 1] = doubled
         det_res = (2 * a_mat + bcode_mat + cyc_sum - (N1 + N2)[:, np.newaxis, np.newaxis]) % D
         det_bad = ((det_res != 0) & valid).any(axis=(1, 2))
         total_bad += int(det_bad.sum())
@@ -593,15 +484,15 @@ def _symmetry_tables(ell: int, f: int):
     already permuted by the subset maps of conjugation and Frobenius.
     """
     p = FieldParams(ell, f)
-    nB = 1 << f
+    cols = np.arange(1 << f)
     dtype = np.int16 if p.q < 1 << 14 else np.int32
     admissible, C, bcode = _irred_tables(ell, f)
     code = np.where(admissible, bcode, -1).astype(dtype)
     shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1).astype(dtype)
     ellC = (ell * C) % max(p.m_minus, 1)
     C = C.astype(dtype)
-    conj_cols = [subset_complement(B, f) for B in range(nB)]
-    frob_cols = [((B << 1) & (nB - 1)) | (0 if B >> (f - 1) & 1 else 1) for B in range(nB)]
+    conj_cols = subset_complement(cols, f)
+    frob_cols = irred.frobenius_subset(cols, f)
     return _read_only(
         code, shifted, C, ellC.astype(dtype),
         code[:, conj_cols], C[:, conj_cols], code[:, frob_cols], C[:, frob_cols],
@@ -614,7 +505,6 @@ def _run_symmetry(ell: int, f: int):
     D = max(p.m_minus, 1)
     q, P, M = p.q, p.m_plus, p.m_big
     nB = 1 << f
-    mask = nB - 1
     mism = []
     bad_total = 0
     checked = 0
@@ -657,49 +547,43 @@ def _run_symmetry(ell: int, f: int):
         checked += len(N)
 
     # reducible symmetries along the ratio line
+    cols = np.arange(nB)
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
-    doubled, a_mat, bcode_mat = _red_kernel(p, N, Z)
+    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
     keys = a_mat + D * bcode_mat
     # pair up the two slots per subset: (lo, hi), collapsing the unused slot
-    k2 = np.where(doubled, keys[:, :, 1], keys[:, :, 0])
+    k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
     lo = np.minimum(keys[:, :, 0], k2)
     hi = np.maximum(keys[:, :, 0], k2)
 
-    doubled_s, a_s, bcode_s = _red_kernel(p, Z, N)
+    valid_s, a_s, bcode_s = _red_kernel(p, Z, N)
     keys_s = a_s + D * bcode_s
-    k2_s = np.where(doubled_s, keys_s[:, :, 1], keys_s[:, :, 0])
+    k2_s = np.where(valid_s[:, :, 1], keys_s[:, :, 1], keys_s[:, :, 0])
     lo_s = np.minimum(keys_s[:, :, 0], k2_s)
     hi_s = np.maximum(keys_s[:, :, 0], k2_s)
-    conj_cols = [subset_complement(B, f) for B in range(nB)]
+    conj_cols = subset_complement(cols, f)
     ok = (
-        (doubled_s[:, conj_cols] == doubled)
+        (valid_s[:, conj_cols] == valid).all(axis=2)
         & (lo_s[:, conj_cols] == lo)
         & (hi_s[:, conj_cols] == hi)
     ).all(axis=1)
     report("swap-red", N[~ok])
 
-    frob_cols_red = np.array(
-        [((B << 1) & mask) | (B >> (f - 1) & 1) for B in range(nB)]
-    )
-    doubled_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
-    slot_ok = np.ones_like(doubled)[:, :, np.newaxis] & np.stack(
-        [np.ones_like(doubled), doubled], axis=2
-    )
+    frob_cols = red.frobenius_subset(cols, f)
+    valid_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
     ok = (
-        (doubled_f[:, frob_cols_red] == doubled)
-        & ((a_f[:, frob_cols_red, :] == (ell * a_mat) % D) | ~slot_ok).all(axis=2)
-        & (
-            (bcode_f[:, frob_cols_red, :] == _shift_bcode(bcode_mat, ell, f)) | ~slot_ok
-        ).all(axis=2)
+        (valid_f[:, frob_cols] == valid).all(axis=2)
+        & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~valid).all(axis=2)
+        & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
     ).all(axis=1)
     report("frobenius-red", N[~ok])
 
-    doubled_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
+    valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
     ok = (
-        (doubled_t == doubled)
-        & ((a_t == (a_mat + 1) % D) | ~slot_ok).all(axis=2)
-        & ((bcode_t == bcode_mat) | ~slot_ok).all(axis=2)
+        (valid_t == valid).all(axis=2)
+        & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
+        & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
     ).all(axis=1)
     report("twist-red", N[~ok])
     checked += 4 * D

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import BadWeightDigits, ParamMismatch
-from .modarith import FieldParams, Residue, digits_base_ell, subset_indices
+from .modarith import FieldParams, Residue, code_digits, digits_base_ell, subset_indices
 
 __all__ = [
     "SerreWeight",
     "LabeledWeight",
     "canonical_weight",
+    "labeled_weights",
     "twist_weight",
     "central_character_exponent",
     "det_exponent",
@@ -84,6 +85,20 @@ def canonical_weight(a: "int | Residue", b: tuple[int, ...], params: FieldParams
             f"twist exponent modulus {a.modulus} does not match q-1 = {params.m_minus}"
         )
     return SerreWeight(params, int(a) % max(params.m_minus, 1), tuple(b))
+
+
+def labeled_weights(a, bcode, B, params: FieldParams) -> frozenset[LabeledWeight]:
+    """Labeled weights from parallel integer arrays: twist exponents a, digit
+    codes sum (b_i - 1) ell^i and subset masks B.  The recipes produce each
+    labeled weight once, and the set must not merge any two."""
+    b = code_digits(bcode, params.ell, params.f)
+    out = [
+        LabeledWeight(canonical_weight(ai, tuple(bi), params), Bi)
+        for ai, bi, Bi in zip(a.tolist(), b.tolist(), B.tolist())
+    ]
+    result = frozenset(out)
+    assert len(result) == len(out), "labeled elements must be pairwise distinct"
+    return result
 
 
 def twist_weight(V: SerreWeight, c: "int | Residue") -> SerreWeight:

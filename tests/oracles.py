@@ -3,7 +3,9 @@
 The labeled weight sets are defined by congruences on (a, b, B); these
 functions test every candidate directly.  They are deliberately slow and
 obviously correct, and the test modules compare the package's recipe
-functions (and the vectorized engine) against them.
+functions (which the sweep engine's tables are built from) against them.
+The forced_* oracles skip only the loop over a, which the first congruence
+fixes, and still test the full definition on every triple they keep.
 """
 
 from __future__ import annotations
@@ -54,6 +56,54 @@ def brute_labeled_red(
             for a in range(m):
                 if (a + s_in - n1) % m == 0 and (a + s_out - n2) % m == 0:
                     out.add((a, b, B))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digit_sums(ell: int, f: int) -> tuple[tuple[int, tuple[int, ...], int, int], ...]:
+    """(B, b, sum_{i in B} b_i ell^i, sum_{i not in B} b_i ell^i) for every
+    subset B and digit vector b in {1..ell}^f."""
+    out = []
+    for B in range(1 << f):
+        inside = set(subset_indices(B, f))
+        for b in itertools.product(range(1, ell + 1), repeat=f):
+            s_in = sum(b[i] * ell**i for i in inside)
+            s_out = sum(b[i] * ell**i for i in range(f) if i not in inside)
+            out.append((B, b, s_in, s_out))
+    return tuple(out)
+
+
+def forced_labeled_irred(ell: int, f: int, n: int) -> set[tuple[int, tuple[int, ...], int]]:
+    """brute_labeled_irred with a read off instead of looped over.
+
+    With s the b-part, a (q+1) = n - s (mod (q+1)(q-1)) holds for some a
+    exactly when q+1 divides x = (n - s) mod q^2 - 1, and then a = x/(q+1).
+    """
+    q = ell**f
+    big = q * q - 1
+    out = set()
+    for B, b, s_in, s_out in _digit_sums(ell, f):
+        s = s_in + q * s_out  # sum_{i not in B} b_i ell^(f+i) = q s_out
+        x = (n - s) % big
+        if x % (q + 1):
+            continue
+        a = x // (q + 1)
+        if (a * (q + 1) + s - n) % big == 0:
+            out.add((a, b, B))
+    return out
+
+
+def forced_labeled_red(
+    ell: int, f: int, n1: int, n2: int
+) -> set[tuple[int, tuple[int, ...], int]]:
+    """brute_labeled_red with a read off instead of looped over: the first
+    congruence forces a = n1 - s_in (mod q - 1)."""
+    m = max(ell**f - 1, 1)
+    out = set()
+    for B, b, s_in, s_out in _digit_sums(ell, f):
+        a = (n1 - s_in) % m
+        if (a + s_in - n1) % m == 0 and (a + s_out - n2) % m == 0:
+            out.add((a, b, B))
     return out
 
 

@@ -25,6 +25,7 @@ from oracles import (
     as_labeled_set,
     brute_injectivity_witness,
     brute_labeled_irred,
+    forced_labeled_irred,
     project_weights,
     window_values,
 )
@@ -88,6 +89,37 @@ def test_labeled_set_matches_oracle(ell, f):
         got = labeled_weight_set(niveau_two(p, n))
         want = as_labeled_set(brute_labeled_irred(ell, f, n), p)
         assert got == want, (ell, f, n)
+
+
+@pytest.mark.parametrize("ell,f", FULL_RANGES)
+def test_forced_oracle_matches_brute_oracle(ell, f):
+    p = FieldParams(ell, f)
+    for n in _valid_ns(p):
+        assert forced_labeled_irred(ell, f, n) == brute_labeled_irred(ell, f, n), (ell, f, n)
+
+
+# q^2 - 1 is 0.9997 * 2^62 for both: the top of the accepted range
+@pytest.mark.parametrize("ell,f", [(2**31 - 1, 1), (46337, 2)])
+def test_labeled_set_exact_at_top_of_range(ell, f):
+    """Data built from extreme triples (digits all 1 or all ell, a = 0 or
+    q-2) on every subset; every returned triple is checked against the
+    defining congruence in Python ints."""
+    p = FieldParams(ell, f)
+    q, big = p.q, p.m_big
+    for B in subsets(f):
+        for b in [(1,) * f, (ell,) * f, (ell,) + (1,) * (f - 1)]:
+            s = sum(bi * ell ** (i if B >> i & 1 else f + i) for i, bi in enumerate(b))
+            for a in (0, q - 2):
+                n = (a * (q + 1) + s) % big
+                if n % p.m_plus == 0:
+                    continue
+                d = niveau_two(p, n)
+                triples = [(lw.weight.a, lw.weight.b, lw.B) for lw in labeled_weight_set(d)]
+                assert (a, b, B) in triples
+                assert len(set(triples)) == len(triples) == labeled_count_formula(d)
+                for ta, tb, tB in triples:
+                    ts = sum(bi * ell ** (i if tB >> i & 1 else f + i) for i, bi in enumerate(tb))
+                    assert (ta * (q + 1) + ts - n) % big == 0, (n, ta, tb, tB)
 
 
 def test_labeled_set_matches_oracle_sampled_5_2():

@@ -34,6 +34,7 @@ from oracles import (
     brute_injectivity_witness,
     brute_is_generic,
     brute_labeled_red,
+    forced_labeled_red,
     window_values,
 )
 
@@ -152,6 +153,38 @@ def test_labeled_set_matches_oracle(ell, f):
         got = labeled_weight_set(d)
         want = as_labeled_set(brute_labeled_red(ell, f, n1, n2), p)
         assert got == want, (ell, f, n1, n2)
+
+
+@pytest.mark.parametrize("ell,f", FULL_RANGES)
+def test_forced_oracle_matches_brute_oracle(ell, f):
+    for n1, n2 in _pairs(FieldParams(ell, f)):
+        assert forced_labeled_red(ell, f, n1, n2) == brute_labeled_red(ell, f, n1, n2), (ell, f, n1, n2)
+
+
+# q^2 - 1 is 0.9997 * 2^62 for both: the top of the accepted range
+@pytest.mark.parametrize("ell,f", [(2**31 - 1, 1), (46337, 2)])
+def test_labeled_set_exact_at_top_of_range(ell, f):
+    """Split data built from extreme triples (digits all 1 or all ell,
+    a = 0 or q-2) on every subset; every returned triple is checked against
+    both defining congruences in Python ints."""
+    p = FieldParams(ell, f)
+    m = p.m_minus
+
+    def parts(b, B):
+        s_in = sum(bi * ell**i for i, bi in enumerate(b) if B >> i & 1)
+        return s_in, sum(bi * ell**i for i, bi in enumerate(b)) - s_in
+
+    for B in subsets(f):
+        for b in [(1,) * f, (ell,) * f, (ell,) + (1,) * (f - 1)]:
+            s_in, s_out = parts(b, B)
+            for a in (0, p.q - 2):
+                d = niveau_one(p, a + s_in, a + s_out, ExtClass.SPLIT)
+                triples = [(lw.weight.a, lw.weight.b, lw.B) for lw in labeled_weight_set(d)]
+                assert (a, b, B) in triples
+                assert len(set(triples)) == len(triples) == labeled_count_formula(d)
+                for ta, tb, tB in triples:
+                    t_in, t_out = parts(tb, tB)
+                    assert (ta + t_in - d.n1) % m == 0 and (ta + t_out - d.n2) % m == 0
 
 
 @pytest.mark.parametrize("ell,f", FULL_RANGES + [(2, 3), (5, 2), (11, 1), (13, 1)])

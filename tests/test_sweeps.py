@@ -15,15 +15,17 @@ from serreweights.reducible import labeled_weight_set as red_labeled
 from serreweights.sweeps import (
     ALL_KINDS,
     estimate_cost,
-    irred_labeled_via_engine,
     plan_tasks,
-    red_labeled_via_engine,
     verify_sweep,
 )
 
+from oracles import as_labeled_set, forced_labeled_irred, forced_labeled_red
+
 SMALL = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 # every class mod q+1 (or ratio class mod q-1) has many lifts here, so these
-# pin a = (k + C[r]) mod (q-1) and the ratio-line tables of the engine
+# pin a = (k + C[r]) mod (q-1) and the ratio-line tables of the class decode.
+# The engine's class decode is the only recipe implementation: these tests
+# compare it, through labeled_weight_set, with the definitional oracles.
 MANY_PERIODS = [(2, 3), (2, 4), (3, 3)]
 
 
@@ -33,8 +35,8 @@ def test_engine_matches_object_level_irred_exhaustive(ell, f):
     for n in range(p.m_big):
         if n % p.m_plus == 0:
             continue
-        d = niveau_two(p, n)
-        assert irred_labeled_via_engine(d) == irred_labeled(d), (ell, f, n)
+        want = as_labeled_set(forced_labeled_irred(ell, f, n), p)
+        assert irred_labeled(niveau_two(p, n)) == want, (ell, f, n)
 
 
 @pytest.mark.parametrize("ell,f", SMALL + MANY_PERIODS)
@@ -42,8 +44,8 @@ def test_engine_matches_object_level_red_exhaustive(ell, f):
     p = FieldParams(ell, f)
     m = max(p.m_minus, 1)
     for n1, n2 in itertools.product(range(m), repeat=2):
-        d = niveau_one(p, n1, n2, ExtClass.SPLIT)
-        assert red_labeled_via_engine(d) == red_labeled(d), (ell, f, n1, n2)
+        want = as_labeled_set(forced_labeled_red(ell, f, n1, n2), p)
+        assert red_labeled(niveau_one(p, n1, n2, ExtClass.SPLIT)) == want, (ell, f, n1, n2)
 
 
 @pytest.mark.parametrize("ell,f", [(7, 3), (11, 2), (13, 2), (2, 4), (3, 4)])
@@ -53,14 +55,14 @@ def test_engine_matches_object_level_sampled_large(ell, f):
     for n in range(1, p.m_big, step):
         if n % p.m_plus == 0:
             continue
-        d = niveau_two(p, n)
-        assert irred_labeled_via_engine(d) == irred_labeled(d), (ell, f, n)
+        want = as_labeled_set(forced_labeled_irred(ell, f, n), p)
+        assert irred_labeled(niveau_two(p, n)) == want, (ell, f, n)
     m = max(p.m_minus, 1)
     step = max(1, m // 12)
     for n1 in range(0, m, step):
         for n2 in range(0, m, step):
-            d = niveau_one(p, n1, n2, ExtClass.SPLIT)
-            assert red_labeled_via_engine(d) == red_labeled(d), (ell, f, n1, n2)
+            want = as_labeled_set(forced_labeled_red(ell, f, n1, n2), p)
+            assert red_labeled(niveau_one(p, n1, n2, ExtClass.SPLIT)) == want, (ell, f, n1, n2)
 
 
 def test_plan_tasks_and_cost():
