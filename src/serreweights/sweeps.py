@@ -34,6 +34,19 @@ oracles of tests/oracles.py exhaustively on small parameters, including
 fields where each class mod q+1 has many lifts, and by sampling on large
 ones.
 
+The count kernels work in narrow ints.  With D = q-1, every a lies in
+[0, D) and every digit code in [0, D], so the distinct-count keys
+a + D bcode stay below D (D+1) and the sums 2a + bcode below 3D: int32
+holds both whenever D (D+2) < 2^31, which covers every field a default
+budget admits, and int64 is used only above that.  The kernels gather
+from narrow copies of the tables and bring a into [0, D) by one
+conditional add (or subtraction) of D, not by a modulo over cells.  The
+determinant law 2a + bcode + cyc_sum = n mod D is tested the same way:
+with t = (n - cyc_sum) mod D taken once per row, a cell passes iff
+2a + bcode - t is 0, D or 2D.  Every cell is still tested, on the a the
+counts and keys use.  The (n1, n2) grid of counts-red runs in blocks of
+whole n1 rows.
+
 The symmetry sweep needs no kernel call.  Per chunk it runs one divmod by
 q+1 for n and one for each image (q n, ell n and n + (q+1), mod q^2-1),
 then gathers rows of narrow-int tables: the digit codes, -1 where a class
@@ -77,7 +90,8 @@ __all__ = [
 
 _CHUNK = 1 << 18
 _MAX_WITNESSES = 25
-# int64 headroom for the vectorized paths; the budget keeps real runs far below
+# keeps D < 2^20, so int64 exponents and the int64 fallback of the narrow
+# count kernels stay exact; the budget keeps real runs far below
 _ENGINE_CAP = 2**40
 
 
@@ -135,32 +149,95 @@ def _irred_tables(ell: int, f: int):
     return _read_only(*irred.class_tables(p, np.arange(p.m_plus)))
 
 
+def _key_dtype(D: int):
+    """int32 when every key a + D bcode and every sum 2a + bcode fits in it.
+
+    With 0 <= a < D and 0 <= bcode <= D, keys stay below D (D + 1) and the
+    sums below 3 D, so D (D + 2) < 2^31 covers both; int64 above that.
+    """
+    return np.int32 if D * (D + 2) < 2**31 else np.int64
+
+
+def _wrap_once(a: np.ndarray, shift: int) -> None:
+    """Reduce a mod D in place, for a in [0, 2D) with shift -D or a in
+    (-D, D) with shift D: one conditional add of shift, with no per-cell
+    modulo.
+
+    Of a and a + shift, the one in [0, D) is the smaller as an unsigned int:
+    the other is larger, or negative, and a negative int reads as unsigned
+    above every value in [0, D).
+    """
+    u = np.dtype(f"u{a.itemsize}")
+    np.minimum(a.view(u), (a + shift).view(u), out=a.view(u))
+
+
+def _row_counts(cells: np.ndarray) -> np.ndarray:
+    """Number of True cells in each row (first index), as int32."""
+    # einsum beats sum(axis=1) two- to threefold on rows this short
+    return np.einsum("ij->i", cells.reshape(len(cells), -1), dtype=np.int32)
+
+
+@lru_cache(maxsize=None)
+def _irred_kernel_tables(ell: int, f: int):
+    """`_irred_tables` with C and bcode in the field's key dtype."""
+    p = FieldParams(ell, f)
+    dtype = _key_dtype(max(p.m_minus, 1))
+    admissible, C, bcode = _irred_tables(ell, f)
+    return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
+
+
 def _irred_kernel(p: FieldParams, N: np.ndarray):
     """Per-subset solve for every n in N (all assumed valid).
 
-    Returns (admis, a_mat, bcode_mat), each of shape (len(N), 2^f).
+    Returns (admis, a_mat, bcode_mat), each of shape (len(N), 2^f): admis
+    is bool, a_mat and bcode_mat have the field's key dtype (int32 unless
+    D (D + 2) >= 2^31), with 0 <= a < D.
     """
-    admissible, C, bcode = _irred_tables(p.ell, p.f)
+    admissible, C, bcode = _irred_kernel_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
     k, r = np.divmod(N, p.m_plus)
     a_mat = np.take(C, r, axis=0)
-    a_mat += (k % D)[:, np.newaxis]
-    np.subtract(a_mat, D, out=a_mat, where=a_mat >= D)
+    a_mat += (k % D).astype(a_mat.dtype)[:, np.newaxis]
+    _wrap_once(a_mat, -D)
     return np.take(admissible, r, axis=0), a_mat, np.take(bcode, r, axis=0)
 
 
 def _distinct_counts(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Number of distinct key values per row, counting only valid entries.
 
-    Invalid entries are replaced by unique negative sentinels so they add a
-    known number of distinct values, then subtracted off.
+    Keys are non-negative.  Invalid entries become the sentinel -1, in the
+    keys' dtype so the sort stays narrow, and sort to the front of the row;
+    a row then has one distinct value per change of value along it, plus
+    one for its first entry unless that is the sentinel.
     """
-    ncols = keys.shape[1]
-    sentinels = -np.arange(1, ncols + 1, dtype=np.int64)
-    masked = np.where(valid, keys, sentinels[np.newaxis, :])
-    s = np.sort(masked, axis=1)
-    distinct_total = (np.diff(s, axis=1) > 0).sum(axis=1) + 1
-    return distinct_total - (ncols - valid.sum(axis=1))
+    masked = np.where(valid, keys, keys.dtype.type(-1))
+    masked.sort(axis=1)
+    changes = _row_counts(masked[:, 1:] != masked[:, :-1])
+    return changes + (masked[:, 0] >= 0)
+
+
+def _det_bad(p: FieldParams, n: np.ndarray, valid, a_mat, bcode_mat) -> np.ndarray:
+    """Rows with a valid cell that breaks the determinant law.
+
+    Row i holds the triples (a, b, B) of a datum with exponent sum n[i]
+    (n, or n1 + n2); each must satisfy 2a + bcode + cyc_sum = n mod D.  With
+    t = (n - cyc_sum) mod D per row and 0 <= 2a + bcode < 3 D, a cell passes
+    iff 2a + bcode is t, t + D or t + 2 D, so no cell is reduced mod D.
+    """
+    D = max(p.m_minus, 1)
+    cyc_sum = (p.q - 1) // (p.ell - 1)  # sum of ell^i as an integer
+    shape = (len(n),) + (1,) * (a_mat.ndim - 1)
+    t = ((n - cyc_sum) % D).astype(a_mat.dtype).reshape(shape)
+    s = a_mat * 2
+    s += bcode_mat
+    s -= t
+    bad = s != 0
+    bad &= s != D
+    bad &= s != 2 * D
+    bad &= valid
+    bad = bad.reshape(len(n), -1)
+    # one flat test first: a passing chunk skips the per-row reduction
+    return bad.any(axis=1) if bad.any() else np.zeros(len(n), dtype=bool)
 
 
 @dataclass
@@ -186,20 +263,17 @@ def _irred_scan(ell: int, f: int) -> _IrredScan:
     p = FieldParams(ell, f)
     _check_params(p)
     D = max(p.m_minus, 1)
-    cyc_sum = (p.q - 1) // (ell - 1)  # sum of ell^i as an integer
     labeled = np.zeros(p.m_big, dtype=np.int16)
     distinct = np.zeros(p.m_big, dtype=np.int16)
     det_bad: list[int] = []
     checked = 0
     for N in _valid_irred_chunks(p):
         admis, a_mat, bcode_mat = _irred_kernel(p, N)
-        labeled[N] = admis.sum(axis=1).astype(np.int16)
-        keys = a_mat + D * bcode_mat
-        distinct[N] = _distinct_counts(keys, admis).astype(np.int16)
-        det_res = (2 * a_mat + bcode_mat + cyc_sum - N[:, np.newaxis]) % D
-        bad = (det_res != 0) & admis
-        if bad.any():
-            det_bad.extend(int(x) for x in N[bad.any(axis=1)])
+        labeled[N] = _row_counts(admis)
+        keys = bcode_mat * D
+        keys += a_mat
+        distinct[N] = _distinct_counts(keys, admis)
+        det_bad.extend(int(x) for x in N[_det_bad(p, N, admis, a_mat, bcode_mat)])
         checked += len(N)
     return _IrredScan(labeled, distinct, det_bad, checked)
 
@@ -238,18 +312,31 @@ def _red_tables(ell: int, f: int):
     return _read_only(*red.class_tables(p, np.arange(max(p.m_minus, 1))))
 
 
+@lru_cache(maxsize=None)
+def _red_kernel_tables(ell: int, f: int):
+    """`_red_tables` with s_in reduced mod D, and s_in and bcode in the
+    field's key dtype."""
+    p = FieldParams(ell, f)
+    D = max(p.m_minus, 1)
+    dtype = _key_dtype(D)
+    valid, s_in, bcode = _red_tables(ell, f)
+    return _read_only(valid, (s_in % D).astype(dtype), bcode.astype(dtype))
+
+
 def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
     """Per-subset solve for every pair; two solution slots per subset.
 
-    Returns (valid, a_mat, bcode_mat), each of shape (len, 2^f, 2); a slot
-    is only meaningful where valid is set.
+    Returns (valid, a_mat, bcode_mat), each of shape (len, 2^f, 2): valid
+    is bool, a_mat and bcode_mat have the field's key dtype (int32 unless
+    D (D + 2) >= 2^31), with 0 <= a < D.  A slot is only meaningful where
+    valid is set.
     """
-    valid, s_in, bcode = _red_tables(p.ell, p.f)
+    valid, s_in, bcode = _red_kernel_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
     n = (N1 - N2) % D
     a_mat = np.take(s_in, n, axis=0)
-    np.subtract(N1[:, np.newaxis, np.newaxis], a_mat, out=a_mat)
-    a_mat %= D
+    np.subtract(N1.astype(a_mat.dtype)[:, np.newaxis, np.newaxis], a_mat, out=a_mat)
+    _wrap_once(a_mat, D)
     return np.take(valid, n, axis=0), a_mat, np.take(bcode, n, axis=0)
 
 
@@ -268,19 +355,16 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     _check_params(p)
     D = max(p.m_minus, 1)
     nB = 1 << f
-    cyc_sum = (p.q - 1) // (ell - 1)
     cyc = p.cyclotomic_exponent
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
     valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
-    labeled = valid.sum(axis=(1, 2)).astype(np.int16)
+    labeled = _row_counts(valid).astype(np.int16)
 
     keys = (a_mat + D * bcode_mat).reshape(D, 2 * nB)
     distinct = _distinct_counts(keys, valid.reshape(D, 2 * nB)).astype(np.int16)
 
-    det_res = (2 * a_mat + bcode_mat + cyc_sum - N[:, np.newaxis, np.newaxis]) % D
-    det_ok = (det_res == 0) | ~valid
-    det_bad = [int(x) for x in N[~det_ok.all(axis=(1, 2))]]
+    det_bad = [int(x) for x in N[_det_bad(p, N, valid, a_mat, bcode_mat)]]
 
     # certain part: some valid slot with a decided subspace equal to all of H^1
     h1 = f + (N == 0).astype(np.int64) + (N == cyc).astype(np.int64)
@@ -369,33 +453,35 @@ def _run_counts_red(ell: int, f: int):
             {"ell": ell, "f": f, "n1": int(n), "n2": 0, "enumerated": int(scan.labeled[n]), "closed_form": int(lut[n])}
         )
     checked = scan.checked
-    # full pair grid, honestly re-enumerated
+    # full pair grid, honestly re-enumerated: blocks of whole n1 rows, or
+    # pieces of one row when a row alone exceeds the chunk
     nB = 1 << f
-    cyc_sum = (p.q - 1) // (ell - 1)
     pair_chunk = max(1, _CHUNK // (2 * nB))
-    idx = np.arange(D * D, dtype=np.int64)
-    for start in range(0, D * D, pair_chunk):
-        part = idx[start : start + pair_chunk]
-        N1, N2 = part // D, part % D
-        valid, a_mat, bcode_mat = _red_kernel(p, N1, N2)
-        counts = valid.sum(axis=(1, 2))
-        bad_pairs = counts != lut[(N1 - N2) % D]
-        total_bad += int(bad_pairs.sum())
-        for j in np.nonzero(bad_pairs)[0]:
-            if len(mism) >= _MAX_WITNESSES:
-                break
-            mism.append(
-                {"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "enumerated": int(counts[j]), "closed_form": int(lut[(N1[j] - N2[j]) % D])}
-            )
-        # determinant law across the grid, while the triples are in hand
-        det_res = (2 * a_mat + bcode_mat + cyc_sum - (N1 + N2)[:, np.newaxis, np.newaxis]) % D
-        det_bad = ((det_res != 0) & valid).any(axis=(1, 2))
-        total_bad += int(det_bad.sum())
-        for j in np.nonzero(det_bad)[0]:
-            if len(mism) >= _MAX_WITNESSES:
-                break
-            mism.append({"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "check": "det-law"})
-        checked += len(part)
+    rows, cols = max(1, pair_chunk // D), min(D, pair_chunk)
+    for n1_start in range(0, D, rows):
+        n1s = np.arange(n1_start, min(n1_start + rows, D), dtype=np.int64)
+        for n2_start in range(0, D, cols):
+            n2s = np.arange(n2_start, min(n2_start + cols, D), dtype=np.int64)
+            N1, N2 = np.repeat(n1s, len(n2s)), np.tile(n2s, len(n1s))
+            valid, a_mat, bcode_mat = _red_kernel(p, N1, N2)
+            counts = _row_counts(valid)
+            closed = lut[(N1 - N2) % D]
+            bad_pairs = counts != closed
+            total_bad += int(bad_pairs.sum())
+            for j in np.nonzero(bad_pairs)[0]:
+                if len(mism) >= _MAX_WITNESSES:
+                    break
+                mism.append(
+                    {"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "enumerated": int(counts[j]), "closed_form": int(closed[j])}
+                )
+            # determinant law across the grid, while the triples are in hand
+            det_bad = _det_bad(p, N1 + N2, valid, a_mat, bcode_mat)
+            total_bad += int(det_bad.sum())
+            for j in np.nonzero(det_bad)[0]:
+                if len(mism) >= _MAX_WITNESSES:
+                    break
+                mism.append({"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "check": "det-law"})
+            checked += len(N1)
     return checked, mism, total_bad
 
 

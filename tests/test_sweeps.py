@@ -3,6 +3,7 @@ import itertools
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from serreweights import qtable, sweeps
@@ -206,3 +207,96 @@ def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
         ("frobenius-red", 4),
         ("frobenius-red", 10),
     ]
+
+
+@pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
+def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
+    # one cell (r = 5, B = 3) of one table at (3, 3); q + 1 = 28, q - 1 = 26
+    tables = _corrupt_irred(which)
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
+    lifts = list(range(5, 728, 28))  # every n = k (q+1) + 5
+    scan = sweeps._irred_scan(3, 3)
+    checked, mism, bad = sweeps._run_counts_irred(3, 3)
+    det_checked, det_mism, det_bad = sweeps._run_det_law(3, 3)
+    assert checked == scan.checked == 702
+    assert det_checked == 702 + 26
+    if which == "admissible":
+        # the labeled count drops at every lift; no triple breaks the det law
+        assert scan.det_bad == [] and det_bad == 0
+        assert bad == 26
+        assert [(w["n"], w["enumerated"], w["closed_form"]) for w in mism[:3]] == [
+            (5, 7, 8), (33, 7, 8), (61, 7, 8),
+        ]
+    else:
+        # a or bcode of one subset moves: counts hold, the det law fails at
+        # every lift, each with its own k in a = k + C[r]
+        assert bad == 0 and mism == []
+        assert scan.det_bad == lifts
+        assert det_bad == 26
+        assert [w["n"] for w in det_mism] == lifts[:25]
+        assert all(w["case"] == "irreducible" for w in det_mism)
+
+
+@pytest.mark.parametrize("chunk", [sweeps._CHUNK, 64, 1600])
+def test_counts_red_grid_catches_corrupted_red_table(monkeypatch, fresh_tables, chunk):
+    # one s_in cell of ratio class 4 at (3, 3); small chunks split the
+    # (n1, n2) grid into pieces of a row (64) and blocks of rows (1600)
+    valid, s_in, bcode = (t.copy() for t in sweeps._red_tables(3, 3))
+    s_in[4, 2, 0] += 1
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_red_tables", lambda ell, f: (valid, s_in, bcode))
+    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+    checked, mism, bad = sweeps._run_counts_red(3, 3)
+    assert checked == 26 + 26 * 26
+    # the counts hold; the det law fails at every pair of ratio 4
+    assert bad == 26
+    assert [(w["n1"], w["n2"], w.get("check")) for w in mism] == [
+        (n1, (n1 - 4) % 26, "det-law") for n1 in range(25)
+    ]
+    assert sweeps._red_scan(3, 3).det_bad == [4]
+
+
+def test_key_dtype_boundary():
+    # int32 exactly when D (D + 2) < 2^31: the keys a + D bcode <= D^2 + D - 1
+    # and the sums 2a + bcode < 3 D then fit
+    assert 46339 * (46339 + 2) < 2**31 <= 46340 * (46340 + 2)
+    for D in (1, 2, 26, 2400, 46338, 46339):
+        assert sweeps._key_dtype(D) == np.int32
+        assert D * D + D - 1 <= np.iinfo(np.int32).max and 3 * D <= np.iinfo(np.int32).max
+    for D in (46340, 46341, 2**20):
+        assert sweeps._key_dtype(D) == np.int64
+
+
+@pytest.mark.parametrize("ncols", [2, 16, 256])
+def test_distinct_counts_same_on_int32_and_int64(ncols):
+    rng = np.random.default_rng(ncols)
+    keys = rng.integers(0, 2 * ncols, size=(300, ncols))
+    valid = rng.random((300, ncols)) < rng.random((300, 1))  # rows from empty to full
+    want = [len(set(row[ok].tolist())) for row, ok in zip(keys, valid)]
+    for dtype in (np.int32, np.int64):
+        assert sweeps._distinct_counts(keys.astype(dtype), valid).tolist() == want
+
+
+def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
+    # fields past D (D + 2) >= 2^31 are too large for a test to sweep, so
+    # the int64 path runs here on a small field and must agree with int32
+    fields = [(2, 4), (3, 3), (5, 2)]
+
+    def results():
+        _clear_table_caches()
+        out = []
+        for ell, f in fields:
+            si, sr = sweeps._irred_scan(ell, f), sweeps._red_scan(ell, f)
+            out.append((
+                si.labeled.tolist(), si.distinct.tolist(), si.det_bad,
+                sr.labeled.tolist(), sr.distinct.tolist(), sr.det_bad, sr.certain_missing,
+                sweeps._run_counts_red(ell, f), sweeps._run_symmetry(ell, f),
+            ))
+        return out
+
+    narrow = results()
+    monkeypatch.setattr(sweeps, "_key_dtype", lambda D: np.int64)
+    assert results() == narrow
+    assert sweeps._irred_kernel(FieldParams(3, 3), np.arange(1, 28))[1].dtype == np.int64
+    assert sweeps._red_kernel(FieldParams(3, 3), np.arange(26), np.zeros(26, dtype=np.int64))[1].dtype == np.int64
