@@ -17,11 +17,12 @@ serves the verification sweeps.
 
 For a non-split datum the weight set depends on where the extension class
 lands inside H^1; each labeled weight carves out a subspace L whose dimension
-is |J| with small corrections (J is the embedding subset matching B).  The
-dimension report records the correction and whether it is decided by the
-datum alone; the one open situation is a trivial character ratio with J
-proper and b not identically ell, where the answer depends on whether the
-unramified line sits inside the peu-ramifiee subspace L'.
+is |J| with small corrections (J is the embedding subset matching B).
+`dimension_rule` gives the correction and whether it is decided by the
+datum alone, for `dim_report` and for the nonempty sweep; the one open
+situation is a trivial character ratio with J proper and b not identically
+ell, where the answer depends on whether the unramified line sits inside
+the peu-ramifiee subspace L'.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ __all__ = [
     "labeled_count_formula",
     "injectivity_witness",
     "projection_is_injective",
+    "h1_excess",
     "h1_dim",
+    "dimension_rule",
     "DimReport",
     "dim_report",
     "weight_set_split",
@@ -239,18 +242,18 @@ def projection_is_injective(d: ReducibleDatum) -> bool:
 # cohomology bookkeeping for the non-split case
 
 
+def h1_excess(trivial: bool, cyclotomic: bool) -> int:
+    """dim H^1 - f for the ratio character: one for a trivial ratio plus one
+    for a cyclotomic ratio."""
+    return int(trivial) + int(cyclotomic)
+
+
 def h1_dim(d: ReducibleDatum) -> int:
-    """Dimension of H^1 for the ratio character: f plus one for a trivial
-    ratio plus one for a cyclotomic ratio.  For ell = 2 the cyclotomic
-    exponent vanishes mod q-1, so both corrections apply at n = 0."""
+    """Dimension of H^1 for the ratio character: f plus `h1_excess`.  For
+    ell = 2 the cyclotomic exponent vanishes mod q-1, so both corrections
+    apply at n = 0."""
     p = d.params
-    n = d.n
-    dim = p.f
-    if n == 0:
-        dim += 1
-    if n == p.cyclotomic_exponent:
-        dim += 1
-    return dim
+    return p.f + h1_excess(d.n == 0, d.n == p.cyclotomic_exponent)
 
 
 @dataclass(frozen=True)
@@ -289,35 +292,39 @@ def _membership_check(lw: LabeledWeight, d: ReducibleDatum) -> None:
         raise NotInLabeledSet(f"{lw} is not a labeled weight of {d}")
 
 
-def dim_report(lw: LabeledWeight, d: ReducibleDatum) -> DimReport:
-    """Dimension report for the subspace attached to one labeled weight.
+def dimension_rule(trivial: bool, cyclotomic: bool, all_ell: bool, full: bool) -> tuple[int, bool]:
+    """(delta, decidable) of the subspace L of a labeled weight, from whether
+    the ratio is trivial or cyclotomic, whether b = (ell..ell) and whether
+    J is full.
 
-    Generic answer |J|.  Corrections: a cyclotomic ratio with b = (ell..ell)
-    and J full gets +1 (the subspace is everything); a trivial ratio gets +1,
-    upgraded to +2 when b = (ell..ell) (forcing ell = 2) or when J is proper
-    and the unramified line escapes the peu-ramifiee subspace, which is the
-    one case the datum does not decide.
+    Generic answer delta = 0.  Corrections: a cyclotomic ratio with
+    b = (ell..ell) and J full gets +1 (the subspace is everything); a
+    trivial ratio gets +1, upgraded to +2 when b = (ell..ell) (forcing
+    ell = 2) or when J is proper and the unramified line escapes the
+    peu-ramifiee subspace, which is the one case the datum does not decide.
     """
-    _membership_check(lw, d)
-    p = d.params
-    j_size = bin(lw.B).count("1")
-    full = lw.B == (1 << p.f) - 1
-    all_ell = all(bi == p.ell for bi in lw.weight.b)
-    n = d.n
-    trivial = n == 0
-    cyclotomic = n == p.cyclotomic_exponent
-
     if trivial:
-        # ell = 2 included here (trivial and cyclotomic coincide mod q-1)
+        # ell = 2 included here: its cyclotomic ratio is the trivial one, as
+        # the cyclotomic exponent vanishes mod q-1
         if all_ell:
-            return DimReport(j_size, 2, True)
+            return 2, True
         if full:
             # b must be (ell-1 .. ell-1); the unramified line is inside L'
-            return DimReport(j_size, 1, True)
-        return DimReport(j_size, 1, False)
-    if cyclotomic and all_ell and full and p.ell > 2:
-        return DimReport(j_size, 1, True)
-    return DimReport(j_size, 0, True)
+            return 1, True
+        return 1, False
+    if cyclotomic and all_ell and full:
+        return 1, True
+    return 0, True
+
+
+def dim_report(lw: LabeledWeight, d: ReducibleDatum) -> DimReport:
+    """Dimension report for the subspace attached to one labeled weight:
+    |J| plus the correction of `dimension_rule`."""
+    _membership_check(lw, d)
+    p = d.params
+    all_ell, full = all(bi == p.ell for bi in lw.weight.b), lw.B == (1 << p.f) - 1
+    delta, decidable = dimension_rule(d.n == 0, d.n == p.cyclotomic_exponent, all_ell, full)
+    return DimReport(bin(lw.B).count("1"), delta, decidable)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ them at every datum in range:
 The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
 n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
-datum per class to fill a lookup table.
+datum per class, into a table that the irreducible kinds spread over rows
+k and columns r of n = k (q+1) + r.  nonempty's certain part reads
+reducible.dimension_rule and h1_excess.  One collector, _Mismatches, keeps
+every runner's and the merged report's mismatch count and witnesses.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -38,8 +41,8 @@ The count kernels work in narrow ints.  With D = q-1, every a lies in
 [0, D) and every digit code in [0, D], so the distinct-count keys
 a + D bcode stay below D (D+1) and the sums 2a + bcode below 3D: int32
 holds both whenever D (D+2) < 2^31, which covers every field a default
-budget admits, and int64 is used only above that.  The kernels gather
-from narrow copies of the tables and bring a into [0, D) by one
+budget admits, and int64 is used only above that.  The cached class
+tables hold that dtype, and the kernels bring a into [0, D) by one
 conditional add (or subtraction) of D, not by a modulo over cells.  The
 determinant law 2a + bcode + cyc_sum = n mod D is tested the same way:
 with t = (n - cyc_sum) mod D taken once per row, a cell passes iff
@@ -64,6 +67,7 @@ budget.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -137,18 +141,6 @@ def _check_params(p: FieldParams) -> None:
 # irreducible engine
 
 
-@lru_cache(maxsize=None)
-def _irred_tables(ell: int, f: int):
-    """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
-    each of shape (q+1, 2^f).
-
-    Writing n = k (q+1) + r, admissibility and the digit code of n depend on
-    r alone, and a = (k + C[r]) mod (q-1) exactly.
-    """
-    p = FieldParams(ell, f)
-    return _read_only(*irred.class_tables(p, np.arange(p.m_plus)))
-
-
 def _key_dtype(D: int):
     """int32 when every key a + D bcode and every sum 2a + bcode fits in it.
 
@@ -178,11 +170,16 @@ def _row_counts(cells: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _irred_kernel_tables(ell: int, f: int):
-    """`_irred_tables` with C and bcode in the field's key dtype."""
+def _irred_tables(ell: int, f: int):
+    """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
+    each of shape (q+1, 2^f), with C and bcode in the field's key dtype.
+
+    Writing n = k (q+1) + r, admissibility and the digit code of n depend on
+    r alone, and a = (k + C[r]) mod (q-1) exactly.
+    """
     p = FieldParams(ell, f)
     dtype = _key_dtype(max(p.m_minus, 1))
-    admissible, C, bcode = _irred_tables(ell, f)
+    admissible, C, bcode = irred.class_tables(p, np.arange(p.m_plus))
     return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
 
 
@@ -193,7 +190,7 @@ def _irred_kernel(p: FieldParams, N: np.ndarray):
     is bool, a_mat and bcode_mat have the field's key dtype (int32 unless
     D (D + 2) >= 2^31), with 0 <= a < D.
     """
-    admissible, C, bcode = _irred_kernel_tables(p.ell, p.f)
+    admissible, C, bcode = _irred_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
     k, r = np.divmod(N, p.m_plus)
     a_mat = np.take(C, r, axis=0)
@@ -307,19 +304,12 @@ def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
 def _red_tables(ell: int, f: int):
     """`red.class_tables` of every ratio class n mod q-1: (valid, s_in,
     bcode), each of shape (q-1, 2^f, 2), where valid marks the slots that
-    hold a window solution (slot 1 only on a doubled class)."""
-    p = FieldParams(ell, f)
-    return _read_only(*red.class_tables(p, np.arange(max(p.m_minus, 1))))
-
-
-@lru_cache(maxsize=None)
-def _red_kernel_tables(ell: int, f: int):
-    """`_red_tables` with s_in reduced mod D, and s_in and bcode in the
-    field's key dtype."""
+    hold a window solution (slot 1 only on a doubled class).  s_in is
+    reduced mod q-1, and s_in and bcode have the field's key dtype."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
     dtype = _key_dtype(D)
-    valid, s_in, bcode = _red_tables(ell, f)
+    valid, s_in, bcode = red.class_tables(p, np.arange(D))
     return _read_only(valid, (s_in % D).astype(dtype), bcode.astype(dtype))
 
 
@@ -331,7 +321,7 @@ def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
     D (D + 2) >= 2^31), with 0 <= a < D.  A slot is only meaningful where
     valid is set.
     """
-    valid, s_in, bcode = _red_kernel_tables(p.ell, p.f)
+    valid, s_in, bcode = _red_tables(p.ell, p.f)
     D = max(p.m_minus, 1)
     n = (N1 - N2) % D
     a_mat = np.take(s_in, n, axis=0)
@@ -355,7 +345,6 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     _check_params(p)
     D = max(p.m_minus, 1)
     nB = 1 << f
-    cyc = p.cyclotomic_exponent
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
     valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
@@ -366,23 +355,22 @@ def _red_scan(ell: int, f: int) -> _RedScan:
 
     det_bad = [int(x) for x in N[_det_bad(p, N, valid, a_mat, bcode_mat)]]
 
-    # certain part: some valid slot with a decided subspace equal to all of H^1
-    h1 = f + (N == 0).astype(np.int64) + (N == cyc).astype(np.int64)
-    j_sizes = np.array([bin(B).count("1") for B in range(nB)], dtype=np.int64)
-    full_col = np.array([B == nB - 1 for B in range(nB)], dtype=bool)
-    all_ell = bcode_mat == p.q - 1  # every digit equals ell
-    trivial = (N == 0)[:, np.newaxis, np.newaxis]
-    cyclo = (N == cyc)[:, np.newaxis, np.newaxis]
-    delta = np.zeros_like(a_mat)
-    decid = np.ones_like(valid)
-    cols = full_col[np.newaxis, :, np.newaxis]
-    delta = np.where(trivial & all_ell, 2, delta)
-    delta = np.where(trivial & ~all_ell, 1, delta)
-    decid = np.where(trivial & ~all_ell & ~cols, False, decid)
-    if ell > 2:
-        delta = np.where(~trivial & cyclo & all_ell & cols, 1, delta)
-    dims = j_sizes[np.newaxis, :, np.newaxis] + delta
-    fills = valid & decid & (dims == h1[:, np.newaxis, np.newaxis])
+    # certain part: some valid slot whose subspace, decided by the recipe's
+    # dimension rule, is all of H^1.  fill_j holds the |J| that fills H^1 in
+    # each of the rule's 16 cases, -1 where it leaves the dimension undecided.
+    fill_j = np.full((2, 2, 2, 2), -1)
+    for case in itertools.product((0, 1), repeat=4):
+        delta, decidable = red.dimension_rule(*map(bool, case))
+        if decidable:
+            fill_j[case] = f + red.h1_excess(*map(bool, case[:2])) - delta
+    flags = (  # trivial ratio, cyclotomic ratio, b = (ell..ell), J full
+        (N == 0)[:, np.newaxis, np.newaxis],
+        (N == p.cyclotomic_exponent)[:, np.newaxis, np.newaxis],
+        bcode_mat == p.q - 1,
+        (np.arange(nB) == nB - 1)[np.newaxis, :, np.newaxis],
+    )
+    j_sizes = np.array([bin(B).count("1") for B in range(nB)])[np.newaxis, :, np.newaxis]
+    fills = valid & (j_sizes == fill_j[tuple(x.astype(np.intp) for x in flags)])
     certain_missing = [int(x) for x in N[~fills.any(axis=(1, 2))]]
 
     return _RedScan(labeled, distinct, det_bad, certain_missing, checked=D)
@@ -416,26 +404,53 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-kind task runners: return (checked, mismatches)
+# per-kind task runners: return (checked, witnesses, mismatch count)
 
 
-def _witness_cap(items: list) -> list:
-    return items[:_MAX_WITNESSES]
+class _Mismatches:
+    """A mismatch count and the first _MAX_WITNESSES witnesses, in the order
+    they were found.  Every runner and the merge of task results keep their
+    witnesses here; a runner's witness is its context (ell, f) followed by
+    the fields of the mismatch."""
+
+    def __init__(self, **context: int) -> None:
+        self.context = context
+        self.count = 0
+        self.witnesses: list[dict] = []
+
+    def merge(self, count: int, witnesses: Iterable[dict]) -> None:
+        """Count count mismatches and keep their witnesses while there is room."""
+        room = min(count, _MAX_WITNESSES - len(self.witnesses))
+        self.witnesses += itertools.islice(witnesses, room)
+        self.count += count
+
+    def add(self, count: int, **fields) -> None:
+        """Count count mismatches.  Each field is a sequence with one value per
+        mismatch (numpy values become Python ints and bools) or one value for
+        all of them."""
+        columns = [
+            np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in fields.values()
+        ]
+        self.merge(count, ({**self.context, **dict(zip(fields, row))} for row in zip(*columns)))
+
+
+def _irred_bad(p: FieldParams, per_n: np.ndarray, per_class: np.ndarray):
+    """(n, r) of every valid n where per_n[n] differs from per_class[r], in
+    increasing n: per_n is laid out as rows k and columns r of
+    n = k (q+1) + r, less the column r = 0 where no n is valid."""
+    k, r = np.nonzero(per_n.reshape(-1, p.m_plus)[:, 1:] != per_class[1:])
+    r += 1
+    return k * p.m_plus + r, r
 
 
 def _run_counts_irred(ell: int, f: int):
     scan = _irred_scan(ell, f)
     p = FieldParams(ell, f)
-    lut = _closed_irred_lut(ell, f)
-    N = np.arange(p.m_big, dtype=np.int64)
-    valid = N % p.m_plus != 0
-    closed = lut[N % p.m_plus]
-    bad = valid & (scan.labeled != closed)
-    mism = [
-        {"ell": ell, "f": f, "n": int(n), "enumerated": int(scan.labeled[n]), "closed_form": int(closed[n])}
-        for n in N[bad][:_MAX_WITNESSES]
-    ]
-    return scan.checked, mism, int(bad.sum())
+    closed = _closed_irred_lut(ell, f)
+    ns, rs = _irred_bad(p, scan.labeled, closed)
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(ns), n=ns, enumerated=scan.labeled[ns], closed_form=closed[rs])
+    return scan.checked, mm.witnesses, mm.count
 
 
 def _run_counts_red(ell: int, f: int):
@@ -443,15 +458,10 @@ def _run_counts_red(ell: int, f: int):
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
     lut = _closed_red_lut(ell, f)
-    mism = []
-    total_bad = 0
+    mm = _Mismatches(ell=ell, f=f)
     # ratio-line form
-    bad = scan.labeled != lut
-    total_bad += int(bad.sum())
-    for n in np.nonzero(bad)[0][:_MAX_WITNESSES]:
-        mism.append(
-            {"ell": ell, "f": f, "n1": int(n), "n2": 0, "enumerated": int(scan.labeled[n]), "closed_form": int(lut[n])}
-        )
+    ns = np.flatnonzero(scan.labeled != lut)
+    mm.add(len(ns), n1=ns, n2=0, enumerated=scan.labeled[ns], closed_form=lut[ns])
     checked = scan.checked
     # full pair grid, honestly re-enumerated: blocks of whole n1 rows, or
     # pieces of one row when a row alone exceeds the chunk
@@ -466,89 +476,64 @@ def _run_counts_red(ell: int, f: int):
             valid, a_mat, bcode_mat = _red_kernel(p, N1, N2)
             counts = _row_counts(valid)
             closed = lut[(N1 - N2) % D]
-            bad_pairs = counts != closed
-            total_bad += int(bad_pairs.sum())
-            for j in np.nonzero(bad_pairs)[0]:
-                if len(mism) >= _MAX_WITNESSES:
-                    break
-                mism.append(
-                    {"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "enumerated": int(counts[j]), "closed_form": int(closed[j])}
-                )
+            js = np.flatnonzero(counts != closed)
+            mm.add(len(js), n1=N1[js], n2=N2[js], enumerated=counts[js], closed_form=closed[js])
             # determinant law across the grid, while the triples are in hand
-            det_bad = _det_bad(p, N1 + N2, valid, a_mat, bcode_mat)
-            total_bad += int(det_bad.sum())
-            for j in np.nonzero(det_bad)[0]:
-                if len(mism) >= _MAX_WITNESSES:
-                    break
-                mism.append({"ell": ell, "f": f, "n1": int(N1[j]), "n2": int(N2[j]), "check": "det-law"})
+            js = np.flatnonzero(_det_bad(p, N1 + N2, valid, a_mat, bcode_mat))
+            mm.add(len(js), n1=N1[js], n2=N2[js], check="det-law")
             checked += len(N1)
-    return checked, mism, total_bad
+    return checked, mm.witnesses, mm.count
 
 
 def _run_injectivity_irred(ell: int, f: int):
     scan = _irred_scan(ell, f)
     p = FieldParams(ell, f)
-    N = np.arange(p.m_big, dtype=np.int64)
-    valid = N % p.m_plus != 0
     enum_fails = scan.distinct < scan.labeled
-    crit = _inj_irred_lut(ell, f)[N % p.m_plus]
-    bad = valid & (enum_fails != crit)
-    mism = [
-        {"ell": ell, "f": f, "n": int(n), "enumerated_failure": bool(enum_fails[n]), "criterion": bool(crit[n])}
-        for n in N[bad][:_MAX_WITNESSES]
-    ]
-    return scan.checked, mism, int(bad.sum())
+    crit = _inj_irred_lut(ell, f)
+    ns, rs = _irred_bad(p, enum_fails, crit)
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(ns), n=ns, enumerated_failure=enum_fails[ns], criterion=crit[rs])
+    return scan.checked, mm.witnesses, mm.count
 
 
 def _run_injectivity_red(ell: int, f: int):
     scan = _red_scan(ell, f)
     enum_fails = scan.distinct < scan.labeled
     crit = _inj_red_lut(ell, f)
-    bad = enum_fails != crit
-    mism = [
-        {"ell": ell, "f": f, "n1": int(n), "n2": 0, "enumerated_failure": bool(enum_fails[n]), "criterion": bool(crit[n])}
-        for n in np.nonzero(bad)[0][:_MAX_WITNESSES]
-    ]
-    return scan.checked, mism, int(bad.sum())
+    ns = np.flatnonzero(enum_fails != crit)
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(ns), n1=ns, n2=0, enumerated_failure=enum_fails[ns], criterion=crit[ns])
+    return scan.checked, mm.witnesses, mm.count
 
 
 def _run_det_law(ell: int, f: int):
     si = _irred_scan(ell, f)
     sr = _red_scan(ell, f)
-    mism = []
-    for n in _witness_cap(si.det_bad):
-        mism.append({"ell": ell, "f": f, "case": "irreducible", "n": n})
-    for n in _witness_cap(sr.det_bad):
-        mism.append({"ell": ell, "f": f, "case": "reducible", "n1": n, "n2": 0})
-    return si.checked + sr.checked, mism, len(si.det_bad) + len(sr.det_bad)
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(si.det_bad), case="irreducible", n=si.det_bad)
+    mm.add(len(sr.det_bad), case="reducible", n1=sr.det_bad, n2=0)
+    return si.checked + sr.checked, mm.witnesses, mm.count
 
 
 def _run_nonempty(ell: int, f: int):
     si = _irred_scan(ell, f)
     sr = _red_scan(ell, f)
     p = FieldParams(ell, f)
-    N = np.arange(p.m_big, dtype=np.int64)
-    valid = N % p.m_plus != 0
-    empty_irred = valid & (si.labeled < 1)
-    mism = [
-        {"ell": ell, "f": f, "case": "irreducible", "n": int(n)}
-        for n in N[empty_irred][:_MAX_WITNESSES]
-    ]
-    for n in _witness_cap(sr.certain_missing):
-        mism.append({"ell": ell, "f": f, "case": "reducible-certain", "n1": n, "n2": 0})
-    bad = int(empty_irred.sum()) + len(sr.certain_missing)
-    return si.checked + sr.checked, mism, bad
+    # every valid n has a nonempty labeled set
+    ns, _ = _irred_bad(p, si.labeled > 0, np.ones(p.m_plus, dtype=bool))
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(ns), case="irreducible", n=ns)
+    mm.add(len(sr.certain_missing), case="reducible-certain", n1=sr.certain_missing, n2=0)
+    return si.checked + sr.checked, mm.witnesses, mm.count
 
 
 def _run_generic_split(ell: int, f: int):
     sr = _red_scan(ell, f)
     gen = _generic_lut(ell, f)
-    bad = gen & (sr.distinct != 2**f)
-    mism = [
-        {"ell": ell, "f": f, "n1": int(n), "n2": 0, "weights": int(sr.distinct[n]), "expected": 2**f}
-        for n in np.nonzero(bad)[0][:_MAX_WITNESSES]
-    ]
-    return int(gen.sum()), mism, int(bad.sum())
+    ns = np.flatnonzero(gen & (sr.distinct != 2**f))
+    mm = _Mismatches(ell=ell, f=f)
+    mm.add(len(ns), n1=ns, n2=0, weights=sr.distinct[ns], expected=2**f)
+    return int(gen.sum()), mm.witnesses, mm.count
 
 
 def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
@@ -591,17 +576,8 @@ def _run_symmetry(ell: int, f: int):
     D = max(p.m_minus, 1)
     q, P, M = p.q, p.m_plus, p.m_big
     nB = 1 << f
-    mism = []
-    bad_total = 0
+    mm = _Mismatches(ell=ell, f=f)
     checked = 0
-
-    def report(kind: str, ns):
-        nonlocal bad_total
-        bad_total += len(ns)
-        for n in ns[:_MAX_WITNESSES]:
-            if len(mism) < _MAX_WITNESSES:
-                mism.append({"ell": ell, "f": f, "check": kind, "n": int(n)})
-
     code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, f)
     for N in _valid_irred_chunks(p):
         k, r = np.divmod(N, P)
@@ -629,68 +605,58 @@ def _run_symmetry(ell: int, f: int):
             want = ((want_k - k_img) % D).astype(diff.dtype)
             a_ok = (diff == want[:, np.newaxis]) | (diff == (want - D)[:, np.newaxis]) | free
             ok = (np.take(code_img, r_img, axis=0) == want_code) & a_ok
-            report(kind, N[~ok.all(axis=1)])
+            ns = N[~ok.all(axis=1)]
+            mm.add(len(ns), check=kind, n=ns)
         checked += len(N)
 
     # reducible symmetries along the ratio line
     cols = np.arange(nB)
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
-    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
-    keys = a_mat + D * bcode_mat
-    # pair up the two slots per subset: (lo, hi), collapsing the unused slot
-    k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
-    lo = np.minimum(keys[:, :, 0], k2)
-    hi = np.maximum(keys[:, :, 0], k2)
 
+    def slot_keys(valid, a_mat, bcode_mat):
+        # the two slots' keys per subset as (lo, hi), collapsing an unused slot
+        keys = a_mat + D * bcode_mat
+        k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
+        return np.minimum(keys[:, :, 0], k2), np.maximum(keys[:, :, 0], k2)
+
+    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
+    lo, hi = slot_keys(valid, a_mat, bcode_mat)
     valid_s, a_s, bcode_s = _red_kernel(p, Z, N)
-    keys_s = a_s + D * bcode_s
-    k2_s = np.where(valid_s[:, :, 1], keys_s[:, :, 1], keys_s[:, :, 0])
-    lo_s = np.minimum(keys_s[:, :, 0], k2_s)
-    hi_s = np.maximum(keys_s[:, :, 0], k2_s)
+    lo_s, hi_s = slot_keys(valid_s, a_s, bcode_s)
     conj_cols = subset_complement(cols, f)
-    ok = (
+    swap_ok = (
         (valid_s[:, conj_cols] == valid).all(axis=2)
         & (lo_s[:, conj_cols] == lo)
         & (hi_s[:, conj_cols] == hi)
     ).all(axis=1)
-    report("swap-red", N[~ok])
 
     frob_cols = red.frobenius_subset(cols, f)
     valid_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
-    ok = (
+    frob_ok = (
         (valid_f[:, frob_cols] == valid).all(axis=2)
         & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~valid).all(axis=2)
         & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
     ).all(axis=1)
-    report("frobenius-red", N[~ok])
 
     valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
-    ok = (
+    twist_ok = (
         (valid_t == valid).all(axis=2)
         & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
         & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
     ).all(axis=1)
-    report("twist-red", N[~ok])
-    checked += 4 * D
-
-    return checked, mism, bad_total
+    for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
+        ns = N[~ok]
+        mm.add(len(ns), check=kind, n=ns)
+    return checked + 4 * D, mm.witnesses, mm.count
 
 
 def _run_qtable(ell: int, f: int):
     # f is ignored; the tables live at f = 1
-    mism = []
-    bad = 0
-    checked = 0
+    checks: list[tuple[int, str, bool]] = []  # (b, check, passed)
     for b in range(1, ell):
-        checked += 1
-        if not qtable.crosscheck_niveau2(ell, b):
-            bad += 1
-            mism.append({"ell": ell, "b": b, "check": "niveau2"})
-        checked += 1
-        if not qtable.crosscheck_split(ell, b):
-            bad += 1
-            mism.append({"ell": ell, "b": b, "check": "split"})
+        checks.append((b, "niveau2", qtable.crosscheck_niveau2(ell, b)))
+        checks.append((b, "split", qtable.crosscheck_split(ell, b)))
         # subset relations for the non-split rows
         params = FieldParams(ell, 1)
         d_unknown = red.niveau_one(params, b, 0, red.ExtClass.NONSPLIT_UNKNOWN)
@@ -705,21 +671,19 @@ def _run_qtable(ell: int, f: int):
                 shape = qtable.RationalShape(ell, b, kind)
             except IllegalShape:
                 continue
-            checked += 1
             table = qtable.weights_over_Q(shape)
-            if not (certain <= table <= split_set):
-                bad += 1
-                mism.append({"ell": ell, "b": b, "check": f"sandwich-{kind.value}"})
-        checked += 1
+            checks.append((b, f"sandwich-{kind.value}", certain <= table <= split_set))
         tres_ok = True
         if b == 1:
             tres = qtable.weights_over_Q(qtable.RationalShape(ell, 1, qtable.RationalShapeKind.TRES))
             peu = qtable.weights_over_Q(qtable.RationalShape(ell, 1, qtable.RationalShapeKind.PEU))
             tres_ok = tres <= peu
-        if not tres_ok:
-            bad += 1
-            mism.append({"ell": ell, "b": b, "check": "tres-subset-peu"})
-    return checked, mism, bad
+        # counted for every b, though only b = 1 compares anything
+        checks.append((b, "tres-subset-peu", tres_ok))
+    mm = _Mismatches(ell=ell)
+    for b, check, passed in checks:
+        mm.add(int(not passed), b=b, check=check)
+    return len(checks), mm.witnesses, mm.count
 
 
 _KIND_RUNNERS: dict[str, Callable[[int, int], tuple]] = {
@@ -812,20 +776,14 @@ def verify_sweep(
             results = list(pool.map(_run_one, args))
     else:
         results = [_run_one(a) for a in args]
-    checked = 0
-    mismatches: list[dict] = []
-    mismatch_count = 0
-    for ck, mm, bad in results:
-        checked += ck
-        mismatch_count += bad
-        for w in mm:
-            if len(mismatches) < _MAX_WITNESSES:
-                mismatches.append(w)
+    mm = _Mismatches()
+    for _, witnesses, count in results:
+        mm.merge(count, witnesses)
     return VerificationReport(
         kind=kind,
         tasks=tasks,
-        checked=checked,
-        mismatch_count=mismatch_count,
-        mismatches=mismatches,
+        checked=sum(r[0] for r in results),
+        mismatch_count=mm.count,
+        mismatches=mm.witnesses,
         elapsed_s=time.monotonic() - t0,
     )

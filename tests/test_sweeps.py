@@ -1,12 +1,13 @@
 import contextlib
 import itertools
+import json
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from serreweights import qtable, sweeps
+from serreweights import qtable, reducible, sweeps
 from serreweights.errors import BudgetExceeded, ParamError
 from serreweights.irreducible import labeled_weight_set as irred_labeled
 from serreweights.irreducible import niveau_two
@@ -255,6 +256,122 @@ def test_counts_red_grid_catches_corrupted_red_table(monkeypatch, fresh_tables, 
         (n1, (n1 - 4) % 26, "det-law") for n1 in range(25)
     ]
     assert sweeps._red_scan(3, 3).det_bad == [4]
+
+
+def _patch_tables(monkeypatch, name, ell, f, corrupt):
+    # corrupt a copy of one field's cached class tables and serve it instead
+    tables = tuple(t.copy() for t in getattr(sweeps, name)(ell, f))
+    corrupt(*tables)
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, name, lambda e, g: tables)
+
+
+def _copy_subset(row, src, dst):
+    # subset dst of class row decodes like subset src: one weight twice
+    def corrupt(*tables):
+        for t in tables:
+            t[row, dst] = t[row, src]
+
+    return corrupt
+
+
+# The witness payloads below pin each kind's keys, key order and int/bool
+# types, through json.dumps of the runner's whole (checked, witnesses, count)
+
+
+def test_injectivity_irred_witness_payload(monkeypatch, fresh_tables):
+    # (3, 2): q + 1 = 10; subsets 0 and 3 of class r = 2 collide at every lift
+    _patch_tables(monkeypatch, "_irred_tables", 3, 2, _copy_subset(2, 3, 0))
+    witnesses = [
+        {"ell": 3, "f": 2, "n": n, "enumerated_failure": True, "criterion": False}
+        for n in range(2, 80, 10)
+    ]
+    assert json.dumps(sweeps._run_injectivity_irred(3, 2)) == json.dumps([72, witnesses, 8])
+
+
+def test_injectivity_red_witness_payload(monkeypatch, fresh_tables):
+    _patch_tables(monkeypatch, "_red_tables", 3, 2, _copy_subset(1, 1, 0))
+    witness = {"ell": 3, "f": 2, "n1": 1, "n2": 0, "enumerated_failure": True, "criterion": False}
+    assert json.dumps(sweeps._run_injectivity_red(3, 2)) == json.dumps([8, [witness], 1])
+
+
+def test_generic_split_witness_payload(monkeypatch, fresh_tables):
+    # (5, 2): ratio 7 (digits (2, 1)) is generic; two subsets now share a weight
+    _patch_tables(monkeypatch, "_red_tables", 5, 2, _copy_subset(7, 1, 0))
+    witness = {"ell": 5, "f": 2, "n1": 7, "n2": 0, "weights": 3, "expected": 4}
+    assert json.dumps(sweeps._run_generic_split(5, 2)) == json.dumps([7, [witness], 1])
+
+
+def test_nonempty_witness_payload(monkeypatch, fresh_tables):
+    # (2, 2): class r = 1 mod 5 admits nothing, ratio 1 holds no valid slot
+
+    def no_admissible(admissible, C, bcode):
+        admissible[1] = False
+
+    def no_slot(valid, s_in, bcode):
+        valid[1] = False
+
+    _patch_tables(monkeypatch, "_irred_tables", 2, 2, no_admissible)
+    _patch_tables(monkeypatch, "_red_tables", 2, 2, no_slot)
+    witnesses = [{"ell": 2, "f": 2, "case": "irreducible", "n": n} for n in (1, 6, 11)]
+    witnesses.append({"ell": 2, "f": 2, "case": "reducible-certain", "n1": 1, "n2": 0})
+    assert json.dumps(sweeps._run_nonempty(2, 2)) == json.dumps([15, witnesses, 4])
+
+
+def test_det_law_reducible_witness_payload(monkeypatch, fresh_tables):
+    def shift_s_in(valid, s_in, bcode):
+        s_in[4, 2, 0] += 1
+
+    _patch_tables(monkeypatch, "_red_tables", 3, 2, shift_s_in)
+    witness = {"ell": 3, "f": 2, "case": "reducible", "n1": 4, "n2": 0}
+    assert json.dumps(sweeps._run_det_law(3, 2)) == json.dumps([80, [witness], 1])
+
+
+def test_counts_red_count_witness_payload(monkeypatch, fresh_tables):
+    # (3, 2): an extra valid slot on ratio 1 raises its count from 4 to 5, and
+    # the slot's triple breaks the det law; the grid reports a chunk's count
+    # mismatches before its det-law ones
+    def extra_slot(valid, s_in, bcode):
+        valid[1, 0, 1] = True
+
+    _patch_tables(monkeypatch, "_red_tables", 3, 2, extra_slot)
+    pairs = [(n1, (n1 - 1) % 8) for n1 in range(8)]  # ratio 1, in grid order
+    witnesses = [{"ell": 3, "f": 2, "n1": 1, "n2": 0, "enumerated": 5, "closed_form": 4}]
+    witnesses += [
+        {"ell": 3, "f": 2, "n1": n1, "n2": n2, "enumerated": 5, "closed_form": 4} for n1, n2 in pairs
+    ]
+    witnesses += [{"ell": 3, "f": 2, "n1": n1, "n2": n2, "check": "det-law"} for n1, n2 in pairs]
+    assert json.dumps(sweeps._run_counts_red(3, 2)) == json.dumps([8 + 64, witnesses, 17])
+
+
+def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
+    # with trivial-ratio slots undecidable, no weight of ratio 0 is certain
+    rule = reducible.dimension_rule
+
+    def trivial_undecided(trivial, cyclotomic, all_ell, full):
+        delta, decidable = rule(trivial, cyclotomic, all_ell, full)
+        return delta, decidable and not trivial
+
+    monkeypatch.setattr(reducible, "dimension_rule", trivial_undecided)
+    witness = {"ell": 5, "f": 2, "case": "reducible-certain", "n1": 0, "n2": 0}
+    assert json.dumps(sweeps._run_nonempty(5, 2)) == json.dumps([600 + 24, [witness], 1])
+
+
+def test_verify_sweep_merges_witnesses_in_task_order(monkeypatch):
+    def failing(ell, f):
+        # (2, 1) finds 30 mismatches and (3, 1) 12, each listing up to 20
+        listed = 20 if ell == 2 else 10
+        witnesses = [{"ell": ell, "f": f, "i": i} for i in range(listed)]
+        return 100 * ell, witnesses, 30 if ell == 2 else 12
+
+    monkeypatch.setitem(sweeps._KIND_RUNNERS, "counts-irred", failing)
+    report = verify_sweep("counts-irred", [3, 2], 1, budget=10**6).to_dict()
+    merged = [{"ell": 2, "f": 1, "i": i} for i in range(20)]
+    merged += [{"ell": 3, "f": 1, "i": i} for i in range(5)]
+    assert report["checked"] == 500
+    assert report["mismatch_count"] == 42
+    assert report["mismatches"] == merged
+    assert report["passed"] is False
 
 
 def test_key_dtype_boundary():
