@@ -16,10 +16,33 @@ them at every datum in range:
 The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
 n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
-datum per class, into a table that the irreducible kinds spread over rows
-k and columns r of n = k (q+1) + r.  nonempty's certain part reads
-reducible.dimension_rule and h1_excess.  One collector, _Mismatches, keeps
-every runner's and the merged report's mismatch count and witnesses.
+datum per class, into a table indexed by that class.  nonempty's certain
+part reads reducible.dimension_rule and h1_excess.  One collector,
+_Mismatches, keeps every scan's, every runner's and the merged report's
+mismatch count and witnesses.
+
+The scans hold mismatches, not per-n arrays.  _irred_scan enumerates one
+shard of the irreducible side chunk by chunk and compares each chunk with
+the per-class tables at its r = n mod q+1 while the chunk is in hand,
+keeping one collector per check (labeled count, injectivity, nonempty,
+determinant law) and the number of n checked; _red_scan does the same for
+the ratio line.  counts-irred, injectivity-irred, det-law and nonempty
+read the first; counts-red, injectivity-red, det-law, nonempty and
+generic-split the second.
+
+A task is one kind on one shard of one field.  A shard is a run of whole
+chunks of at most _SHARD_CELLS (row, subset) cells: the n range for the
+irreducible kinds, whole n1 rows of the (n1, n2) grid for counts-red, and
+the whole field for the kinds that read the ratio line alone.  Small fields
+are one shard.  The shard list depends on the field alone, so a serial
+sweep runs the same tasks in the same order as a parallel one.  Shards
+follow each runner's witness order: chunks in increasing n, the ratio line
+with the grid's first shard, and the ratio line's part of det-law,
+nonempty and symmetry with the field's last shard.  Task results merge in
+task order, so the report never depends on jobs.  With jobs > 1 each pool
+worker returns the scans its tasks built with their results; the parent
+adopts them into its caches, so the next kind's pool forks with them in
+place, and no worker outlives its verify_sweep call.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -67,12 +90,13 @@ budget.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,6 +117,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
+# (row, subset) cells per shard, the unit of work of a parallel sweep
+_SHARD_CELLS = 1 << 23
 _MAX_WITNESSES = 25
 # keeps D < 2^20, so int64 exponents and the int64 fallback of the narrow
 # count kernels stay exact; the budget keeps real runs far below
@@ -132,9 +158,90 @@ def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Keep memory that chunks free in the heap, for the next task to reuse.
+
+    A chunk's temporaries take tens of MiB.  By default glibc gives the top
+    of the heap back to the OS whenever that much lies free there, which is
+    at the end of every task, and the next task faults it all back in (about
+    14 000 page faults for each (11, 3) shard).  Setting the mmap threshold
+    to its 32 MiB maximum and the trim threshold above any chunk's working
+    set stops that; peak RSS is unchanged.  Does nothing off glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def _check_params(p: FieldParams) -> None:
     if p.m_big >= _ENGINE_CAP:
         raise ParamError(f"vectorized engine capped at m_big < 2^40, got {p.m_big}")
+
+
+class _Mismatches:
+    """A mismatch count and the first _MAX_WITNESSES witnesses, in the order
+    they were found.  Every scan, every runner and the merge of task results
+    keep their witnesses here; a witness is its context (ell, f) followed by
+    the fields of the mismatch."""
+
+    def __init__(self, **context: int) -> None:
+        self.context = context
+        self.count = 0
+        self.witnesses: list[dict] = []
+
+    def merge(self, count: int, witnesses: Iterable[dict]) -> None:
+        """Count count mismatches and keep their witnesses while there is room."""
+        room = min(count, _MAX_WITNESSES - len(self.witnesses))
+        self.witnesses += itertools.islice(witnesses, room)
+        self.count += count
+
+    def add(self, count: int, **fields) -> None:
+        """Count count mismatches.  Each field is a sequence with one value per
+        mismatch (numpy values become Python ints and bools) or one value for
+        all of them."""
+        columns = [
+            np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in fields.values()
+        ]
+        self.merge(count, ({**self.context, **dict(zip(fields, row))} for row in zip(*columns)))
+
+
+# Scans built in pool workers come home: a worker returns the scans that
+# each task built (_built is a list only while a pool task runs), and the
+# parent hands each to its cache through _adopted, so that the next kind's
+# pool forks with them in place.
+_built: list | None = None
+_adopted: dict[tuple, Any] = {}
+
+
+def _adoptable(build):
+    """A scan builder under lru_cache: a miss takes the scan waiting in
+    _adopted, if there is one, and otherwise builds it, recording it for
+    the parent when running in a pool task."""
+
+    @wraps(build)
+    def scan(*args):
+        key = (build.__name__, *args)
+        if key in _adopted:
+            return _adopted.pop(key)
+        result = build(*args)
+        if _built is not None:
+            _built.append((key, result))
+        return result
+
+    return scan
+
+
+def _adopt(built: list) -> None:
+    """Put scans that a pool worker built into this process's caches."""
+    for key, scan in built:
+        _adopted[key] = scan
+        globals()[key[0]](*key[1:])
+        # already cached here (the pool ran in this process): drop it
+        _adopted.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +344,79 @@ def _det_bad(p: FieldParams, n: np.ndarray, valid, a_mat, bcode_mat) -> np.ndarr
     return bad.any(axis=1) if bad.any() else np.zeros(len(n), dtype=bool)
 
 
-@dataclass
-class _IrredScan:
-    labeled: np.ndarray  # int16, labeled-set size per n (0 at invalid n)
-    distinct: np.ndarray  # int16, weight-set size per n
-    det_bad: list  # ns with a determinant-law violation
-    checked: int
-
-
-def _valid_irred_chunks(p: FieldParams):
+def _irred_chunk_rows(p: FieldParams) -> int:
     # cap the cells (rows x 2^f), not the rows, so wide fields stay small
-    rows = min(_CHUNK, (_CHUNK << 4) >> p.f)
-    for start in range(0, p.m_big, rows):
-        N = np.arange(start, min(start + rows, p.m_big), dtype=np.int64)
+    return min(_CHUNK, (_CHUNK << 4) >> p.f)
+
+
+def _irred_shards(p: FieldParams) -> list[range]:
+    """The field's n range cut into shards of whole chunks, at most
+    _SHARD_CELLS (row, subset) cells each (one chunk where a chunk is
+    larger), in increasing n."""
+    rows = _irred_chunk_rows(p)
+    step = rows * max(1, _SHARD_CELLS // (rows << p.f))
+    return [range(s, min(s + step, p.m_big)) for s in range(0, p.m_big, step)]
+
+
+def _valid_irred_chunks(p: FieldParams, shard: range | None = None):
+    """The valid n (not divisible by q+1) of the shard, or of the whole
+    field, chunk by chunk on the field's chunk grid."""
+    shard = range(p.m_big) if shard is None else shard
+    rows = _irred_chunk_rows(p)
+    for start in range(shard.start, shard.stop, rows):
+        N = np.arange(start, min(start + rows, shard.stop), dtype=np.int64)
         N = N[N % p.m_plus != 0]
         if len(N):
             yield N
 
 
+def _irred_counts(p: FieldParams, N: np.ndarray):
+    """(labeled, distinct, det_bad) per n of a chunk: the labeled-set and
+    weight-set sizes, and whether a triple breaks the determinant law."""
+    D = max(p.m_minus, 1)
+    admis, a_mat, bcode_mat = _irred_kernel(p, N)
+    keys = bcode_mat * D
+    keys += a_mat
+    det_bad = _det_bad(p, N, admis, a_mat, bcode_mat)
+    return _row_counts(admis), _distinct_counts(keys, admis), det_bad
+
+
+@dataclass
+class _IrredScan:
+    """One shard of the irreducible side, compared chunk by chunk with the
+    closed forms: each check's mismatches, and the number of valid n."""
+
+    counts: _Mismatches  # labeled count vs labeled_count_formula
+    injectivity: _Mismatches  # |weights| < |labeled| vs the witness criterion
+    nonempty: _Mismatches  # empty labeled sets
+    det: _Mismatches  # determinant-law violations
+    checked: int = 0
+
+
 @lru_cache(maxsize=None)
-def _irred_scan(ell: int, f: int) -> _IrredScan:
+@_adoptable
+def _irred_scan(ell: int, f: int, shard: range) -> _IrredScan:
     p = FieldParams(ell, f)
     _check_params(p)
-    D = max(p.m_minus, 1)
-    labeled = np.zeros(p.m_big, dtype=np.int16)
-    distinct = np.zeros(p.m_big, dtype=np.int16)
-    det_bad: list[int] = []
-    checked = 0
-    for N in _valid_irred_chunks(p):
-        admis, a_mat, bcode_mat = _irred_kernel(p, N)
-        labeled[N] = _row_counts(admis)
-        keys = bcode_mat * D
-        keys += a_mat
-        distinct[N] = _distinct_counts(keys, admis)
-        det_bad.extend(int(x) for x in N[_det_bad(p, N, admis, a_mat, bcode_mat)])
-        checked += len(N)
-    return _IrredScan(labeled, distinct, det_bad, checked)
+    closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
+    scan = _IrredScan(*(_Mismatches(ell=ell, f=f) for _ in range(4)))
+    for N in _valid_irred_chunks(p, shard):
+        labeled, distinct, det_bad = _irred_counts(p, N)
+        # every closed form depends on n mod q+1 alone
+        r = N % p.m_plus
+        bad = np.flatnonzero(labeled != closed[r])
+        scan.counts.add(len(bad), n=N[bad], enumerated=labeled[bad], closed_form=closed[r[bad]])
+        fails = distinct < labeled
+        bad = np.flatnonzero(fails != crit[r])
+        scan.injectivity.add(
+            len(bad), n=N[bad], enumerated_failure=fails[bad], criterion=crit[r[bad]]
+        )
+        ns = N[labeled == 0]
+        scan.nonempty.add(len(ns), case="irreducible", n=ns)
+        ns = N[det_bad]
+        scan.det.add(len(ns), case="irreducible", n=ns)
+        scan.checked += len(N)
+    return scan
 
 
 def _per_irred_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
@@ -330,30 +474,18 @@ def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
     return np.take(valid, n, axis=0), a_mat, np.take(bcode, n, axis=0)
 
 
-@dataclass
-class _RedScan:
-    labeled: np.ndarray  # int16 per n (pair (n, 0))
-    distinct: np.ndarray
-    det_bad: list
-    certain_missing: list  # ns where no labeled weight provably fills H^1
-    checked: int
-
-
-@lru_cache(maxsize=None)
-def _red_scan(ell: int, f: int) -> _RedScan:
-    p = FieldParams(ell, f)
-    _check_params(p)
+def _red_counts(p: FieldParams):
+    """(labeled, distinct, det_bad, certain) per n of the ratio line, the
+    pairs (n, 0): the labeled-set and weight-set sizes, whether a triple
+    breaks the determinant law, and whether some labeled weight provably
+    fills H^1 (the certain part is nonempty)."""
     D = max(p.m_minus, 1)
-    nB = 1 << f
+    nB = 1 << p.f
     N = np.arange(D, dtype=np.int64)
-    Z = np.zeros_like(N)
-    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
-    labeled = _row_counts(valid).astype(np.int16)
-
+    valid, a_mat, bcode_mat = _red_kernel(p, N, np.zeros_like(N))
     keys = (a_mat + D * bcode_mat).reshape(D, 2 * nB)
-    distinct = _distinct_counts(keys, valid.reshape(D, 2 * nB)).astype(np.int16)
-
-    det_bad = [int(x) for x in N[_det_bad(p, N, valid, a_mat, bcode_mat)]]
+    distinct = _distinct_counts(keys, valid.reshape(D, 2 * nB))
+    det_bad = _det_bad(p, N, valid, a_mat, bcode_mat)
 
     # certain part: some valid slot whose subspace, decided by the recipe's
     # dimension rule, is all of H^1.  fill_j holds the |J| that fills H^1 in
@@ -362,7 +494,7 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     for case in itertools.product((0, 1), repeat=4):
         delta, decidable = red.dimension_rule(*map(bool, case))
         if decidable:
-            fill_j[case] = f + red.h1_excess(*map(bool, case[:2])) - delta
+            fill_j[case] = p.f + red.h1_excess(*map(bool, case[:2])) - delta
     flags = (  # trivial ratio, cyclotomic ratio, b = (ell..ell), J full
         (N == 0)[:, np.newaxis, np.newaxis],
         (N == p.cyclotomic_exponent)[:, np.newaxis, np.newaxis],
@@ -371,9 +503,43 @@ def _red_scan(ell: int, f: int) -> _RedScan:
     )
     j_sizes = np.array([bin(B).count("1") for B in range(nB)])[np.newaxis, :, np.newaxis]
     fills = valid & (j_sizes == fill_j[tuple(x.astype(np.intp) for x in flags)])
-    certain_missing = [int(x) for x in N[~fills.any(axis=(1, 2))]]
+    return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2))
 
-    return _RedScan(labeled, distinct, det_bad, certain_missing, checked=D)
+
+@dataclass
+class _RedScan:
+    """The ratio line, compared with the closed forms: each check's
+    mismatches, the number of ratio exponents, and of generic ones."""
+
+    counts: _Mismatches  # labeled count vs labeled_count_formula
+    injectivity: _Mismatches  # |weights| < |labeled| vs the witness criterion
+    generic: _Mismatches  # generic ratios without 2^f weights
+    nonempty: _Mismatches  # ratios with an empty certain part
+    det: _Mismatches  # determinant-law violations
+    checked: int
+    generic_checked: int
+
+
+@lru_cache(maxsize=None)
+@_adoptable
+def _red_scan(ell: int, f: int) -> _RedScan:
+    p = FieldParams(ell, f)
+    _check_params(p)
+    labeled, distinct, det_bad, certain = _red_counts(p)
+    closed, crit, gen = _closed_red_lut(ell, f), _inj_red_lut(ell, f), _generic_lut(ell, f)
+    scan = _RedScan(*(_Mismatches(ell=ell, f=f) for _ in range(5)), len(labeled), int(gen.sum()))
+    ns = np.flatnonzero(labeled != closed)
+    scan.counts.add(len(ns), n1=ns, n2=0, enumerated=labeled[ns], closed_form=closed[ns])
+    fails = distinct < labeled
+    ns = np.flatnonzero(fails != crit)
+    scan.injectivity.add(len(ns), n1=ns, n2=0, enumerated_failure=fails[ns], criterion=crit[ns])
+    ns = np.flatnonzero(gen & (distinct != 2**f))
+    scan.generic.add(len(ns), n1=ns, n2=0, weights=distinct[ns], expected=2**f)
+    ns = np.flatnonzero(~certain)
+    scan.nonempty.add(len(ns), case="reducible-certain", n1=ns, n2=0)
+    ns = np.flatnonzero(det_bad)
+    scan.det.add(len(ns), case="reducible", n1=ns, n2=0)
+    return scan
 
 
 def _per_ratio_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
@@ -404,72 +570,109 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-kind task runners: return (checked, witnesses, mismatch count)
+# shards and per-kind task runners: a runner returns (checked, witnesses,
+# mismatch count) for one shard of a field, and shard None runs it all
 
 
-class _Mismatches:
-    """A mismatch count and the first _MAX_WITNESSES witnesses, in the order
-    they were found.  Every runner and the merge of task results keep their
-    witnesses here; a runner's witness is its context (ell, f) followed by
-    the fields of the mismatch."""
-
-    def __init__(self, **context: int) -> None:
-        self.context = context
-        self.count = 0
-        self.witnesses: list[dict] = []
-
-    def merge(self, count: int, witnesses: Iterable[dict]) -> None:
-        """Count count mismatches and keep their witnesses while there is room."""
-        room = min(count, _MAX_WITNESSES - len(self.witnesses))
-        self.witnesses += itertools.islice(witnesses, room)
-        self.count += count
-
-    def add(self, count: int, **fields) -> None:
-        """Count count mismatches.  Each field is a sequence with one value per
-        mismatch (numpy values become Python ints and bools) or one value for
-        all of them."""
-        columns = [
-            np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in fields.values()
-        ]
-        self.merge(count, ({**self.context, **dict(zip(fields, row))} for row in zip(*columns)))
+def _grid_block(p: FieldParams) -> tuple[int, int]:
+    """(n1 rows, n2 columns) of one block of the counts-red (n1, n2) grid:
+    whole n1 rows, or pieces of one row when a row alone exceeds the chunk."""
+    D = max(p.m_minus, 1)
+    pair_chunk = max(1, _CHUNK // (2 << p.f))
+    return max(1, pair_chunk // D), min(D, pair_chunk)
 
 
-def _irred_bad(p: FieldParams, per_n: np.ndarray, per_class: np.ndarray):
-    """(n, r) of every valid n where per_n[n] differs from per_class[r], in
-    increasing n: per_n is laid out as rows k and columns r of
-    n = k (q+1) + r, less the column r = 0 where no n is valid."""
-    k, r = np.nonzero(per_n.reshape(-1, p.m_plus)[:, 1:] != per_class[1:])
-    r += 1
-    return k * p.m_plus + r, r
+def _grid_shards(p: FieldParams) -> list[range]:
+    """The grid's n1 range cut into shards of whole blocks, at most
+    _SHARD_CELLS (pair, slot) cells each (one block of rows where that is
+    larger)."""
+    D = max(p.m_minus, 1)
+    rows, _ = _grid_block(p)
+    step = rows * max(1, _SHARD_CELLS // ((rows * D) << (p.f + 1)))
+    return [range(s, min(s + step, D)) for s in range(0, D, step)]
 
 
-def _run_counts_irred(ell: int, f: int):
-    scan = _irred_scan(ell, f)
+_IRRED_SHARDED = ("counts-irred", "injectivity-irred", "det-law", "symmetry", "nonempty")
+
+
+def _shards(kind: str, p: FieldParams) -> list:
+    """The shards of one kind on one field, in the order of its witnesses."""
+    if kind in _IRRED_SHARDED:
+        return _irred_shards(p)
+    if kind == "counts-red":
+        return _grid_shards(p)
+    return [None]
+
+
+def _or_whole(shard: range | None, size: int) -> range:
+    return range(size) if shard is None else shard
+
+
+def _report(checked: int, *parts: _Mismatches):
+    """A runner's result from its collectors, merged in order."""
+    mm = _Mismatches()
+    for part in parts:
+        mm.merge(part.count, part.witnesses)
+    return checked, mm.witnesses, mm.count
+
+
+def _scans(ell: int, f: int, shard: range | None) -> list:
+    """The shard's irreducible scan, followed on the field's last shard by
+    the ratio line's scan."""
     p = FieldParams(ell, f)
-    closed = _closed_irred_lut(ell, f)
-    ns, rs = _irred_bad(p, scan.labeled, closed)
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(ns), n=ns, enumerated=scan.labeled[ns], closed_form=closed[rs])
-    return scan.checked, mm.witnesses, mm.count
+    shard = _or_whole(shard, p.m_big)
+    scans = [_irred_scan(ell, f, shard)]
+    if shard.stop == p.m_big:
+        scans.append(_red_scan(ell, f))
+    return scans
 
 
-def _run_counts_red(ell: int, f: int):
+def _run_counts_irred(ell: int, f: int, shard: range | None = None):
+    scan = _irred_scan(ell, f, _or_whole(shard, FieldParams(ell, f).m_big))
+    return _report(scan.checked, scan.counts)
+
+
+def _run_injectivity_irred(ell: int, f: int, shard: range | None = None):
+    scan = _irred_scan(ell, f, _or_whole(shard, FieldParams(ell, f).m_big))
+    return _report(scan.checked, scan.injectivity)
+
+
+def _run_det_law(ell: int, f: int, shard: range | None = None):
+    scans = _scans(ell, f, shard)
+    return _report(sum(s.checked for s in scans), *(s.det for s in scans))
+
+
+def _run_nonempty(ell: int, f: int, shard: range | None = None):
+    scans = _scans(ell, f, shard)
+    return _report(sum(s.checked for s in scans), *(s.nonempty for s in scans))
+
+
+def _run_injectivity_red(ell: int, f: int, shard: None = None):
     scan = _red_scan(ell, f)
+    return _report(scan.checked, scan.injectivity)
+
+
+def _run_generic_split(ell: int, f: int, shard: None = None):
+    scan = _red_scan(ell, f)
+    return _report(scan.generic_checked, scan.generic)
+
+
+def _run_counts_red(ell: int, f: int, shard: range | None = None):
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
+    shard = _or_whole(shard, D)
     lut = _closed_red_lut(ell, f)
     mm = _Mismatches(ell=ell, f=f)
-    # ratio-line form
-    ns = np.flatnonzero(scan.labeled != lut)
-    mm.add(len(ns), n1=ns, n2=0, enumerated=scan.labeled[ns], closed_form=lut[ns])
-    checked = scan.checked
-    # full pair grid, honestly re-enumerated: blocks of whole n1 rows, or
-    # pieces of one row when a row alone exceeds the chunk
-    nB = 1 << f
-    pair_chunk = max(1, _CHUNK // (2 * nB))
-    rows, cols = max(1, pair_chunk // D), min(D, pair_chunk)
-    for n1_start in range(0, D, rows):
-        n1s = np.arange(n1_start, min(n1_start + rows, D), dtype=np.int64)
+    checked = 0
+    if shard.start == 0:
+        # the ratio-line form, before the grid
+        scan = _red_scan(ell, f)
+        mm.merge(scan.counts.count, scan.counts.witnesses)
+        checked = scan.checked
+    # full pair grid, honestly re-enumerated block by block
+    rows, cols = _grid_block(p)
+    for n1_start in range(shard.start, shard.stop, rows):
+        n1s = np.arange(n1_start, min(n1_start + rows, shard.stop), dtype=np.int64)
         for n2_start in range(0, D, cols):
             n2s = np.arange(n2_start, min(n2_start + cols, D), dtype=np.int64)
             N1, N2 = np.repeat(n1s, len(n2s)), np.tile(n2s, len(n1s))
@@ -483,57 +686,6 @@ def _run_counts_red(ell: int, f: int):
             mm.add(len(js), n1=N1[js], n2=N2[js], check="det-law")
             checked += len(N1)
     return checked, mm.witnesses, mm.count
-
-
-def _run_injectivity_irred(ell: int, f: int):
-    scan = _irred_scan(ell, f)
-    p = FieldParams(ell, f)
-    enum_fails = scan.distinct < scan.labeled
-    crit = _inj_irred_lut(ell, f)
-    ns, rs = _irred_bad(p, enum_fails, crit)
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(ns), n=ns, enumerated_failure=enum_fails[ns], criterion=crit[rs])
-    return scan.checked, mm.witnesses, mm.count
-
-
-def _run_injectivity_red(ell: int, f: int):
-    scan = _red_scan(ell, f)
-    enum_fails = scan.distinct < scan.labeled
-    crit = _inj_red_lut(ell, f)
-    ns = np.flatnonzero(enum_fails != crit)
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(ns), n1=ns, n2=0, enumerated_failure=enum_fails[ns], criterion=crit[ns])
-    return scan.checked, mm.witnesses, mm.count
-
-
-def _run_det_law(ell: int, f: int):
-    si = _irred_scan(ell, f)
-    sr = _red_scan(ell, f)
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(si.det_bad), case="irreducible", n=si.det_bad)
-    mm.add(len(sr.det_bad), case="reducible", n1=sr.det_bad, n2=0)
-    return si.checked + sr.checked, mm.witnesses, mm.count
-
-
-def _run_nonempty(ell: int, f: int):
-    si = _irred_scan(ell, f)
-    sr = _red_scan(ell, f)
-    p = FieldParams(ell, f)
-    # every valid n has a nonempty labeled set
-    ns, _ = _irred_bad(p, si.labeled > 0, np.ones(p.m_plus, dtype=bool))
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(ns), case="irreducible", n=ns)
-    mm.add(len(sr.certain_missing), case="reducible-certain", n1=sr.certain_missing, n2=0)
-    return si.checked + sr.checked, mm.witnesses, mm.count
-
-
-def _run_generic_split(ell: int, f: int):
-    sr = _red_scan(ell, f)
-    gen = _generic_lut(ell, f)
-    ns = np.flatnonzero(gen & (sr.distinct != 2**f))
-    mm = _Mismatches(ell=ell, f=f)
-    mm.add(len(ns), n1=ns, n2=0, weights=sr.distinct[ns], expected=2**f)
-    return int(gen.sum()), mm.witnesses, mm.count
 
 
 def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
@@ -570,46 +722,56 @@ def _symmetry_tables(ell: int, f: int):
     )
 
 
-def _run_symmetry(ell: int, f: int):
+def _run_symmetry(ell: int, f: int, shard: range | None = None):
     p = FieldParams(ell, f)
     _check_params(p)
     D = max(p.m_minus, 1)
     q, P, M = p.q, p.m_plus, p.m_big
     nB = 1 << f
+    shard = _or_whole(shard, M)
     mm = _Mismatches(ell=ell, f=f)
     checked = 0
     code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, f)
-    for N in _valid_irred_chunks(p):
+    for N in _valid_irred_chunks(p, shard):
         k, r = np.divmod(N, P)
         code = np.take(code_t, r, axis=0)
         C = np.take(C_t, r, axis=0)
         free = code < 0  # not admissible at n: only the code has to match
+
         # With n = k (q+1) + r, a = (k + C[r]) mod q-1.  A law that maps n to
         # an image with a(image) = t(a(n)) then reads, per subset,
-        # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.
-        laws = (
+        # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.  Each law's side
+        # of n is gathered only while that law runs.
+        def laws():
             # conjugation: same weights at q n, labels complemented
-            ("conjugation-irred", q * N, code_conj, C_conj, code, C, k),
+            yield "conjugation-irred", q * N, code_conj, C_conj, code, C, k
             # frobenius: shifted everything at ell n
-            ("frobenius-irred", ell * N, code_frob, C_frob,
-             np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k),
+            yield ("frobenius-irred", ell * N, code_frob, C_frob,
+                   np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k)
             # twist naturality at c = 1 (composition generates every twist)
-            ("twist-irred", N + P, code_t, C_t, code, C, k + 1),
-        )
-        for kind, image, code_img, C_img, want_code, want_C, want_k in laws:
+            yield "twist-irred", N + P, code_t, C_t, code, C, k + 1
+
+        for kind, image, code_img, C_img, want_code, want_C, want_k in laws():
             k_img, r_img = np.divmod(image % M, P)
             diff = np.take(C_img, r_img, axis=0)
             diff -= want_C
             # diff lies in (-(q-1), q-1), so it is want mod q-1 iff it is
             # want or want - (q-1)
-            want = ((want_k - k_img) % D).astype(diff.dtype)
-            a_ok = (diff == want[:, np.newaxis]) | (diff == (want - D)[:, np.newaxis]) | free
-            ok = (np.take(code_img, r_img, axis=0) == want_code) & a_ok
+            want = ((want_k - k_img) % D).astype(diff.dtype)[:, np.newaxis]
+            ok = diff == want
+            want -= D
+            ok |= diff == want
+            ok |= free
+            del diff, want_C
+            ok &= np.take(code_img, r_img, axis=0) == want_code
+            del want_code
             ns = N[~ok.all(axis=1)]
             mm.add(len(ns), check=kind, n=ns)
         checked += len(N)
+    if shard.stop < M:
+        return checked, mm.witnesses, mm.count
 
-    # reducible symmetries along the ratio line
+    # reducible symmetries along the ratio line, after the field's last chunk
     cols = np.arange(nB)
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
@@ -651,7 +813,7 @@ def _run_symmetry(ell: int, f: int):
     return checked + 4 * D, mm.witnesses, mm.count
 
 
-def _run_qtable(ell: int, f: int):
+def _run_qtable(ell: int, f: int, shard: None = None):
     # f is ignored; the tables live at f = 1
     checks: list[tuple[int, str, bool]] = []  # (b, check, passed)
     for b in range(1, ell):
@@ -686,7 +848,7 @@ def _run_qtable(ell: int, f: int):
     return len(checks), mm.witnesses, mm.count
 
 
-_KIND_RUNNERS: dict[str, Callable[[int, int], tuple]] = {
+_KIND_RUNNERS: dict[str, Callable[..., tuple]] = {
     "counts-irred": _run_counts_irred,
     "counts-red": _run_counts_red,
     "injectivity-irred": _run_injectivity_irred,
@@ -730,9 +892,19 @@ class VerificationReport:
         }
 
 
-def _run_one(args: tuple[str, int, int]):
-    kind, ell, f = args
-    return _KIND_RUNNERS[kind](ell, f)
+def _run_one(task: tuple[str, int, int], shard: range | None = None):
+    kind, ell, f = task
+    return _KIND_RUNNERS[kind](ell, f, shard)
+
+
+def _pool_task(task: tuple[str, int, int], shard: range | None):
+    """_run_one in a pool worker: its result, and the scans it built."""
+    global _built
+    _built = []
+    try:
+        return _run_one(task, shard), _built
+    finally:
+        _built = None
 
 
 def verify_sweep(
@@ -746,10 +918,13 @@ def verify_sweep(
     """Run one verification kind over every (ell, f) in range.
 
     Raises BudgetExceeded before doing any work when the planned cost
-    (sum of ell^(2f) residue classes) exceeds the budget.  With jobs > 1 the
-    tasks are distributed over a process pool of at most min(jobs, tasks,
-    CPUs) workers; reports merge in task order, so the result is identical
-    to a serial run.
+    (sum of ell^(2f) residue classes) exceeds the budget.  The work is one
+    task per shard of each field (see the module docstring), the same
+    tasks for any jobs.  With jobs > 1 they are distributed over a process
+    pool of at most min(jobs, tasks, CPUs) workers, and the scans the
+    workers build are adopted into this process's caches for the next
+    kind; results merge in task order, so the report is identical to a
+    serial run.
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")
@@ -766,16 +941,20 @@ def verify_sweep(
         raise BudgetExceeded(
             f"planned sweep enumerates {cost} residue classes, budget is {budget:g}"
         )
+    _keep_freed_memory()
     t0 = time.monotonic()
-    args = [(kind, ell, f) for ell, f in tasks]
+    work = [((kind, ell, f), s) for ell, f in tasks for s in _shards(kind, FieldParams(ell, f))]
     # the pool forks all its workers on the first submit, so never ask for
     # more than there are tasks or CPUs to run them
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
+        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, args))
+            for result, built in pool.map(_pool_task, *zip(*work)):
+                _adopt(built)
+                results.append(result)
     else:
-        results = [_run_one(a) for a in args]
+        results = [_run_one(*w) for w in work]
     mm = _Mismatches()
     for _, witnesses, count in results:
         mm.merge(count, witnesses)

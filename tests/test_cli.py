@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -530,3 +531,31 @@ def test_usage_errors_exit_one_not_two(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert "error:" in err
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it; a run of calls,
+    # usage errors among them, must read exactly as with a new parser each time
+    argvs = [
+        ["irred", "--ell", "3", "--f", "2", "--n", "7", "--labels"],
+        ["red", "--ell", "5", "--f", "1"],  # missing --n1 and --n2
+        ["red", "--ell", "5", "--f", "1", "--n1", "2", "--n2", "1", "--ext", "unknown",
+         "--format", "tsv"],
+        ["irred", "--ell", "3", "--f", "1", "--n", "2", "--format", "yaml"],
+        ["verify", "counts", "--ell", "2,3", "--f-max", "2", "--format", "pretty"],
+        ["irred", "--ell", "3", "--f", "1", "--n", "2"],
+    ]
+
+    def calls():
+        # stderr carries the sweeps' wall times, which differ run to run
+        return [
+            (code, out, re.sub(r"elapsed \d+\.\d+s", "elapsed", err))
+            for code, out, err in (run_cli(capsys, argv) for argv in argvs)
+        ]
+
+    cli._shared_parser.cache_clear()
+    shared = calls()
+    assert cli._shared_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 0]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert calls() == shared

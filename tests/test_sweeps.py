@@ -210,6 +210,16 @@ def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
     ]
 
 
+def _irred_per_n(ell, f):
+    """(n, labeled, distinct, det_bad) of every valid n, from the per-chunk
+    counts the irreducible scan compares."""
+    p = FieldParams(ell, f)
+    rows = []
+    for N in sweeps._valid_irred_chunks(p):
+        rows += zip(N.tolist(), *(x.tolist() for x in sweeps._irred_counts(p, N)))
+    return rows
+
+
 @pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
 def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
     # one cell (r = 5, B = 3) of one table at (3, 3); q + 1 = 28, q - 1 = 26
@@ -217,14 +227,16 @@ def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
     lifts = list(range(5, 728, 28))  # every n = k (q+1) + 5
-    scan = sweeps._irred_scan(3, 3)
+    per_n = _irred_per_n(3, 3)
+    det_bad = [n for n, _, _, bad in per_n if bad]
     checked, mism, bad = sweeps._run_counts_irred(3, 3)
-    det_checked, det_mism, det_bad = sweeps._run_det_law(3, 3)
-    assert checked == scan.checked == 702
+    det_checked, det_mism, det_bad_count = sweeps._run_det_law(3, 3)
+    assert checked == len(per_n) == 702
     assert det_checked == 702 + 26
     if which == "admissible":
         # the labeled count drops at every lift; no triple breaks the det law
-        assert scan.det_bad == [] and det_bad == 0
+        assert det_bad == [] and det_bad_count == 0
+        assert [labeled for n, labeled, _, _ in per_n if n % 28 == 5] == [7] * 26
         assert bad == 26
         assert [(w["n"], w["enumerated"], w["closed_form"]) for w in mism[:3]] == [
             (5, 7, 8), (33, 7, 8), (61, 7, 8),
@@ -233,8 +245,8 @@ def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
         # a or bcode of one subset moves: counts hold, the det law fails at
         # every lift, each with its own k in a = k + C[r]
         assert bad == 0 and mism == []
-        assert scan.det_bad == lifts
-        assert det_bad == 26
+        assert det_bad == lifts
+        assert det_bad_count == 26
         assert [w["n"] for w in det_mism] == lifts[:25]
         assert all(w["case"] == "irreducible" for w in det_mism)
 
@@ -255,7 +267,7 @@ def test_counts_red_grid_catches_corrupted_red_table(monkeypatch, fresh_tables, 
     assert [(w["n1"], w["n2"], w.get("check")) for w in mism] == [
         (n1, (n1 - 4) % 26, "det-law") for n1 in range(25)
     ]
-    assert sweeps._red_scan(3, 3).det_bad == [4]
+    assert np.flatnonzero(sweeps._red_counts(FieldParams(3, 3))[2]).tolist() == [4]
 
 
 def _patch_tables(monkeypatch, name, ell, f, corrupt):
@@ -358,7 +370,7 @@ def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
 
 
 def test_verify_sweep_merges_witnesses_in_task_order(monkeypatch):
-    def failing(ell, f):
+    def failing(ell, f, shard):
         # (2, 1) finds 30 mismatches and (3, 1) 12, each listing up to 20
         listed = 20 if ell == 2 else 10
         witnesses = [{"ell": ell, "f": f, "i": i} for i in range(listed)]
@@ -404,10 +416,9 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
         _clear_table_caches()
         out = []
         for ell, f in fields:
-            si, sr = sweeps._irred_scan(ell, f), sweeps._red_scan(ell, f)
+            red = sweeps._red_counts(FieldParams(ell, f))
             out.append((
-                si.labeled.tolist(), si.distinct.tolist(), si.det_bad,
-                sr.labeled.tolist(), sr.distinct.tolist(), sr.det_bad, sr.certain_missing,
+                _irred_per_n(ell, f), [x.tolist() for x in red], sweeps._run_det_law(ell, f),
                 sweeps._run_counts_red(ell, f), sweeps._run_symmetry(ell, f),
             ))
         return out
@@ -417,3 +428,87 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
     assert results() == narrow
     assert sweeps._irred_kernel(FieldParams(3, 3), np.arange(1, 28))[1].dtype == np.int64
     assert sweeps._red_kernel(FieldParams(3, 3), np.arange(26), np.zeros(26, dtype=np.int64))[1].dtype == np.int64
+
+
+def _serve_for(monkeypatch, name, ell, f, tables):
+    # serve corrupted tables for one field and the real ones for the others
+    real = getattr(sweeps, name)
+    monkeypatch.setattr(sweeps, name, lambda e, g: tables if (e, g) == (ell, f) else real(e, g))
+
+
+@pytest.mark.parametrize("corrupt", ["clean", "C", "admissible", "red"])
+def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrupt):
+    # small chunks and shards split (3, 3) and (5, 2) into several tasks per
+    # kind; corrupted (3, 3) tables give witness lists that cross shard
+    # boundaries and pass the cap of 25
+    def sweep(jobs):
+        _clear_table_caches()
+        return [
+            verify_sweep(kind, [3, 5], 3, budget=10**6, space_cap=729, jobs=jobs).to_dict()
+            for kind in ALL_KINDS
+        ]
+
+    if corrupt == "red":
+        tables = tuple(t.copy() for t in sweeps._red_tables(3, 3))
+        tables[1][4, 2, 0] += 1
+        _serve_for(monkeypatch, "_red_tables", 3, 3, tables)
+    elif corrupt != "clean":
+        _serve_for(monkeypatch, "_irred_tables", 3, 3, _corrupt_irred(corrupt))
+    # symmetry's witness order follows the chunk grid, so fix that first
+    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    whole = sweep(1)
+    monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    p33, p52 = FieldParams(3, 3), FieldParams(5, 2)
+    assert [len(sweeps._irred_shards(p)) for p in (p33, p52)] == [6, 3]
+    assert [len(sweeps._grid_shards(p)) for p in (p33, p52)] == [13, 5]
+    serial = sweep(1)
+    assert serial == whole
+    assert sweep(2) == serial
+    counts = {d["kind"]: d["mismatch_count"] for d in serial}
+    if corrupt == "clean":
+        assert all(d["passed"] for d in serial)
+    else:
+        capped = {"C": "det-law", "admissible": "counts-irred", "red": "counts-red"}[corrupt]
+        assert counts[capped] == 26
+        assert len(next(d for d in serial if d["kind"] == capped)["mismatches"]) == 25
+
+
+def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
+    # the scans a pool's workers build come back to this process: the next
+    # kinds read them from its caches, without calling the kernel here
+    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    calls = []
+    kernel = sweeps._irred_kernel
+
+    def counting(p, N):
+        calls.append(len(N))  # a worker appends to its own copy of the list
+        return kernel(p, N)
+
+    monkeypatch.setattr(sweeps, "_irred_kernel", counting)
+    fields = plan_tasks([3, 5], 2)
+    shards = [(ell, f, s) for ell, f in fields for s in sweeps._irred_shards(FieldParams(ell, f))]
+    assert len(shards) == 6  # (5, 2) in three
+    assert verify_sweep("counts-irred", [3, 5], 2, budget=10**6, jobs=2).passed
+    assert calls == []
+    assert sweeps._irred_scan.cache_info().currsize == len(shards)
+    hits = sweeps._irred_scan.cache_info().hits
+    for kind in ("injectivity-irred", "det-law", "nonempty"):
+        assert verify_sweep(kind, [3, 5], 2, budget=10**6).passed
+    assert calls == []
+    assert sweeps._irred_scan.cache_info().hits == hits + 3 * len(shards)
+    assert sweeps._adopted == {}
+
+
+@pytest.mark.parametrize("libc", [SimpleNamespace(), None])
+def test_heap_setting_skipped_without_glibc(monkeypatch, libc):
+    # off glibc there is no mallopt (or no C library to load): sweeps run as is
+    def load(name):
+        if libc is None:
+            raise OSError("no C library")
+        return libc
+
+    monkeypatch.setattr(sweeps.ctypes, "CDLL", load)
+    assert sweeps._keep_freed_memory.__wrapped__() is None
