@@ -7,6 +7,7 @@ runs so formatting regressions are caught byte for byte.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -191,6 +192,20 @@ def test_red_undecidable_dim_renders_bounds(capsys):
     )
     assert code == 0
     assert "dim=1..2" in out
+
+
+def test_single_datum_output_matches_golden_digests(capsys):
+    # exit code and stdout sha256 of every argv in the corpus that
+    # scripts/single_datum_golden.py writes
+    rows = json.loads((GOLDEN / "single_datum.json").read_text(encoding="utf-8"))
+    assert len(rows) > 400
+    changed = []
+    for row in rows:
+        code, out, _ = run_cli(capsys, row["argv"])
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if (code, digest) != (row["exit"], row["sha256"]):
+            changed.append(" ".join(row["argv"]))
+    assert changed == []
 
 
 # ---------------------------------------------------------------------------
