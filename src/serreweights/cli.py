@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from . import irreducible as irred
 from . import local_factors as lf
@@ -34,9 +36,11 @@ from .global_weights import (
     global_sort_key,
     global_weight_set,
 )
-from .modarith import FieldParams, subset_indices
+from .modarith import FieldParams, code_digits
 from .weights import (
+    LabeledRows,
     format_weight_set,
+    labeled_rows,
     weight_sort_key,
     weight_to_dict,
 )
@@ -68,28 +72,82 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # rendering helpers
 
+_json_str = json.encoder.encode_basestring_ascii
+
 
 def _json(payload: Any) -> str:
-    return json.dumps(payload, indent=2)
+    """`json.dumps(payload, indent=2)`, byte for byte, for acyclic trees of
+    dict, list, tuple, str, int, float, bool and None.
+
+    The stdlib encodes indented output in pure Python; here only the tree
+    walk is Python.  Strings go through the C-level ASCII escaper, ints
+    through int.__repr__ (a list of plain ints in one join), and other
+    leaves through the C encoder of `json.dumps`.
+    """
+    parts: list[str] = []
+    _json_walk(payload, "\n", parts.append)
+    return "".join(parts)
 
 
-def _subset_str(B: int, f: int) -> str:
-    return "{" + ",".join(str(i) for i in subset_indices(B, f)) + "}"
+def _json_walk(x: Any, newline: str, put) -> None:
+    # str and plain int children are written inline, without a recursive call
+    if isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, x)) == {int}:  # not bool: int.__repr__(True) is "1"
+            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for v in x:
+            t = type(v)
+            if t is int:
+                put(sep + int.__repr__(v))
+            elif t is str:
+                put(sep + _json_str(v))
+            else:
+                put(sep)
+                _json_walk(v, inner, put)
+            sep = comma
+        put(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in x.items():
+            head = sep + (_json_str(k) if type(k) is str else _json_key(k)) + ": "
+            t = type(v)
+            if t is int:
+                put(head + int.__repr__(v))
+            elif t is str:
+                put(head + _json_str(v))
+            else:
+                put(head)
+                _json_walk(v, inner, put)
+            sep = comma
+        put(newline + "}")
+    elif isinstance(x, str):
+        put(_json_str(x))
+    elif type(x) is int:
+        put(int.__repr__(x))
+    else:
+        put(json.dumps(x))
 
 
-def _labeled_rows(labeled):
-    return sorted(labeled, key=lambda lw: (weight_sort_key(lw.weight), lw.B))
+def _json_key(k: Any) -> str:
+    """A dict key that is not a str, converted as json.dumps converts it."""
+    if isinstance(k, str):
+        return _json_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _json_str(json.dumps(k))  # null, true, 12, 1.5 as strings
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _weights_json(ws) -> list[dict]:
     return [weight_to_dict(V) for V in sorted(ws, key=weight_sort_key)]
-
-
-def _labeled_json(labeled, f: int) -> list[dict]:
-    return [
-        {"weight": weight_to_dict(lw.weight), "B": list(subset_indices(lw.B, f))}
-        for lw in _labeled_rows(labeled)
-    ]
 
 
 def _tsv(header: list[str], rows: list[list[str]]) -> str:
@@ -98,8 +156,48 @@ def _tsv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _weight_cells(V) -> list[str]:
-    return [str(V.a), ",".join(str(x) for x in V.b), str(V)]
+class _RowText:
+    """Output cells of labeled rows (`weights.labeled_rows`), each built at
+    most once per row and only when a format asks for it."""
+
+    def __init__(self, rows: LabeledRows, p: FieldParams) -> None:
+        self.rows, self.p = rows, p
+        self.a = rows.a.tolist()
+        self.b = rows.b.tolist()
+        self.firsts = np.flatnonzero(rows.first)
+
+    @cached_property
+    def b_cells(self) -> list[str]:
+        return [",".join(map(str, b)) for b in self.b]
+
+    @cached_property
+    def weights(self) -> list[str]:
+        """str(SerreWeight) of each row: base-ell digits of a, then b."""
+        a_digits = (code_digits(self.rows.a, self.p.ell, self.p.f) - 1).tolist()
+        return [f"V[{','.join(map(str, x))} ; {y}]" for x, y in zip(a_digits, self.b_cells)]
+
+    @cached_property
+    def subsets(self) -> list[list[int]]:
+        f = self.p.f
+        return [[i for i in range(f) if B >> i & 1] for B in self.rows.B.tolist()]
+
+    def weight_json(self, i: int) -> dict:
+        return {"ell": self.p.ell, "f": self.p.f, "a": self.a[i], "b": self.b[i]}
+
+    def labeled_json(self) -> list[dict]:
+        return [{"weight": self.weight_json(i), "B": B} for i, B in enumerate(self.subsets)]
+
+    def weight_cells(self, i: int) -> list[str]:
+        return [str(self.a[i]), self.b_cells[i], self.weights[i]]
+
+    def weight_set(self, idx) -> str:
+        """Brace-delimited weights of the rows idx, as `format_weight_set`."""
+        return "{" + ", ".join(self.weights[i] for i in idx) + "}"
+
+    def labeled_lines(self) -> list[str]:
+        return [
+            "  B={" + ",".join(map(str, B)) + "}  " + w for B, w in zip(self.subsets, self.weights)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +207,22 @@ def _weight_cells(V) -> list[str]:
 def _render_labeled(args, recipe, d, header: str) -> tuple[str, int]:
     """json / tsv / pretty output of the labeled set of d and the weights it
     projects to; recipe is the irreducible or the reducible module."""
-    f = d.params.f
-    labeled = recipe.labeled_weight_set(d)
-    ws = frozenset(lw.weight for lw in labeled)
+    t = _RowText(labeled_rows(*recipe.labeled_triples(d), d.params), d.params)
+    firsts = t.firsts.tolist()
     if args.format == "json":
-        payload = _labeled_json(labeled, f) if args.labels else _weights_json(ws)
+        payload = t.labeled_json() if args.labels else [t.weight_json(i) for i in firsts]
         return _json(payload), EXIT_OK
     if args.format == "tsv":
         if args.labels:
-            rows = [
-                _weight_cells(lw.weight) + [",".join(map(str, subset_indices(lw.B, f)))]
-                for lw in _labeled_rows(labeled)
-            ]
+            rows = [t.weight_cells(i) + [",".join(map(str, B))] for i, B in enumerate(t.subsets)]
             return _tsv(["a", "b", "weight", "B"], rows), EXIT_OK
-        rows = [_weight_cells(V) for V in sorted(ws, key=weight_sort_key)]
-        return _tsv(["a", "b", "weight"], rows), EXIT_OK
+        return _tsv(["a", "b", "weight"], [t.weight_cells(i) for i in firsts]), EXIT_OK
     lines = [
-        f"{header}  labeled={len(labeled)} weights={len(ws)}"
-        f" injective={'yes' if recipe.projection_is_injective(d) else 'no'}"
+        f"{header}  labeled={len(t.a)} weights={len(firsts)}"
+        f" injective={'yes' if recipe.projection_is_injective(d) else 'no'}",
+        *t.labeled_lines(),
+        f"weights: {t.weight_set(firsts)}",
     ]
-    for lw in _labeled_rows(labeled):
-        lines.append(f"  B={_subset_str(lw.B, f)}  {lw.weight}")
-    lines.append(f"weights: {format_weight_set(ws)}")
     return "\n".join(lines), EXIT_OK
 
 
@@ -146,30 +238,29 @@ def _cmd_red(args) -> tuple[str, int]:
     if ext is red.ExtClass.SPLIT:
         return _render_labeled(args, red, d, f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=split")
 
-    labeled = red.labeled_weight_set(d)
-    certain, possible = red.weight_sets_partial(d, labeled=labeled)
+    rows, lo, hi, certain = red.partial_rows(d)
+    t = _RowText(rows, p)
+    sure, maybe = t.firsts[certain].tolist(), t.firsts[~certain].tolist()
     if args.format == "json":
         payload = {
-            "certain": _weights_json(certain),
-            "possible": _weights_json(possible),
+            "certain": [t.weight_json(i) for i in sure],
+            "possible": [t.weight_json(i) for i in maybe],
         }
         if args.labels:
-            payload["labeled"] = _labeled_json(labeled, p.f)
+            payload["labeled"] = t.labeled_json()
         return _json(payload), EXIT_OK
     if args.format == "tsv":
-        rows = [["certain"] + _weight_cells(V) for V in sorted(certain, key=weight_sort_key)]
-        rows += [["possible"] + _weight_cells(V) for V in sorted(possible, key=weight_sort_key)]
-        return _tsv(["part", "a", "b", "weight"], rows), EXIT_OK
+        body = [["certain"] + t.weight_cells(i) for i in sure]
+        body += [["possible"] + t.weight_cells(i) for i in maybe]
+        return _tsv(["part", "a", "b", "weight"], body), EXIT_OK
+    dims = [f"dim={x}" if x == y else f"dim={x}..{y}" for x, y in zip(lo.tolist(), hi.tolist())]
     lines = [
         f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=unknown"
-        f"  labeled={len(labeled)} h1_dim={red.h1_dim(d)}"
+        f"  labeled={len(t.a)} h1_dim={red.h1_dim(d)}",
+        *(f"{line}  {dim}" for line, dim in zip(t.labeled_lines(), dims)),
+        f"certain: {t.weight_set(sure)}",
+        f"possible: {t.weight_set(maybe)}",
     ]
-    for lw in _labeled_rows(labeled):
-        lo, hi = red.dim_report(lw, d).dim_bounds
-        dim_txt = f"dim={lo}" if lo == hi else f"dim={lo}..{hi}"
-        lines.append(f"  B={_subset_str(lw.B, p.f)}  {lw.weight}  {dim_txt}")
-    lines.append(f"certain: {format_weight_set(certain)}")
-    lines.append(f"possible: {format_weight_set(possible)}")
     return "\n".join(lines), EXIT_OK
 
 

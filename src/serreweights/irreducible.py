@@ -48,6 +48,7 @@ __all__ = [
     "niveau_two",
     "missing_class",
     "class_tables",
+    "labeled_triples",
     "labeled_weight_set",
     "weight_set",
     "labeled_count_formula",
@@ -119,15 +120,21 @@ def class_tables(params: FieldParams, r) -> tuple[np.ndarray, np.ndarray, np.nda
     return admissible, rem // P, bcode
 
 
-def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
-    """All labeled weights (V_{a,b}, B) attached to the datum: one row of
-    `class_tables`, with a = (k + C_B[r]) mod (q-1) for n = k (q+1) + r."""
+def labeled_triples(d: NiveauTwoDatum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labeled weights of the datum as parallel arrays (a, bcode, B):
+    one row of `class_tables`, with a = (k + C_B[r]) mod (q-1) for
+    n = k (q+1) + r, and bcode the digit code sum (b_i - 1) ell^i."""
     p = d.params
     check_subset_limit(p)
     k, r = divmod(d.n, p.m_plus)
     admissible, C, bcode = (t[0] for t in class_tables(p, [r]))
     (Bs,) = np.nonzero(admissible)
-    return labeled_weights((k + C[Bs]) % max(p.m_minus, 1), bcode[Bs], Bs, p)
+    return (k + C[Bs]) % max(p.m_minus, 1), bcode[Bs], Bs
+
+
+def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
+    """All labeled weights (V_{a,b}, B) attached to the datum."""
+    return labeled_weights(*labeled_triples(d), d.params)
 
 
 def weight_set(d: NiveauTwoDatum) -> frozenset[SerreWeight]:

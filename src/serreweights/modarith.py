@@ -259,7 +259,7 @@ def window_top(B: "int | np.ndarray", params: FieldParams) -> "int | np.ndarray"
     """
     ell, f = params.ell, params.f
     masks = np.asarray(B, dtype=np.int64)
-    if ((masks < 0) | (masks >= 1 << f)).any():
+    if masks.size and (masks.min() < 0 or masks.max() >= 1 << f):
         raise ParamError(f"subset mask {B} out of range for f={f}")
     # sum_{i in B} ell^(i+1) - sum_{i not in B} ell^i
     #   = (ell + 1) sum_{i in B} ell^i - (1 + ell + .. + ell^(f-1))

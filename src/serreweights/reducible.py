@@ -19,10 +19,11 @@ For a non-split datum the weight set depends on where the extension class
 lands inside H^1; each labeled weight carves out a subspace L whose dimension
 is |J| with small corrections (J is the embedding subset matching B).
 `dimension_rule` gives the correction and whether it is decided by the
-datum alone, for `dim_report` and for the nonempty sweep; the one open
-situation is a trivial character ratio with J proper and b not identically
-ell, where the answer depends on whether the unramified line sits inside
-the peu-ramifiee subspace L'.
+datum alone, and `dim_bounds` reads it for arrays of labeled weights: for
+`dim_report`, for the certain part of `partial_rows` and for the nonempty
+sweep.  The one open situation is a trivial character ratio with J proper
+and b not identically ell, where the answer depends on whether the
+unramified line sits inside the peu-ramifiee subspace L'.
 """
 
 from __future__ import annotations
@@ -46,7 +47,15 @@ from .modarith import (
     window_decode,
     window_top,
 )
-from .weights import LabeledWeight, SerreWeight, canonical_weight, labeled_weights
+from .weights import (
+    LabeledRows,
+    LabeledWeight,
+    SerreWeight,
+    canonical_weight,
+    labeled_rows,
+    labeled_weights,
+    row_weights,
+)
 
 __all__ = [
     "ExtClass",
@@ -54,6 +63,7 @@ __all__ = [
     "niveau_one",
     "doubled_class",
     "class_tables",
+    "labeled_triples",
     "labeled_weight_set",
     "labeled_count_formula",
     "injectivity_witness",
@@ -61,9 +71,11 @@ __all__ = [
     "h1_excess",
     "h1_dim",
     "dimension_rule",
+    "dim_bounds",
     "DimReport",
     "dim_report",
     "weight_set_split",
+    "partial_rows",
     "weight_sets_partial",
     "is_generic",
     "swap_datum",
@@ -137,16 +149,22 @@ def class_tables(params: FieldParams, n) -> tuple[np.ndarray, np.ndarray, np.nda
     return valid, s_in, bcode
 
 
-def labeled_weight_set(d: ReducibleDatum) -> frozenset[LabeledWeight]:
-    """All labeled weights of the datum; every subset B contributes one
-    weight, or two when n lands on the doubled class of B.  One row of
-    `class_tables`, with a = n1 - (B-part) mod (q-1)."""
+def labeled_triples(d: ReducibleDatum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labeled weights of the datum as parallel arrays (a, bcode, B);
+    every subset B contributes one weight, or two when n lands on the
+    doubled class of B.  One row of `class_tables`, with
+    a = n1 - (B-part) mod (q-1) and bcode the digit code sum (b_i - 1) ell^i."""
     p = d.params
     check_subset_limit(p)
     valid, s_in, bcode = (t[0] for t in class_tables(p, [d.n]))
     Bs, slots = np.nonzero(valid)
     a = (d.n1 - s_in[Bs, slots]) % max(p.m_minus, 1)
-    return labeled_weights(a, bcode[Bs, slots], Bs, p)
+    return a, bcode[Bs, slots], Bs
+
+
+def labeled_weight_set(d: ReducibleDatum) -> frozenset[LabeledWeight]:
+    """All labeled weights of the datum."""
+    return labeled_weights(*labeled_triples(d), d.params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +260,10 @@ def projection_is_injective(d: ReducibleDatum) -> bool:
 # cohomology bookkeeping for the non-split case
 
 
-def h1_excess(trivial: bool, cyclotomic: bool) -> int:
+def h1_excess(trivial, cyclotomic):
     """dim H^1 - f for the ratio character: one for a trivial ratio plus one
-    for a cyclotomic ratio."""
-    return int(trivial) + int(cyclotomic)
+    for a cyclotomic ratio (bools, or bool arrays broadcast together)."""
+    return np.add(trivial, cyclotomic, dtype=np.int64)
 
 
 def h1_dim(d: ReducibleDatum) -> int:
@@ -253,7 +271,7 @@ def h1_dim(d: ReducibleDatum) -> int:
     ell = 2 the cyclotomic exponent vanishes mod q-1, so both corrections
     apply at n = 0."""
     p = d.params
-    return p.f + h1_excess(d.n == 0, d.n == p.cyclotomic_exponent)
+    return p.f + int(h1_excess(d.n == 0, d.n == p.cyclotomic_exponent))
 
 
 @dataclass(frozen=True)
@@ -282,14 +300,22 @@ class DimReport:
         return (self.j_size + 1, self.j_size + 2)
 
 
-def _membership_check(lw: LabeledWeight, d: ReducibleDatum) -> None:
+def _membership_check(d: ReducibleDatum, a, b, B) -> None:
+    """Raise unless every triple solves the datum's two congruences: twist
+    exponents a, digit vectors b along a last axis of length f, and subset
+    masks B, broadcast together."""
     p = d.params
     m = max(p.m_minus, 1)
-    b, B, a = lw.weight.b, lw.B, lw.weight.a
-    s_in = sum(bi * p.ell**i for i, bi in enumerate(b) if B >> i & 1)
-    s_out = sum(bi * p.ell**i for i, bi in enumerate(b) if not (B >> i & 1))
-    if (a + s_in - d.n1) % m != 0 or (a + s_out - d.n2) % m != 0:
-        raise NotInLabeledSet(f"{lw} is not a labeled weight of {d}")
+    terms = np.asarray(b, dtype=np.int64) * np.array([p.ell**i for i in range(p.f)])
+    B = np.asarray(B, dtype=np.int64)
+    s_in = np.where(B[..., np.newaxis] >> np.arange(p.f) & 1, terms, 0).sum(axis=-1)
+    s_out = terms.sum(axis=-1) - s_in
+    bad = ((a + s_in - d.n1) % m != 0) | ((a + s_out - d.n2) % m != 0)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        a_i, B_i = np.broadcast_to(a, bad.shape)[i], np.broadcast_to(B, bad.shape)[i]
+        b_i = tuple(np.broadcast_to(b, bad.shape + (p.f,))[i].tolist())
+        raise NotInLabeledSet(f"(a={a_i}, b={b_i}, B={B_i}) is not a labeled weight of {d}")
 
 
 def dimension_rule(trivial: bool, cyclotomic: bool, all_ell: bool, full: bool) -> tuple[int, bool]:
@@ -317,14 +343,39 @@ def dimension_rule(trivial: bool, cyclotomic: bool, all_ell: bool, full: bool) -
     return 0, True
 
 
+def dim_bounds(params: FieldParams, n, bcode, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, fills) for labeled weights given as integer arrays broadcast
+    together: ratio exponents n, digit codes bcode = sum (b_i - 1) ell^i
+    and subset masks B.
+
+    lo <= dim L <= hi, with lo = |J| + delta and hi = lo exactly where
+    `dimension_rule` decides the dimension; fills marks a decided L of
+    dimension dim H^1.  The 16 cases of the rule are tabulated once per
+    call, so the single weight of `dim_report`, one datum's labeled rows
+    and the nonempty sweep's ratio line all read the same rule.
+    """
+    delta, decided = np.array(
+        [dimension_rule(*case) for case in itertools.product((False, True), repeat=4)]
+    ).T  # the 16 cases in the order of the case index below
+    f = params.f
+    n, bcode, B = np.asarray(n), np.asarray(bcode), np.asarray(B)
+    trivial, cyclotomic = n == 0, n == params.cyclotomic_exponent
+    case = 8 * trivial + 4 * cyclotomic + 2 * (bcode == params.q - 1) + (B == (1 << f) - 1)
+    decidable = decided[case].astype(bool)
+    lo = sum(B >> i & 1 for i in range(f)) + delta[case]
+    hi = lo + ~decidable
+    return lo, hi, decidable & (lo == f + h1_excess(trivial, cyclotomic))
+
+
 def dim_report(lw: LabeledWeight, d: ReducibleDatum) -> DimReport:
     """Dimension report for the subspace attached to one labeled weight:
-    |J| plus the correction of `dimension_rule`."""
-    _membership_check(lw, d)
+    `dim_bounds` of that weight."""
     p = d.params
-    all_ell, full = all(bi == p.ell for bi in lw.weight.b), lw.B == (1 << p.f) - 1
-    delta, decidable = dimension_rule(d.n == 0, d.n == p.cyclotomic_exponent, all_ell, full)
-    return DimReport(bin(lw.B).count("1"), delta, decidable)
+    _membership_check(d, lw.weight.a, lw.weight.b, lw.B)
+    bcode = sum((bi - 1) * p.ell**i for i, bi in enumerate(lw.weight.b))
+    lo, hi, _ = dim_bounds(p, d.n, bcode, lw.B)
+    j_size = bin(lw.B).count("1")
+    return DimReport(j_size, int(lo) - j_size, bool(lo == hi))
 
 
 # ---------------------------------------------------------------------------
@@ -338,32 +389,35 @@ def weight_set_split(d: ReducibleDatum) -> frozenset[SerreWeight]:
     return frozenset(lw.weight for lw in labeled_weight_set(d))
 
 
-def weight_sets_partial(
-    d: ReducibleDatum,
-    *,
-    labeled: frozenset[LabeledWeight] | None = None,
-) -> tuple[frozenset[SerreWeight], frozenset[SerreWeight]]:
-    """(certain, possible) for a non-split datum with unknown class.
+def partial_rows(d: ReducibleDatum) -> tuple[LabeledRows, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, lo, hi, certain) for a non-split datum with unknown class:
+    its checked `labeled_rows`, the `dim_bounds` of each row, and for each
+    distinct weight, in row order, whether it is certain.
 
     A weight is certain when some labeled representative has a decided
     subspace equal to all of H^1, so it contains every extension class.
-    Everything else in the projection stays possible.  The certain set is
+    Everything else in the projection stays possible.  The certain part is
     never empty: the full-label representative always has a full subspace.
-    A caller that already holds labeled_weight_set(d) passes it as labeled.
     """
     if d.ext is not ExtClass.NONSPLIT_UNKNOWN:
         raise WrongExtClass("weight_sets_partial requires a non-split datum")
-    h1 = h1_dim(d)
-    if labeled is None:
-        labeled = labeled_weight_set(d)
-    certain = set()
-    for lw in labeled:
-        rep = dim_report(lw, d)
-        if rep.decidable and rep.dim == h1:
-            certain.add(lw.weight)
-    possible = {lw.weight for lw in labeled} - certain
-    assert certain, "the full-label weight always contributes"
-    return frozenset(certain), frozenset(possible)
+    p = d.params
+    rows = labeled_rows(*labeled_triples(d), p)
+    _membership_check(d, rows.a, rows.b, rows.B)
+    lo, hi, fills = dim_bounds(p, d.n, rows.bcode, rows.B)
+    certain = np.logical_or.reduceat(fills, np.flatnonzero(rows.first))
+    if not certain.any():
+        raise AssertionError("the full-label weight always contributes")
+    return rows, lo, hi, certain
+
+
+def weight_sets_partial(d: ReducibleDatum) -> tuple[frozenset[SerreWeight], frozenset[SerreWeight]]:
+    """(certain, possible) for a non-split datum with unknown class; see
+    `partial_rows`."""
+    rows, _, _, certain = partial_rows(d)
+    weights = row_weights(rows.a[rows.first], rows.b[rows.first], d.params)
+    certain_set = frozenset(w for w, c in zip(weights, certain.tolist()) if c)
+    return certain_set, frozenset(weights) - certain_set
 
 
 def is_generic(d: ReducibleDatum) -> bool:

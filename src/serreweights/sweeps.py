@@ -17,9 +17,9 @@ The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
 n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
 datum per class, into a table indexed by that class.  nonempty's certain
-part reads reducible.dimension_rule and h1_excess.  One collector,
-_Mismatches, keeps every scan's, every runner's and the merged report's
-mismatch count and witnesses.
+part reads reducible.dim_bounds.  One collector, _Mismatches, keeps every
+scan's, every runner's and the merged report's mismatch count and
+witnesses.
 
 The scans hold mismatches, not per-n arrays.  _irred_scan enumerates one
 shard of the irreducible side chunk by chunk and compares each chunk with
@@ -488,21 +488,11 @@ def _red_counts(p: FieldParams):
     det_bad = _det_bad(p, N, valid, a_mat, bcode_mat)
 
     # certain part: some valid slot whose subspace, decided by the recipe's
-    # dimension rule, is all of H^1.  fill_j holds the |J| that fills H^1 in
-    # each of the rule's 16 cases, -1 where it leaves the dimension undecided.
-    fill_j = np.full((2, 2, 2, 2), -1)
-    for case in itertools.product((0, 1), repeat=4):
-        delta, decidable = red.dimension_rule(*map(bool, case))
-        if decidable:
-            fill_j[case] = p.f + red.h1_excess(*map(bool, case[:2])) - delta
-    flags = (  # trivial ratio, cyclotomic ratio, b = (ell..ell), J full
-        (N == 0)[:, np.newaxis, np.newaxis],
-        (N == p.cyclotomic_exponent)[:, np.newaxis, np.newaxis],
-        bcode_mat == p.q - 1,
-        (np.arange(nB) == nB - 1)[np.newaxis, :, np.newaxis],
+    # dimension rule, is all of H^1
+    _, _, fills = red.dim_bounds(
+        p, N[:, np.newaxis, np.newaxis], bcode_mat, np.arange(nB)[np.newaxis, :, np.newaxis]
     )
-    j_sizes = np.array([bin(B).count("1") for B in range(nB)])[np.newaxis, :, np.newaxis]
-    fills = valid & (j_sizes == fill_j[tuple(x.astype(np.intp) for x in flags)])
+    fills &= valid
     return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2))
 
 

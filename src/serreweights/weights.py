@@ -14,7 +14,9 @@ There are exactly (q-1) * q distinct weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import BadWeightDigits, ParamMismatch
 from .modarith import FieldParams, Residue, code_digits, digits_base_ell, subset_indices
@@ -23,6 +25,9 @@ __all__ = [
     "SerreWeight",
     "LabeledWeight",
     "canonical_weight",
+    "LabeledRows",
+    "labeled_rows",
+    "row_weights",
     "labeled_weights",
     "twist_weight",
     "central_character_exponent",
@@ -51,9 +56,9 @@ class SerreWeight:
             raise BadWeightDigits(
                 f"b has length {len(self.b)}, expected f = {self.params.f}"
             )
-        for bi in self.b:
-            if not 1 <= bi <= self.params.ell:
-                raise BadWeightDigits(f"digit {bi} outside 1..{self.params.ell}")
+        if self.b and (min(self.b) < 1 or max(self.b) > self.params.ell):
+            bad = next(bi for bi in self.b if not 1 <= bi <= self.params.ell)
+            raise BadWeightDigits(f"digit {bad} outside 1..{self.params.ell}")
 
     def __str__(self) -> str:
         a_digits = digits_base_ell(self.a, self.params)
@@ -87,18 +92,55 @@ def canonical_weight(a: "int | Residue", b: tuple[int, ...], params: FieldParams
     return SerreWeight(params, int(a) % max(params.m_minus, 1), tuple(b))
 
 
-def labeled_weights(a, bcode, B, params: FieldParams) -> frozenset[LabeledWeight]:
-    """Labeled weights from parallel integer arrays: twist exponents a, digit
-    codes sum (b_i - 1) ell^i and subset masks B.  The recipes produce each
-    labeled weight once, and the set must not merge any two."""
+class LabeledRows(NamedTuple):
+    """Labeled triples as checked parallel arrays, in output order: by b
+    (lexicographic on b_0, b_1, ..), then a, then B.  Equal weights are
+    adjacent, and first marks the first row of each distinct weight."""
+
+    a: np.ndarray
+    bcode: np.ndarray
+    b: np.ndarray  # digit vectors, shape (rows, f)
+    B: np.ndarray
+    first: np.ndarray
+
+
+def labeled_rows(a, bcode, B, params: FieldParams) -> LabeledRows:
+    """Order and check labeled triples given as parallel integer arrays:
+    twist exponents a, digit codes sum (b_i - 1) ell^i and subset masks B.
+
+    Each a must be canonical mod q-1 and each code must stand for digits
+    in 1..ell, as `SerreWeight` requires of one weight.  The recipes
+    produce each labeled weight once, so the triples must be pairwise
+    distinct.  Every check raises, under python -O too.
+    """
+    m = max(params.m_minus, 1)
+    a, bcode, B = (np.asarray(x, dtype=np.int64) for x in (a, bcode, B))
+    if a.size and (a.min() < 0 or a.max() >= m):
+        bad = a[(a < 0) | (a >= m)][0]
+        raise BadWeightDigits(f"a = {bad} not canonical mod {m}")
+    if bcode.size and (bcode.min() < 0 or bcode.max() >= params.q):
+        bad = bcode[(bcode < 0) | (bcode >= params.q)][0]
+        raise BadWeightDigits(
+            f"digit code {bad} outside 0..{params.q - 1}: digits leave 1..{params.ell}"
+        )
     b = code_digits(bcode, params.ell, params.f)
-    out = [
-        LabeledWeight(canonical_weight(ai, tuple(bi), params), Bi)
-        for ai, bi, Bi in zip(a.tolist(), b.tolist(), B.tolist())
-    ]
-    result = frozenset(out)
-    assert len(result) == len(out), "labeled elements must be pairwise distinct"
-    return result
+    order = np.lexsort((B, a, *b.T[::-1]))
+    a, bcode, b, B = a[order], bcode[order], b[order], B[order]
+    same = (bcode[1:] == bcode[:-1]) & (a[1:] == a[:-1])
+    if (same & (B[1:] == B[:-1])).any():
+        raise AssertionError("labeled elements must be pairwise distinct")
+    return LabeledRows(a, bcode, b, B, np.concatenate(([True], ~same))[: len(a)])
+
+
+def row_weights(a: np.ndarray, b: np.ndarray, params: FieldParams) -> list[SerreWeight]:
+    """One `SerreWeight` per row of twist exponents a and digit vectors b."""
+    return [SerreWeight(params, ai, tuple(bi)) for ai, bi in zip(a.tolist(), b.tolist())]
+
+
+def labeled_weights(a, bcode, B, params: FieldParams) -> frozenset[LabeledWeight]:
+    """Labeled weights from parallel integer arrays, checked by `labeled_rows`."""
+    rows = labeled_rows(a, bcode, B, params)
+    return frozenset(map(LabeledWeight, row_weights(rows.a, rows.b, params), rows.B.tolist()))
 
 
 def twist_weight(V: SerreWeight, c: "int | Residue") -> SerreWeight:

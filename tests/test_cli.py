@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serreweights import cli, sweeps
 from serreweights import irreducible as irred
@@ -112,20 +114,51 @@ def test_red_unknown_json(capsys):
     }
 
 
+def _count_decodes(monkeypatch, recipe) -> list:
+    calls = []
+    real = recipe.class_tables
+
+    def counting(params, classes):
+        calls.append(classes)
+        return real(params, classes)
+
+    monkeypatch.setattr(recipe, "class_tables", counting)
+    return calls
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
 def test_red_unknown_builds_labeled_set_once(capsys, monkeypatch, fmt):
-    calls = []
-    real = red.labeled_weight_set
-
-    def counting(d):
-        calls.append(d)
-        return real(d)
-
-    monkeypatch.setattr(red, "labeled_weight_set", counting)
+    # one window decode of the datum's class serves the labeled rows, the
+    # certain / possible split and the dimension column
+    calls = _count_decodes(monkeypatch, red)
     argv = ["red", "--ell", "3", "--f", "2", "--n1", "5", "--n2", "0", "--ext", "unknown"]
     code, _, _ = run_cli(capsys, argv + ["--format", fmt, "--labels"])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [[5]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_irred_builds_labeled_set_once(capsys, monkeypatch, fmt):
+    calls = _count_decodes(monkeypatch, irred)
+    argv = ["irred", "--ell", "3", "--f", "2", "--n", "7"]
+    code, _, _ = run_cli(capsys, argv + ["--format", fmt, "--labels"])
+    assert code == 0
+    assert calls == [[7]]
+
+
+def test_red_unknown_refuses_triples_off_the_congruences(capsys, monkeypatch):
+    # every rendered triple must solve the datum's two congruences
+    real = red.labeled_triples
+
+    def shifted(d):
+        a, bcode, B = real(d)
+        return (a + 1) % d.params.m_minus, bcode, B
+
+    monkeypatch.setattr(red, "labeled_triples", shifted)
+    argv = ["red", "--ell", "5", "--f", "2", "--n1", "3", "--n2", "1", "--ext", "unknown"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NotInLabeledSet")
 
 
 def test_red_unknown_pretty_shows_dims(capsys):
@@ -574,3 +607,70 @@ def test_one_parser_serves_every_call_like_a_fresh_one(capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 0]
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
     assert calls() == shared
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_json_leaves = st.one_of(
+    st.text(max_size=12),  # non-ASCII and control characters included
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\ud800", "\U0001f600"]),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) + 2),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=4),  # the int-list path
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_json_trees)
+def test_json_writer_matches_stdlib_indent_2(tree):
+    assert cli._json(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_edge_cases():
+    cases = [
+        [], {}, [[]], {"": {}}, [True, 1, False, 0], [1, True], {"k": [None]}, 2**64, -(2**64),
+        [1.5, float("inf"), float("nan")], (1, 2), {1: "int key", None: 0, True: [], 2.5: ""},
+    ]
+    for x in cases:
+        assert cli._json(x) == json.dumps(x, indent=2), x
+    with pytest.raises(TypeError):
+        cli._json({(1, 2): 0})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irred", "--ell", "3", "--f", "2", "--n", "7"],
+        ["irred", "--ell", "3", "--f", "2", "--n", "7", "--labels"],
+        ["red", "--ell", "3", "--f", "2", "--n1", "5", "--n2", "0", "--labels"],
+        ["red", "--ell", "2", "--f", "2", "--n1", "0", "--n2", "0", "--ext", "unknown", "--labels"],
+        ["qtable", "--ell", "5"],
+        ["global", "--stdin"],
+        ["factor", "--ell", "3", "--q-mod-ell", "2", "--shape", "cyc_twist_ext", "--ext-nonzero"],
+        ["verify", "counts", "nonempty", "--ell", "2,3", "--f-max", "2"],
+    ],
+)
+def test_json_writer_matches_stdlib_on_every_payload(capsys, monkeypatch, argv):
+    payloads = []
+    real = cli._json
+
+    def recording(payload):
+        payloads.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GLOBAL_DATUM)))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    (payload,) = payloads
+    assert out == json.dumps(payload, indent=2) + "\n"

@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serreweights
 from serreweights.errors import BadWeightDigits, ParamMismatch
 from serreweights.modarith import FieldParams, reduce_mod
 from serreweights.weights import (
@@ -13,6 +19,7 @@ from serreweights.weights import (
     central_character_exponent,
     det_exponent,
     format_weight_set,
+    labeled_rows,
     twist_weight,
     weight_from_dict,
     weight_sort_key,
@@ -116,3 +123,58 @@ def test_twist_shifts_det_exponent(params, a, c, data):
     assert det_exponent(W) == (det_exponent(V) + 2 * c) % m
     assert central_character_exponent(W) == (central_character_exponent(V) + 2 * c) % m
     assert weight_from_dict(weight_to_dict(W)) == W
+
+
+def test_digit_errors_name_the_first_offending_digit():
+    p = FieldParams(3, 3)
+    with pytest.raises(BadWeightDigits, match=r"^digit 0 outside 1\.\.3$"):
+        canonical_weight(0, (2, 0, 5), p)
+    with pytest.raises(BadWeightDigits, match=r"^digit 4 outside 1\.\.3$"):
+        canonical_weight(0, (3, 4, 0), p)
+
+
+def test_labeled_rows_checks_and_orders_triples():
+    p = FieldParams(3, 2)  # q - 1 = 8, digit codes 0..8
+    rows = labeled_rows(np.array([5, 1, 1, 5]), np.array([3, 3, 0, 3]), np.array([2, 1, 0, 0]), p)
+    # output order is by b (b_0 first), then a, then B; codes 0 -> (1,1), 3 -> (1,2)
+    assert rows.a.tolist() == [1, 1, 5, 5]
+    assert rows.b.tolist() == [[1, 1], [1, 2], [1, 2], [1, 2]]
+    assert rows.B.tolist() == [0, 1, 0, 2]
+    assert rows.first.tolist() == [True, True, True, False]
+    with pytest.raises(BadWeightDigits, match="a = 8 not canonical mod 8"):
+        labeled_rows(np.array([8]), np.array([0]), np.array([0]), p)
+    with pytest.raises(BadWeightDigits, match="digit code 9"):
+        labeled_rows(np.array([0]), np.array([9]), np.array([0]), p)
+    with pytest.raises(AssertionError, match="pairwise distinct"):
+        labeled_rows(np.array([1, 1]), np.array([4, 4]), np.array([3, 3]), p)
+
+
+def test_recipe_checks_survive_python_O():
+    # python -O strips assert statements; these checks are explicit raises
+    script = """
+import numpy as np
+from serreweights import reducible as red
+from serreweights.modarith import FieldParams
+from serreweights.weights import labeled_weights
+
+p = FieldParams(3, 1)
+try:
+    labeled_weights(np.array([0, 0]), np.array([1, 1]), np.array([0, 0]), p)
+except AssertionError as exc:
+    print("duplicate:", exc)
+red.dimension_rule = lambda *case: (0, False)  # nothing decided, nothing certain
+try:
+    red.weight_sets_partial(red.niveau_one(p, 1, 0, red.ExtClass.NONSPLIT_UNKNOWN))
+except AssertionError as exc:
+    print("certain:", exc)
+"""
+    src = str(Path(serreweights.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == (
+        "duplicate: labeled elements must be pairwise distinct\n"
+        "certain: the full-label weight always contributes\n"
+    )
