@@ -77,7 +77,7 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _json(payload: Any) -> str:
     """`json.dumps(payload, indent=2)`, byte for byte, for acyclic trees of
-    dict, list, tuple, str, int, float, bool and None.
+    dict with str keys, list, tuple, str, int, float, bool and None.
 
     The stdlib encodes indented output in pure Python; here only the tree
     walk is Python.  Strings go through the C-level ASCII escaper, ints
@@ -90,7 +90,6 @@ def _json(payload: Any) -> str:
 
 
 def _json_walk(x: Any, newline: str, put) -> None:
-    # str and plain int children are written inline, without a recursive call
     if isinstance(x, (list, tuple)):
         if not x:
             put("[]")
@@ -101,14 +100,8 @@ def _json_walk(x: Any, newline: str, put) -> None:
             return
         sep, comma = "[" + inner, "," + inner
         for v in x:
-            t = type(v)
-            if t is int:
-                put(sep + int.__repr__(v))
-            elif t is str:
-                put(sep + _json_str(v))
-            else:
-                put(sep)
-                _json_walk(v, inner, put)
+            put(sep)
+            _json_walk(v, inner, put)
             sep = comma
         put(newline + "]")
     elif isinstance(x, dict):
@@ -118,8 +111,8 @@ def _json_walk(x: Any, newline: str, put) -> None:
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for k, v in x.items():
-            head = sep + (_json_str(k) if type(k) is str else _json_key(k)) + ": "
-            t = type(v)
+            head = sep + _json_str(k) + ": "
+            t = type(v)  # str and plain int values inline, without a recursive call
             if t is int:
                 put(head + int.__repr__(v))
             elif t is str:
@@ -135,15 +128,6 @@ def _json_walk(x: Any, newline: str, put) -> None:
         put(int.__repr__(x))
     else:
         put(json.dumps(x))
-
-
-def _json_key(k: Any) -> str:
-    """A dict key that is not a str, converted as json.dumps converts it."""
-    if isinstance(k, str):
-        return _json_str(k)
-    if k is None or isinstance(k, (int, float)):
-        return _json_str(json.dumps(k))  # null, true, 12, 1.5 as strings
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _weights_json(ws) -> list[dict]:

@@ -302,20 +302,18 @@ class DimReport:
 
 def _membership_check(d: ReducibleDatum, a, b, B) -> None:
     """Raise unless every triple solves the datum's two congruences: twist
-    exponents a, digit vectors b along a last axis of length f, and subset
-    masks B, broadcast together."""
+    exponents a, digit vectors b (one per row, or one) and subset masks B."""
     p = d.params
     m = max(p.m_minus, 1)
-    terms = np.asarray(b, dtype=np.int64) * np.array([p.ell**i for i in range(p.f)])
-    B = np.asarray(B, dtype=np.int64)
-    s_in = np.where(B[..., np.newaxis] >> np.arange(p.f) & 1, terms, 0).sum(axis=-1)
-    s_out = terms.sum(axis=-1) - s_in
+    a, B, b = np.atleast_1d(a), np.atleast_1d(B), np.atleast_2d(b)
+    terms = b * np.array([p.ell**i for i in range(p.f)])
+    s_in = np.where(B[:, np.newaxis] >> np.arange(p.f) & 1, terms, 0).sum(axis=1)
+    s_out = terms.sum(axis=1) - s_in
     bad = ((a + s_in - d.n1) % m != 0) | ((a + s_out - d.n2) % m != 0)
     if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        a_i, B_i = np.broadcast_to(a, bad.shape)[i], np.broadcast_to(B, bad.shape)[i]
-        b_i = tuple(np.broadcast_to(b, bad.shape + (p.f,))[i].tolist())
-        raise NotInLabeledSet(f"(a={a_i}, b={b_i}, B={B_i}) is not a labeled weight of {d}")
+        i = np.argmax(bad)
+        lw = f"(a={a[i]}, b={tuple(b[i].tolist())}, B={B[i]})"
+        raise NotInLabeledSet(f"{lw} is not a labeled weight of {d}")
 
 
 def dimension_rule(trivial: bool, cyclotomic: bool, all_ell: bool, full: bool) -> tuple[int, bool]:
