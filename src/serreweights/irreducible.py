@@ -36,7 +36,6 @@ from .modarith import (
     Residue,
     check_subset_limit,
     small_residue_witness,
-    subset_complement,
     subsets,
     window_decode,
     window_top,
@@ -54,7 +53,6 @@ __all__ = [
     "labeled_count_formula",
     "injectivity_witness",
     "projection_is_injective",
-    "conjugate_datum",
     "frobenius_datum",
     "twist_datum",
     "frobenius_subset",
@@ -161,12 +159,14 @@ def _ambiguous_classes_irred(ell: int, f: int) -> frozenset[int]:
         for k in range(f + 1):
             for Bs in itertools.combinations(range(f), k):
                 A.add((-1 + (ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % P)
-        assert len(A) == 2**f and 0 not in A
+        size = 2**f
     else:
         for k in range(1, f):
             for Bs in itertools.combinations(range(f), k):
                 A.add(((ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % P)
-        assert len(A) == 2**f - 2 and 0 not in A
+        size = 2**f - 2
+    if len(A) != size or 0 in A:
+        raise AssertionError("ambiguous classes must be distinct and nonzero")
     return frozenset(A)
 
 
@@ -206,11 +206,6 @@ def projection_is_injective(d: NiveauTwoDatum) -> bool:
 # symmetries
 
 
-def conjugate_datum(d: NiveauTwoDatum) -> NiveauTwoDatum:
-    """Replace the character by its Galois conjugate: n -> q n."""
-    return niveau_two(d.params, d.params.q * d.n)
-
-
 def frobenius_datum(d: NiveauTwoDatum) -> NiveauTwoDatum:
     """Base change along Frobenius: n -> ell n."""
     return niveau_two(d.params, d.params.ell * d.n)
@@ -240,9 +235,3 @@ def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
     new_b = (b[-1],) + b[:-1]
     new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
     return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))
-
-
-def conjugate_labeled(lw: LabeledWeight) -> LabeledWeight:
-    """Image of a labeled weight under n -> q n: same weight, complemented label."""
-    f = lw.weight.params.f
-    return LabeledWeight(lw.weight, subset_complement(lw.B, f))

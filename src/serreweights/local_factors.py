@@ -50,7 +50,6 @@ __all__ = [
     "DirectSumTwo",
     "Extension",
     "JLReduction",
-    "SplitAlgebraFactor",
     "classify_local_factor",
     "classification_notes",
     "ext_space_dim",
@@ -128,14 +127,6 @@ class Extension(FactorDescriptor):
 @dataclass(frozen=True)
 class JLReduction(FactorDescriptor):
     kind: str = "jl_reduction"
-
-
-@dataclass(frozen=True)
-class SplitAlgebraFactor(FactorDescriptor):
-    """Opaque token for the factor at a prime where the algebra splits; its
-    construction is out of scope here."""
-
-    kind: str = "split_algebra_opaque"
 
 
 def classify_local_factor(inp: LocalFactorInput) -> FactorDescriptor:

@@ -17,15 +17,13 @@ The map
 is a bijection from {1..ell}^f onto a run of ell^f consecutive integers whose
 top value is window_top(B) = sum_{i in B} ell^(i+1) - sum_{i not in B} ell^i.
 `window_decode` inverts the map digit by digit, for any array of values and
-subsets at once; both recipes and the sweep tables decode through it, and
-`signed_digit_solve` is its scalar form.
+subsets at once; both recipes and the sweep tables decode through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +33,9 @@ __all__ = [
     "FieldParams",
     "Residue",
     "reduce_mod",
-    "frobenius_shift",
     "digits_base_ell",
-    "signed_digit_sum",
     "window_decode",
     "code_digits",
-    "signed_digit_solve",
     "window_top",
     "witness_bound",
     "small_residue_witness",
@@ -48,7 +43,6 @@ __all__ = [
     "check_subset_limit",
     "subsets",
     "subset_indices",
-    "subset_from_indices",
     "subset_complement",
     "is_prime",
 ]
@@ -171,13 +165,6 @@ def reduce_mod(x: int, modulus: int) -> Residue:
     return Residue(x, modulus)
 
 
-def frobenius_shift(r: Residue, k: int, ell: int) -> Residue:
-    """Multiply by ell^k (k may be negative; ell is invertible mod q +- 1)."""
-    if r.modulus == 1:
-        return r
-    return Residue(r.value * pow(ell, k, r.modulus), r.modulus)
-
-
 def digits_base_ell(a: "Residue | int", params: FieldParams) -> tuple[int, ...]:
     """Base-ell digits (d_0, .., d_{f-1}) of the canonical residue of a mod q-1.
 
@@ -222,33 +209,12 @@ def subset_indices(B: int, f: int) -> tuple[int, ...]:
     return tuple(i for i in range(f) if B >> i & 1)
 
 
-def subset_from_indices(indices: Sequence[int], f: int) -> int:
-    """Bitmask from an index collection, validating the range."""
-    B = 0
-    for i in indices:
-        if not 0 <= i < f:
-            raise ParamError(f"index {i} out of range for f={f}")
-        B |= 1 << i
-    return B
-
-
 def subset_complement(B: int, f: int) -> int:
     return B ^ ((1 << f) - 1)
 
 
 # ---------------------------------------------------------------------------
 # the signed digit window
-
-
-def signed_digit_sum(b: Sequence[int], B: int, params: FieldParams) -> int:
-    """Forward window map: sum_{i in B} b_i ell^i - sum_{i not in B} b_i ell^i."""
-    ell, f = params.ell, params.f
-    if len(b) != f:
-        raise ParamError(f"digit vector has length {len(b)}, expected {f}")
-    total = 0
-    for i, bi in enumerate(b):
-        total += bi * ell**i if B >> i & 1 else -bi * ell**i
-    return total
 
 
 def window_top(B: "int | np.ndarray", params: FieldParams) -> "int | np.ndarray":
@@ -313,18 +279,6 @@ def code_digits(bcode, ell: int, f: int) -> np.ndarray:
     return np.asarray(bcode, dtype=np.int64)[..., np.newaxis] // _powers(ell, f) % ell + 1
 
 
-def signed_digit_solve(v: int, B: int, params: FieldParams) -> tuple[int, ...] | None:
-    """Invert the window map at v, or None when v is outside the window:
-    `window_decode` on one cell."""
-    ell, f = params.ell, params.f
-    if not 0 <= B < (1 << f):
-        raise ParamError(f"subset mask {B} out of range for f={f}")
-    bcode, _, _, ok = window_decode(v, B, ell, f)
-    if not ok:
-        return None
-    return tuple(code_digits(bcode, ell, f).tolist())
-
-
 # ---------------------------------------------------------------------------
 # the injectivity witness search
 
@@ -343,7 +297,8 @@ def small_residue_witness(
     residue of ell^r n can qualify: O(rounds) work, no scan over m.
     """
     bound = witness_bound(ell, f)
-    assert 2 * bound < modulus, "small residues must be distinct"
+    if 2 * bound >= modulus:
+        raise AssertionError("small residues must be distinct")
     c = n % modulus
     for r in range(rounds):
         if c <= bound:

@@ -42,7 +42,6 @@ from .modarith import (
     check_subset_limit,
     digits_base_ell,
     small_residue_witness,
-    subset_complement,
     subsets,
     window_decode,
     window_top,
@@ -78,12 +77,10 @@ __all__ = [
     "partial_rows",
     "weight_sets_partial",
     "is_generic",
-    "swap_datum",
     "frobenius_datum",
     "twist_datum",
     "frobenius_subset",
     "frobenius_labeled",
-    "swap_labeled",
 ]
 
 
@@ -189,7 +186,7 @@ def _ambiguous_classes_red(ell: int, f: int) -> frozenset[int]:
                     if Bs in excluded:
                         continue
                     A.add((-1 + 4 * sum((-1) ** i * 3**i for i in Bs)) % D)
-            assert len(A) == 2**f - 2
+            size = 2**f - 2
         else:
             excluded = {tuple(range(0, f, 2)), tuple(range(1, f, 2))}
             for k in range(1, f):
@@ -197,21 +194,22 @@ def _ambiguous_classes_red(ell: int, f: int) -> frozenset[int]:
                     if Bs in excluded:
                         continue
                     A.add((4 * sum((-1) ** i * 3**i for i in Bs)) % D)
-            assert len(A) == 2**f - 4
-        half = D // 2
-        for c in A:
-            assert c % half != 0, "classes must avoid 0 and (q-1)/2"
+            size = 2**f - 4
+        if len(A) != size or any(c % (D // 2) == 0 for c in A):
+            raise AssertionError("classes must be distinct and avoid 0 and (q-1)/2")
         return frozenset(A)
     if f % 2 == 1:
         for k in range(f + 1):
             for Bs in itertools.combinations(range(f), k):
                 A.add((-1 + (ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % D)
-        assert len(A) == 2**f and 0 not in A
+        size = 2**f
     else:
         for k in range(1, f):
             for Bs in itertools.combinations(range(f), k):
                 A.add(((ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % D)
-        assert len(A) == 2**f - 2 and 0 not in A
+        size = 2**f - 2
+    if len(A) != size or 0 in A:
+        raise AssertionError("ambiguous classes must be distinct and nonzero")
     return frozenset(A)
 
 
@@ -436,11 +434,6 @@ def is_generic(d: ReducibleDatum) -> bool:
 # symmetries
 
 
-def swap_datum(d: ReducibleDatum) -> ReducibleDatum:
-    """Interchange the two characters."""
-    return ReducibleDatum(d.params, d.n2, d.n1, d.ext)
-
-
 def frobenius_datum(d: ReducibleDatum) -> ReducibleDatum:
     """Base change along Frobenius: both exponents multiply by ell."""
     m = max(d.params.m_minus, 1)
@@ -468,9 +461,3 @@ def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
     new_b = (b[-1],) + b[:-1]
     new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
     return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))
-
-
-def swap_labeled(lw: LabeledWeight) -> LabeledWeight:
-    """Image under interchanging the characters: same weight, complemented label."""
-    f = lw.weight.params.f
-    return LabeledWeight(lw.weight, subset_complement(lw.B, f))

@@ -8,7 +8,7 @@ them at every datum in range:
   injectivity-irred   enumerated |weights| < |labeled| vs the witness criterion
   injectivity-red     same, including the always-failing trivial-ratio case
   det-law             every enumerated triple satisfies the determinant law
-  symmetry            conjugation, swap, Frobenius shift, and twist naturality
+  symmetry            conjugation, swap, Frobenius shift, and split twist naturality
   nonempty            weight sets are never empty (certain part included)
   generic-split       generic split data have exactly 2^f weights
   qtable-crosscheck   the f = 1 tables vs the general recipes
@@ -17,32 +17,26 @@ The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
 n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
 datum per class, into a table indexed by that class.  nonempty's certain
-part reads reducible.dim_bounds.  One collector, _Mismatches, keeps every
-scan's, every runner's and the merged report's mismatch count and
-witnesses.
+part reads reducible.dim_bounds.
 
-The scans hold mismatches, not per-n arrays.  _irred_scan enumerates one
-shard of the irreducible side chunk by chunk and compares each chunk with
-the per-class tables at its r = n mod q+1 while the chunk is in hand,
-keeping one collector per check (labeled count, injectivity, nonempty,
-determinant law) and the number of n checked; _red_scan does the same for
-the ratio line.  counts-irred, injectivity-irred, det-law and nonempty
-read the first; counts-red, injectivity-red, det-law, nonempty and
-generic-split the second.
-
-A task is one kind on one shard of one field.  A shard is a run of whole
-chunks of at most _SHARD_CELLS (row, subset) cells: the n range for the
-irreducible kinds, whole n1 rows of the (n1, n2) grid for counts-red, and
-the whole field for the kinds that read the ratio line alone.  Small fields
-are one shard.  The shard list depends on the field alone, so a serial
-sweep runs the same tasks in the same order as a parallel one.  Shards
-follow each runner's witness order: chunks in increasing n, the ratio line
-with the grid's first shard, and the ratio line's part of det-law,
-nonempty and symmetry with the field's last shard.  Task results merge in
-task order, so the report never depends on jobs.  With jobs > 1 each pool
-worker returns the scans its tasks built with their results; the parent
-adopts them into its caches, so the next kind's pool forks with them in
-place, and no worker outlives its verify_sweep call.
+A task is one kind on one shard of one field, and returns one collector,
+_Mismatches: its mismatch count, first witnesses and number of data
+checked.  A shard is a run of n or a block of whole n1 rows of the
+counts-red (n1, n2) grid, each of whole chunks and at most _SHARD_CELLS
+(row, subset) cells, or None, the ratio line.  _shards lists a kind's
+shards in its witness order: the ratio line comes first for counts-red,
+last for det-law, nonempty and symmetry, and is the only shard of
+injectivity-red, generic-split and qtable-crosscheck.  The list depends on
+the field alone and the collectors merge in task order, so the report
+never depends on jobs.  The scans hold collectors, not per-n arrays:
+_irred_scan compares each chunk of a run of n with the per-class tables at
+its r = n mod q+1 while the chunk is in hand, and _red_scan does the same
+for the ratio line, each keeping one collector per kind that reads it.
+Those kinds' tasks are a lookup; only the counts-red grid, symmetry and
+qtable-crosscheck have runners.  With jobs > 1 each pool worker returns
+the scans its tasks built with their results; the parent adopts them into
+its caches, so the next kind's pool forks with them in place, and no
+worker outlives its verify_sweep call.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -73,14 +67,15 @@ with t = (n - cyc_sum) mod D taken once per row, a cell passes iff
 counts and keys use.  The (n1, n2) grid of counts-red runs in blocks of
 whole n1 rows.
 
-The symmetry sweep needs no kernel call.  Per chunk it runs one divmod by
-q+1 for n and one for each image (q n, ell n and n + (q+1), mod q^2-1),
-then gathers rows of narrow-int tables: the digit codes, -1 where a class
-is not admissible, must be equal, and the a values must agree, compared as
-a difference of C entries against the difference of the k's.  The twist
-law is an identity of the factorization (n + (q+1) has the same r and
-k + 1), so the labeled-set-vs-oracle tests on those many-lift fields are
-what pin it.
+On a run of n the symmetry sweep needs no kernel call.  Per chunk it runs
+one divmod by q+1 for n and one for each image (q n and ell n, mod
+q^2-1), then gathers rows of narrow-int tables: the digit codes, -1 where
+a class is not admissible, must be equal, and the a values must agree,
+compared as a difference of C entries against the difference of the k's.
+No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
+so it holds by the factorization, and the labeled-set-vs-oracle tests on
+those many-lift fields pin it.  On the ratio line, swap, Frobenius and
+twist compare kernel calls at the images.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one gathered and compared across all 2^f subsets),
@@ -184,20 +179,15 @@ def _check_params(p: FieldParams) -> None:
 
 class _Mismatches:
     """A mismatch count and the first _MAX_WITNESSES witnesses, in the order
-    they were found.  Every scan, every runner and the merge of task results
-    keep their witnesses here; a witness is its context (ell, f) followed by
-    the fields of the mismatch."""
+    they were found, and the number of data checked.  Every task returns
+    one, and the report merges them in task order; a witness is its context
+    (ell, f) followed by the fields of the mismatch."""
 
     def __init__(self, **context: int) -> None:
         self.context = context
+        self.checked = 0
         self.count = 0
         self.witnesses: list[dict] = []
-
-    def merge(self, count: int, witnesses: Iterable[dict]) -> None:
-        """Count count mismatches and keep their witnesses while there is room."""
-        room = min(count, _MAX_WITNESSES - len(self.witnesses))
-        self.witnesses += itertools.islice(witnesses, room)
-        self.count += count
 
     def add(self, count: int, **fields) -> None:
         """Count count mismatches.  Each field is a sequence with one value per
@@ -206,7 +196,15 @@ class _Mismatches:
         columns = [
             np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in fields.values()
         ]
-        self.merge(count, ({**self.context, **dict(zip(fields, row))} for row in zip(*columns)))
+        rows = ({**self.context, **dict(zip(fields, row))} for row in zip(*columns))
+        self.witnesses += itertools.islice(rows, min(count, _MAX_WITNESSES - len(self.witnesses)))
+        self.count += count
+
+    def merge(self, other: _Mismatches) -> None:
+        """Append other's mismatches, witnesses and checked data to these."""
+        self.witnesses += other.witnesses[: _MAX_WITNESSES - len(self.witnesses)]
+        self.count += other.count
+        self.checked += other.checked
 
 
 # Scans built in pool workers come home: a worker returns the scans that
@@ -381,41 +379,38 @@ def _irred_counts(p: FieldParams, N: np.ndarray):
     return _row_counts(admis), _distinct_counts(keys, admis), det_bad
 
 
-@dataclass
-class _IrredScan:
-    """One shard of the irreducible side, compared chunk by chunk with the
-    closed forms: each check's mismatches, and the number of valid n."""
-
-    counts: _Mismatches  # labeled count vs labeled_count_formula
-    injectivity: _Mismatches  # |weights| < |labeled| vs the witness criterion
-    nonempty: _Mismatches  # empty labeled sets
-    det: _Mismatches  # determinant-law violations
-    checked: int = 0
-
-
 @lru_cache(maxsize=None)
 @_adoptable
-def _irred_scan(ell: int, f: int, shard: range) -> _IrredScan:
+def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
+    """One run of n of the irreducible side, compared chunk by chunk with the
+    closed forms: the mismatches of each kind that reads it, each with the
+    number of valid n."""
     p = FieldParams(ell, f)
     _check_params(p)
     closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
-    scan = _IrredScan(*(_Mismatches(ell=ell, f=f) for _ in range(4)))
+    scan = {
+        kind: _Mismatches(ell=ell, f=f)
+        for kind in ("counts-irred", "injectivity-irred", "nonempty", "det-law")
+    }
     for N in _valid_irred_chunks(p, shard):
         labeled, distinct, det_bad = _irred_counts(p, N)
         # every closed form depends on n mod q+1 alone
         r = N % p.m_plus
         bad = np.flatnonzero(labeled != closed[r])
-        scan.counts.add(len(bad), n=N[bad], enumerated=labeled[bad], closed_form=closed[r[bad]])
+        scan["counts-irred"].add(
+            len(bad), n=N[bad], enumerated=labeled[bad], closed_form=closed[r[bad]]
+        )
         fails = distinct < labeled
         bad = np.flatnonzero(fails != crit[r])
-        scan.injectivity.add(
+        scan["injectivity-irred"].add(
             len(bad), n=N[bad], enumerated_failure=fails[bad], criterion=crit[r[bad]]
         )
         ns = N[labeled == 0]
-        scan.nonempty.add(len(ns), case="irreducible", n=ns)
+        scan["nonempty"].add(len(ns), case="irreducible", n=ns)
         ns = N[det_bad]
-        scan.det.add(len(ns), case="irreducible", n=ns)
-        scan.checked += len(N)
+        scan["det-law"].add(len(ns), case="irreducible", n=ns)
+        for mm in scan.values():
+            mm.checked += len(N)
     return scan
 
 
@@ -496,39 +491,36 @@ def _red_counts(p: FieldParams):
     return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2))
 
 
-@dataclass
-class _RedScan:
-    """The ratio line, compared with the closed forms: each check's
-    mismatches, the number of ratio exponents, and of generic ones."""
-
-    counts: _Mismatches  # labeled count vs labeled_count_formula
-    injectivity: _Mismatches  # |weights| < |labeled| vs the witness criterion
-    generic: _Mismatches  # generic ratios without 2^f weights
-    nonempty: _Mismatches  # ratios with an empty certain part
-    det: _Mismatches  # determinant-law violations
-    checked: int
-    generic_checked: int
-
-
 @lru_cache(maxsize=None)
 @_adoptable
-def _red_scan(ell: int, f: int) -> _RedScan:
+def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
+    """The ratio line, compared with the closed forms: the mismatches of each
+    kind that reads it, each with the number of ratio exponents (of generic
+    ones for generic-split)."""
     p = FieldParams(ell, f)
     _check_params(p)
     labeled, distinct, det_bad, certain = _red_counts(p)
     closed, crit, gen = _closed_red_lut(ell, f), _inj_red_lut(ell, f), _generic_lut(ell, f)
-    scan = _RedScan(*(_Mismatches(ell=ell, f=f) for _ in range(5)), len(labeled), int(gen.sum()))
+    scan = {
+        kind: _Mismatches(ell=ell, f=f)
+        for kind in ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law")
+    }
     ns = np.flatnonzero(labeled != closed)
-    scan.counts.add(len(ns), n1=ns, n2=0, enumerated=labeled[ns], closed_form=closed[ns])
+    scan["counts-red"].add(len(ns), n1=ns, n2=0, enumerated=labeled[ns], closed_form=closed[ns])
     fails = distinct < labeled
     ns = np.flatnonzero(fails != crit)
-    scan.injectivity.add(len(ns), n1=ns, n2=0, enumerated_failure=fails[ns], criterion=crit[ns])
+    scan["injectivity-red"].add(
+        len(ns), n1=ns, n2=0, enumerated_failure=fails[ns], criterion=crit[ns]
+    )
     ns = np.flatnonzero(gen & (distinct != 2**f))
-    scan.generic.add(len(ns), n1=ns, n2=0, weights=distinct[ns], expected=2**f)
+    scan["generic-split"].add(len(ns), n1=ns, n2=0, weights=distinct[ns], expected=2**f)
     ns = np.flatnonzero(~certain)
-    scan.nonempty.add(len(ns), case="reducible-certain", n1=ns, n2=0)
+    scan["nonempty"].add(len(ns), case="reducible-certain", n1=ns, n2=0)
     ns = np.flatnonzero(det_bad)
-    scan.det.add(len(ns), case="reducible", n1=ns, n2=0)
+    scan["det-law"].add(len(ns), case="reducible", n1=ns, n2=0)
+    for mm in scan.values():
+        mm.checked = len(labeled)
+    scan["generic-split"].checked = int(gen.sum())
     return scan
 
 
@@ -560,8 +552,9 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shards and per-kind task runners: a runner returns (checked, witnesses,
-# mismatch count) for one shard of a field, and shard None runs it all
+# tasks: one kind on one shard of one field, each returning one _Mismatches.
+# A shard is a run of n, a block of n1 rows of the counts-red grid, or None,
+# the ratio line.
 
 
 def _grid_block(p: FieldParams) -> tuple[int, int]:
@@ -582,84 +575,26 @@ def _grid_shards(p: FieldParams) -> list[range]:
     return [range(s, min(s + step, D)) for s in range(0, D, step)]
 
 
-_IRRED_SHARDED = ("counts-irred", "injectivity-irred", "det-law", "symmetry", "nonempty")
-
-
 def _shards(kind: str, p: FieldParams) -> list:
     """The shards of one kind on one field, in the order of its witnesses."""
-    if kind in _IRRED_SHARDED:
+    if kind in ("counts-irred", "injectivity-irred"):
         return _irred_shards(p)
+    if kind in ("det-law", "nonempty", "symmetry"):
+        return _irred_shards(p) + [None]
     if kind == "counts-red":
-        return _grid_shards(p)
+        return [None] + _grid_shards(p)
     return [None]
 
 
-def _or_whole(shard: range | None, size: int) -> range:
-    return range(size) if shard is None else shard
-
-
-def _report(checked: int, *parts: _Mismatches):
-    """A runner's result from its collectors, merged in order."""
-    mm = _Mismatches()
-    for part in parts:
-        mm.merge(part.count, part.witnesses)
-    return checked, mm.witnesses, mm.count
-
-
-def _scans(ell: int, f: int, shard: range | None) -> list:
-    """The shard's irreducible scan, followed on the field's last shard by
-    the ratio line's scan."""
-    p = FieldParams(ell, f)
-    shard = _or_whole(shard, p.m_big)
-    scans = [_irred_scan(ell, f, shard)]
-    if shard.stop == p.m_big:
-        scans.append(_red_scan(ell, f))
-    return scans
-
-
-def _run_counts_irred(ell: int, f: int, shard: range | None = None):
-    scan = _irred_scan(ell, f, _or_whole(shard, FieldParams(ell, f).m_big))
-    return _report(scan.checked, scan.counts)
-
-
-def _run_injectivity_irred(ell: int, f: int, shard: range | None = None):
-    scan = _irred_scan(ell, f, _or_whole(shard, FieldParams(ell, f).m_big))
-    return _report(scan.checked, scan.injectivity)
-
-
-def _run_det_law(ell: int, f: int, shard: range | None = None):
-    scans = _scans(ell, f, shard)
-    return _report(sum(s.checked for s in scans), *(s.det for s in scans))
-
-
-def _run_nonempty(ell: int, f: int, shard: range | None = None):
-    scans = _scans(ell, f, shard)
-    return _report(sum(s.checked for s in scans), *(s.nonempty for s in scans))
-
-
-def _run_injectivity_red(ell: int, f: int, shard: None = None):
-    scan = _red_scan(ell, f)
-    return _report(scan.checked, scan.injectivity)
-
-
-def _run_generic_split(ell: int, f: int, shard: None = None):
-    scan = _red_scan(ell, f)
-    return _report(scan.generic_checked, scan.generic)
-
-
-def _run_counts_red(ell: int, f: int, shard: range | None = None):
+def _run_counts_red(ell: int, f: int, shard: range | None) -> _Mismatches:
+    """The ratio line's counts from its scan, or the grid's n1 rows in shard,
+    re-enumerated block by block with the determinant law on every pair."""
+    if shard is None:
+        return _red_scan(ell, f)["counts-red"]
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
-    shard = _or_whole(shard, D)
     lut = _closed_red_lut(ell, f)
     mm = _Mismatches(ell=ell, f=f)
-    checked = 0
-    if shard.start == 0:
-        # the ratio-line form, before the grid
-        scan = _red_scan(ell, f)
-        mm.merge(scan.counts.count, scan.counts.witnesses)
-        checked = scan.checked
-    # full pair grid, honestly re-enumerated block by block
     rows, cols = _grid_block(p)
     for n1_start in range(shard.start, shard.stop, rows):
         n1s = np.arange(n1_start, min(n1_start + rows, shard.stop), dtype=np.int64)
@@ -674,8 +609,8 @@ def _run_counts_red(ell: int, f: int, shard: range | None = None):
             # determinant law across the grid, while the triples are in hand
             js = np.flatnonzero(_det_bad(p, N1 + N2, valid, a_mat, bcode_mat))
             mm.add(len(js), n1=N1[js], n2=N2[js], check="det-law")
-            checked += len(N1)
-    return checked, mm.witnesses, mm.count
+            mm.checked += len(N1)
+    return mm
 
 
 def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
@@ -712,15 +647,16 @@ def _symmetry_tables(ell: int, f: int):
     )
 
 
-def _run_symmetry(ell: int, f: int, shard: range | None = None):
+def _run_symmetry(ell: int, f: int, shard: range | None) -> _Mismatches:
+    """The irreducible laws on the n in shard, or the reducible ones on the
+    ratio line."""
     p = FieldParams(ell, f)
     _check_params(p)
+    if shard is None:
+        return _red_symmetry(p)
     D = max(p.m_minus, 1)
     q, P, M = p.q, p.m_plus, p.m_big
-    nB = 1 << f
-    shard = _or_whole(shard, M)
     mm = _Mismatches(ell=ell, f=f)
-    checked = 0
     code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, f)
     for N in _valid_irred_chunks(p, shard):
         k, r = np.divmod(N, P)
@@ -738,8 +674,6 @@ def _run_symmetry(ell: int, f: int, shard: range | None = None):
             # frobenius: shifted everything at ell n
             yield ("frobenius-irred", ell * N, code_frob, C_frob,
                    np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k)
-            # twist naturality at c = 1 (composition generates every twist)
-            yield "twist-irred", N + P, code_t, C_t, code, C, k + 1
 
         for kind, image, code_img, C_img, want_code, want_C, want_k in laws():
             k_img, r_img = np.divmod(image % M, P)
@@ -757,12 +691,16 @@ def _run_symmetry(ell: int, f: int, shard: range | None = None):
             del want_code
             ns = N[~ok.all(axis=1)]
             mm.add(len(ns), check=kind, n=ns)
-        checked += len(N)
-    if shard.stop < M:
-        return checked, mm.witnesses, mm.count
+        mm.checked += len(N)
+    return mm
 
-    # reducible symmetries along the ratio line, after the field's last chunk
-    cols = np.arange(nB)
+
+def _red_symmetry(p: FieldParams) -> _Mismatches:
+    """Swap, Frobenius and twist along the ratio line; checked counts the
+    line and each law's image of it."""
+    ell, f = p.ell, p.f
+    D = max(p.m_minus, 1)
+    cols = np.arange(1 << f)
     N = np.arange(D, dtype=np.int64)
     Z = np.zeros_like(N)
 
@@ -791,19 +729,22 @@ def _run_symmetry(ell: int, f: int, shard: range | None = None):
         & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
     ).all(axis=1)
 
+    # twist naturality at c = 1 (composition generates every twist)
     valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
     twist_ok = (
         (valid_t == valid).all(axis=2)
         & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
         & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
     ).all(axis=1)
+    mm = _Mismatches(ell=ell, f=f)
     for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
         ns = N[~ok]
         mm.add(len(ns), check=kind, n=ns)
-    return checked + 4 * D, mm.witnesses, mm.count
+    mm.checked = 4 * D
+    return mm
 
 
-def _run_qtable(ell: int, f: int, shard: None = None):
+def _run_qtable(ell: int, f: int, shard: None) -> _Mismatches:
     # f is ignored; the tables live at f = 1
     checks: list[tuple[int, str, bool]] = []  # (b, check, passed)
     for b in range(1, ell):
@@ -835,22 +776,22 @@ def _run_qtable(ell: int, f: int, shard: None = None):
     mm = _Mismatches(ell=ell)
     for b, check, passed in checks:
         mm.add(int(not passed), b=b, check=check)
-    return len(checks), mm.witnesses, mm.count
+    mm.checked = len(checks)
+    return mm
 
 
-_KIND_RUNNERS: dict[str, Callable[..., tuple]] = {
-    "counts-irred": _run_counts_irred,
+ALL_KINDS = (
+    "counts-irred", "counts-red", "injectivity-irred", "injectivity-red", "det-law",
+    "symmetry", "nonempty", "generic-split", "qtable-crosscheck",
+)
+
+# the kinds with code of their own; every other kind reads its collector
+# off the shard's scan
+_KIND_RUNNERS: dict[str, Callable[..., _Mismatches]] = {
     "counts-red": _run_counts_red,
-    "injectivity-irred": _run_injectivity_irred,
-    "injectivity-red": _run_injectivity_red,
-    "det-law": _run_det_law,
     "symmetry": _run_symmetry,
-    "nonempty": _run_nonempty,
-    "generic-split": _run_generic_split,
     "qtable-crosscheck": _run_qtable,
 }
-
-ALL_KINDS = tuple(_KIND_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -882,9 +823,13 @@ class VerificationReport:
         }
 
 
-def _run_one(task: tuple[str, int, int], shard: range | None = None):
+def _run_one(task: tuple[str, int, int], shard: range | None) -> _Mismatches:
+    """One kind on one shard of one field: the kind's own runner, or its
+    collector in the shard's scan (the ratio line's for shard None)."""
     kind, ell, f = task
-    return _KIND_RUNNERS[kind](ell, f, shard)
+    if kind in _KIND_RUNNERS:
+        return _KIND_RUNNERS[kind](ell, f, shard)
+    return _red_scan(ell, f)[kind] if shard is None else _irred_scan(ell, f, shard)[kind]
 
 
 def _pool_task(task: tuple[str, int, int], shard: range | None):
@@ -918,7 +863,7 @@ def verify_sweep(
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")
-    if kind not in _KIND_RUNNERS:
+    if kind not in ALL_KINDS:
         raise ParamError(f"unknown verification kind {kind!r}")
     if kind == "qtable-crosscheck":
         tasks = [(ell, 1) for ell in sorted(set(ells))]
@@ -945,14 +890,14 @@ def verify_sweep(
                 results.append(result)
     else:
         results = [_run_one(*w) for w in work]
-    mm = _Mismatches()
-    for _, witnesses, count in results:
-        mm.merge(count, witnesses)
+    merged = _Mismatches()
+    for result in results:
+        merged.merge(result)
     return VerificationReport(
         kind=kind,
         tasks=tasks,
-        checked=sum(r[0] for r in results),
-        mismatch_count=mm.count,
-        mismatches=mm.witnesses,
+        checked=merged.checked,
+        mismatch_count=merged.count,
+        mismatches=merged.witnesses,
         elapsed_s=time.monotonic() - t0,
     )

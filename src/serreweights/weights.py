@@ -14,7 +14,7 @@ There are exactly (q-1) * q distinct weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "det_exponent",
     "weight_sort_key",
     "weight_to_dict",
-    "weight_from_dict",
     "format_weight_set",
 ]
 
@@ -176,11 +175,6 @@ def weight_sort_key(V: SerreWeight) -> tuple[tuple[int, ...], int]:
 
 def weight_to_dict(V: SerreWeight) -> dict[str, Any]:
     return {"ell": V.params.ell, "f": V.params.f, "a": V.a, "b": list(V.b)}
-
-
-def weight_from_dict(d: Mapping[str, Any]) -> SerreWeight:
-    params = FieldParams(d["ell"], d["f"])
-    return canonical_weight(d["a"], tuple(d["b"]), params)
 
 
 def format_weight_set(weights) -> str:

@@ -14,8 +14,18 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from serreweights.modarith import FieldParams, signed_digit_sum, subset_indices
-from serreweights.weights import LabeledWeight, canonical_weight
+from serreweights.errors import ParamError
+from serreweights.irreducible import NiveauTwoDatum, niveau_two
+from serreweights.modarith import (
+    FieldParams,
+    Residue,
+    code_digits,
+    subset_complement,
+    subset_indices,
+    window_decode,
+)
+from serreweights.reducible import ReducibleDatum
+from serreweights.weights import LabeledWeight, SerreWeight, canonical_weight
 
 
 def brute_labeled_irred(ell: int, f: int, n: int) -> set[tuple[int, tuple[int, ...], int]]:
@@ -154,3 +164,62 @@ def brute_is_generic(ell: int, f: int, n: int) -> bool:
     """Whether n mod q-1 is hit by a digit vector in {1..ell-2}^f other
     than (1..1) and (ell-2..ell-2): all (ell-2)^f vectors are enumerated."""
     return n % max(ell**f - 1, 1) in _generic_classes(ell, f)
+
+
+# ---------------------------------------------------------------------------
+# helpers the tests use to state round trips and symmetries
+
+
+def signed_digit_sum(b, B: int, params: FieldParams) -> int:
+    """Forward window map: sum_{i in B} b_i ell^i - sum_{i not in B} b_i ell^i."""
+    ell, f = params.ell, params.f
+    if len(b) != f:
+        raise ParamError(f"digit vector has length {len(b)}, expected {f}")
+    return sum(bi * ell**i if B >> i & 1 else -bi * ell**i for i, bi in enumerate(b))
+
+
+def signed_digit_solve(v: int, B: int, params: FieldParams) -> tuple[int, ...] | None:
+    """The package's window decode on one cell: the digits mapping to v, or
+    None when v is outside the window of B."""
+    ell, f = params.ell, params.f
+    if not 0 <= B < (1 << f):
+        raise ParamError(f"subset mask {B} out of range for f={f}")
+    bcode, _, _, ok = window_decode(v, B, ell, f)
+    return tuple(code_digits(bcode, ell, f).tolist()) if ok else None
+
+
+def frobenius_shift(r: Residue, k: int, ell: int) -> Residue:
+    """Multiply by ell^k (k may be negative; ell is invertible mod q +- 1)."""
+    if r.modulus == 1:
+        return r
+    return Residue(r.value * pow(ell, k, r.modulus), r.modulus)
+
+
+def subset_from_indices(indices, f: int) -> int:
+    """Bitmask from an index collection, validating the range."""
+    B = 0
+    for i in indices:
+        if not 0 <= i < f:
+            raise ParamError(f"index {i} out of range for f={f}")
+        B |= 1 << i
+    return B
+
+
+def weight_from_dict(d) -> SerreWeight:
+    return canonical_weight(d["a"], tuple(d["b"]), FieldParams(d["ell"], d["f"]))
+
+
+def conjugate_datum(d: NiveauTwoDatum) -> NiveauTwoDatum:
+    """Replace the character by its Galois conjugate: n -> q n."""
+    return niveau_two(d.params, d.params.q * d.n)
+
+
+def swap_datum(d: ReducibleDatum) -> ReducibleDatum:
+    """Interchange the two characters."""
+    return ReducibleDatum(d.params, d.n2, d.n1, d.ext)
+
+
+def complement_label(lw: LabeledWeight) -> LabeledWeight:
+    """Image of a labeled weight under conjugation (irreducible) or the swap
+    (reducible): the same weight, with the complemented label."""
+    return LabeledWeight(lw.weight, subset_complement(lw.B, lw.weight.params.f))

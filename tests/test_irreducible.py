@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from serreweights.errors import InvalidNiveauTwo
 from serreweights.irreducible import (
     NiveauTwoDatum,
-    conjugate_datum,
-    conjugate_labeled,
     frobenius_datum,
     frobenius_labeled,
     injectivity_witness,
@@ -25,6 +23,8 @@ from oracles import (
     as_labeled_set,
     brute_injectivity_witness,
     brute_labeled_irred,
+    complement_label,
+    conjugate_datum,
     forced_labeled_irred,
     project_weights,
     window_values,
@@ -211,7 +211,7 @@ def test_symmetries_exhaustive(ell, f):
         # conjugation: n -> q n, labels complemented, same weights
         dc = conjugate_datum(d)
         assert dc.n == (p.q * n) % p.m_big
-        assert labeled_weight_set(dc) == {conjugate_labeled(lw) for lw in lab}
+        assert labeled_weight_set(dc) == {complement_label(lw) for lw in lab}
         assert weight_set(dc) == weight_set(d)
         # frobenius: n -> ell n, weights shifted
         df = frobenius_datum(d)

@@ -9,20 +9,22 @@ from serreweights.modarith import (
     Residue,
     check_subset_limit,
     digits_base_ell,
-    frobenius_shift,
     is_prime,
     reduce_mod,
-    signed_digit_solve,
-    signed_digit_sum,
     subset_complement,
-    subset_from_indices,
     subset_indices,
     subsets,
     window_top,
     witness_bound,
 )
 
-from oracles import window_values
+from oracles import (
+    frobenius_shift,
+    signed_digit_solve,
+    signed_digit_sum,
+    subset_from_indices,
+    window_values,
+)
 
 SMALL_PARAMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 

@@ -21,8 +21,6 @@ from serreweights.reducible import (
     labeled_weight_set,
     niveau_one,
     projection_is_injective,
-    swap_datum,
-    swap_labeled,
     twist_datum,
     weight_set_split,
     weight_sets_partial,
@@ -34,7 +32,9 @@ from oracles import (
     brute_injectivity_witness,
     brute_is_generic,
     brute_labeled_red,
+    complement_label,
     forced_labeled_red,
+    swap_datum,
     window_values,
 )
 
@@ -290,7 +290,7 @@ def test_symmetries_exhaustive(ell, f):
         lab = labeled_weight_set(d)
         ds = swap_datum(d)
         assert (ds.n1, ds.n2) == (d.n2, d.n1)
-        assert labeled_weight_set(ds) == {swap_labeled(lw) for lw in lab}
+        assert labeled_weight_set(ds) == {complement_label(lw) for lw in lab}
         assert weight_set_split(ds) == weight_set_split(d)
         df = frobenius_datum(d)
         assert labeled_weight_set(df) == {frobenius_labeled(lw) for lw in lab}

@@ -152,6 +152,15 @@ def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
         verify_sweep("qtable-crosscheck", [5], 1, budget=10**6)
 
 
+def _run_all(kind, ell, f):
+    """(checked, witnesses, mismatch count) of one kind on one field: the
+    tasks of all its shards, merged in order as verify_sweep merges them."""
+    merged = sweeps._Mismatches()
+    for shard in sweeps._shards(kind, FieldParams(ell, f)):
+        merged.merge(sweeps._run_one((kind, ell, f), shard))
+    return merged.checked, merged.witnesses, merged.count
+
+
 def _clear_table_caches():
     for fn in vars(sweeps).values():
         if hasattr(fn, "cache_clear"):
@@ -182,15 +191,15 @@ def test_symmetry_catches_corrupted_irred_table(monkeypatch, fresh_tables, which
     tables = _corrupt_irred(which)
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
-    checked, mism, bad = sweeps._run_symmetry(3, 3)
+    checked, mism, bad = _run_all("symmetry", 3, 3)
     assert checked == 702 + 4 * 26
     assert bad == 104
     assert len(mism) == 25
     assert all(w["check"] == "conjugation-irred" for w in mism)
     assert [w["n"] for w in mism[:3]] == [5, 23, 33]
-    # 52 conjugation and 52 frobenius failures; twist is an identity of the tables
+    # 52 conjugation and 52 frobenius failures
     monkeypatch.setattr(sweeps, "_MAX_WITNESSES", 10**6)
-    failing = Counter(w["check"] for w in sweeps._run_symmetry(3, 3)[1])
+    failing = Counter(w["check"] for w in _run_all("symmetry", 3, 3)[1])
     assert failing == {"conjugation-irred": 52, "frobenius-irred": 52}
 
 
@@ -199,7 +208,7 @@ def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
     s_in[4, 2, 0] += 1
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_red_tables", lambda ell, f: (doubled, s_in, bcode))
-    checked, mism, bad = sweeps._run_symmetry(3, 3)
+    checked, mism, bad = _run_all("symmetry", 3, 3)
     assert checked == 702 + 4 * 26
     assert bad == 4
     assert [(w["check"], w["n"]) for w in mism] == [
@@ -207,6 +216,24 @@ def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
         ("swap-red", 22),
         ("frobenius-red", 4),
         ("frobenius-red", 10),
+    ]
+
+
+def test_symmetry_twist_red_catches_unreduced_s_in(monkeypatch, fresh_tables):
+    # one s_in cell moved up by q - 1 keeps its residue but leaves [0, q - 1),
+    # so the kernel's one conditional add leaves some a unreduced
+    valid, s_in, bcode = (t.copy() for t in sweeps._red_tables(3, 3))
+    s_in[4, 2, 0] += 26
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_red_tables", lambda ell, f: (valid, s_in, bcode))
+    checked, mism, bad = _run_all("symmetry", 3, 3)
+    assert checked == 702 + 4 * 26
+    assert bad == 4
+    assert [(w["check"], w["n"]) for w in mism] == [
+        ("swap-red", 4),
+        ("swap-red", 22),
+        ("frobenius-red", 10),
+        ("twist-red", 4),
     ]
 
 
@@ -229,8 +256,8 @@ def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
     lifts = list(range(5, 728, 28))  # every n = k (q+1) + 5
     per_n = _irred_per_n(3, 3)
     det_bad = [n for n, _, _, bad in per_n if bad]
-    checked, mism, bad = sweeps._run_counts_irred(3, 3)
-    det_checked, det_mism, det_bad_count = sweeps._run_det_law(3, 3)
+    checked, mism, bad = _run_all("counts-irred", 3, 3)
+    det_checked, det_mism, det_bad_count = _run_all("det-law", 3, 3)
     assert checked == len(per_n) == 702
     assert det_checked == 702 + 26
     if which == "admissible":
@@ -260,7 +287,7 @@ def test_counts_red_grid_catches_corrupted_red_table(monkeypatch, fresh_tables, 
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_red_tables", lambda ell, f: (valid, s_in, bcode))
     monkeypatch.setattr(sweeps, "_CHUNK", chunk)
-    checked, mism, bad = sweeps._run_counts_red(3, 3)
+    checked, mism, bad = _run_all("counts-red", 3, 3)
     assert checked == 26 + 26 * 26
     # the counts hold; the det law fails at every pair of ratio 4
     assert bad == 26
@@ -298,20 +325,20 @@ def test_injectivity_irred_witness_payload(monkeypatch, fresh_tables):
         {"ell": 3, "f": 2, "n": n, "enumerated_failure": True, "criterion": False}
         for n in range(2, 80, 10)
     ]
-    assert json.dumps(sweeps._run_injectivity_irred(3, 2)) == json.dumps([72, witnesses, 8])
+    assert json.dumps(_run_all("injectivity-irred", 3, 2)) == json.dumps([72, witnesses, 8])
 
 
 def test_injectivity_red_witness_payload(monkeypatch, fresh_tables):
     _patch_tables(monkeypatch, "_red_tables", 3, 2, _copy_subset(1, 1, 0))
     witness = {"ell": 3, "f": 2, "n1": 1, "n2": 0, "enumerated_failure": True, "criterion": False}
-    assert json.dumps(sweeps._run_injectivity_red(3, 2)) == json.dumps([8, [witness], 1])
+    assert json.dumps(_run_all("injectivity-red", 3, 2)) == json.dumps([8, [witness], 1])
 
 
 def test_generic_split_witness_payload(monkeypatch, fresh_tables):
     # (5, 2): ratio 7 (digits (2, 1)) is generic; two subsets now share a weight
     _patch_tables(monkeypatch, "_red_tables", 5, 2, _copy_subset(7, 1, 0))
     witness = {"ell": 5, "f": 2, "n1": 7, "n2": 0, "weights": 3, "expected": 4}
-    assert json.dumps(sweeps._run_generic_split(5, 2)) == json.dumps([7, [witness], 1])
+    assert json.dumps(_run_all("generic-split", 5, 2)) == json.dumps([7, [witness], 1])
 
 
 def test_nonempty_witness_payload(monkeypatch, fresh_tables):
@@ -327,7 +354,7 @@ def test_nonempty_witness_payload(monkeypatch, fresh_tables):
     _patch_tables(monkeypatch, "_red_tables", 2, 2, no_slot)
     witnesses = [{"ell": 2, "f": 2, "case": "irreducible", "n": n} for n in (1, 6, 11)]
     witnesses.append({"ell": 2, "f": 2, "case": "reducible-certain", "n1": 1, "n2": 0})
-    assert json.dumps(sweeps._run_nonempty(2, 2)) == json.dumps([15, witnesses, 4])
+    assert json.dumps(_run_all("nonempty", 2, 2)) == json.dumps([15, witnesses, 4])
 
 
 def test_det_law_reducible_witness_payload(monkeypatch, fresh_tables):
@@ -336,7 +363,7 @@ def test_det_law_reducible_witness_payload(monkeypatch, fresh_tables):
 
     _patch_tables(monkeypatch, "_red_tables", 3, 2, shift_s_in)
     witness = {"ell": 3, "f": 2, "case": "reducible", "n1": 4, "n2": 0}
-    assert json.dumps(sweeps._run_det_law(3, 2)) == json.dumps([80, [witness], 1])
+    assert json.dumps(_run_all("det-law", 3, 2)) == json.dumps([80, [witness], 1])
 
 
 def test_counts_red_count_witness_payload(monkeypatch, fresh_tables):
@@ -353,7 +380,7 @@ def test_counts_red_count_witness_payload(monkeypatch, fresh_tables):
         {"ell": 3, "f": 2, "n1": n1, "n2": n2, "enumerated": 5, "closed_form": 4} for n1, n2 in pairs
     ]
     witnesses += [{"ell": 3, "f": 2, "n1": n1, "n2": n2, "check": "det-law"} for n1, n2 in pairs]
-    assert json.dumps(sweeps._run_counts_red(3, 2)) == json.dumps([8 + 64, witnesses, 17])
+    assert json.dumps(_run_all("counts-red", 3, 2)) == json.dumps([8 + 64, witnesses, 17])
 
 
 def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
@@ -366,15 +393,16 @@ def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
 
     monkeypatch.setattr(reducible, "dimension_rule", trivial_undecided)
     witness = {"ell": 5, "f": 2, "case": "reducible-certain", "n1": 0, "n2": 0}
-    assert json.dumps(sweeps._run_nonempty(5, 2)) == json.dumps([600 + 24, [witness], 1])
+    assert json.dumps(_run_all("nonempty", 5, 2)) == json.dumps([600 + 24, [witness], 1])
 
 
 def test_verify_sweep_merges_witnesses_in_task_order(monkeypatch):
     def failing(ell, f, shard):
         # (2, 1) finds 30 mismatches and (3, 1) 12, each listing up to 20
-        listed = 20 if ell == 2 else 10
-        witnesses = [{"ell": ell, "f": f, "i": i} for i in range(listed)]
-        return 100 * ell, witnesses, 30 if ell == 2 else 12
+        mm = sweeps._Mismatches(ell=ell, f=f)
+        mm.add(30 if ell == 2 else 12, i=np.arange(20 if ell == 2 else 10))
+        mm.checked = 100 * ell
+        return mm
 
     monkeypatch.setitem(sweeps._KIND_RUNNERS, "counts-irred", failing)
     report = verify_sweep("counts-irred", [3, 2], 1, budget=10**6).to_dict()
@@ -418,8 +446,8 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
         for ell, f in fields:
             red = sweeps._red_counts(FieldParams(ell, f))
             out.append((
-                _irred_per_n(ell, f), [x.tolist() for x in red], sweeps._run_det_law(ell, f),
-                sweeps._run_counts_red(ell, f), sweeps._run_symmetry(ell, f),
+                _irred_per_n(ell, f), [x.tolist() for x in red], _run_all("det-law", ell, f),
+                _run_all("counts-red", ell, f), _run_all("symmetry", ell, f),
             ))
         return out
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -21,10 +22,11 @@ from serreweights.weights import (
     format_weight_set,
     labeled_rows,
     twist_weight,
-    weight_from_dict,
     weight_sort_key,
     weight_to_dict,
 )
+
+from oracles import weight_from_dict
 
 
 @pytest.mark.parametrize("ell,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
@@ -154,7 +156,7 @@ def test_recipe_checks_survive_python_O():
     script = """
 import numpy as np
 from serreweights import reducible as red
-from serreweights.modarith import FieldParams
+from serreweights.modarith import FieldParams, small_residue_witness
 from serreweights.weights import labeled_weights
 
 p = FieldParams(3, 1)
@@ -167,6 +169,10 @@ try:
     red.weight_sets_partial(red.niveau_one(p, 1, 0, red.ExtClass.NONSPLIT_UNKNOWN))
 except AssertionError as exc:
     print("certain:", exc)
+try:
+    small_residue_witness(1, 3, 4, 24, 1)  # modulus 24 is twice the bound 3 + 9
+except AssertionError as exc:
+    print("witness:", exc)
 """
     src = str(Path(serreweights.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -177,4 +183,17 @@ except AssertionError as exc:
     assert out == (
         "duplicate: labeled elements must be pairwise distinct\n"
         "certain: the full-label weight always contributes\n"
+        "witness: small residues must be distinct\n"
     )
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so the package raises AssertionError
+    root = Path(serreweights.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
