@@ -32,11 +32,17 @@ never depends on jobs.  The scans hold collectors, not per-n arrays:
 _irred_scan compares each chunk of a run of n with the per-class tables at
 its r = n mod q+1 while the chunk is in hand, and _red_scan does the same
 for the ratio line, each keeping one collector per kind that reads it.
-Those kinds' tasks are a lookup; only the counts-red grid, symmetry and
-qtable-crosscheck have runners.  With jobs > 1 each pool worker returns
+Those kinds' tasks are a lookup, and _scan_key names the scan each one
+reads; only the counts-red grid, symmetry and qtable-crosscheck have
+runners.  With jobs > 1 each pool worker returns
 the scans its tasks built with their results; the parent adopts them into
 its caches, so the next kind's pool forks with them in place, and no
-worker outlives its verify_sweep call.
+worker outlives its verify_sweep call.  The pool is sized by the pending
+tasks, those that are not a lookup of a scan the parent holds: symmetry,
+the counts-red grid and qtable-crosscheck always fork one, as does the
+first kind to read a scan, while a kind whose scans are all held (under
+`verify all`, injectivity-irred, injectivity-red, det-law, nonempty and
+generic-split) runs in-process, as in a serial run.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -72,6 +78,8 @@ one divmod by q+1 for n and one for each image (q n and ell n, mod
 q^2-1), then gathers rows of narrow-int tables: the digit codes, -1 where
 a class is not admissible, must be equal, and the a values must agree,
 compared as a difference of C entries against the difference of the k's.
+Each law tests its (rows x 2^f) block of cells with one flat all() and
+reduces it per row, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
@@ -80,7 +88,7 @@ twist compare kernel calls at the images.
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one gathered and compared across all 2^f subsets),
 and `verify_sweep` refuses to start when the planned total exceeds the
-budget.
+budget, or when the plan holds no field at all.
 """
 
 from __future__ import annotations
@@ -210,27 +218,41 @@ class _Mismatches:
 # Scans built in pool workers come home: a worker returns the scans that
 # each task built (_built is a list only while a pool task runs), and the
 # parent hands each to its cache through _adopted, so that the next kind's
-# pool forks with them in place.
+# pool forks with them in place.  _held has the key of every scan in this
+# process's caches, built or adopted, so verify_sweep can tell which tasks
+# are lookups here.
 _built: list | None = None
 _adopted: dict[tuple, Any] = {}
+_held: set[tuple] = set()
 
 
-def _adoptable(build):
-    """A scan builder under lru_cache: a miss takes the scan waiting in
+def _scan_cache(build):
+    """A scan builder under lru_cache.  A miss takes the scan waiting in
     _adopted, if there is one, and otherwise builds it, recording it for
-    the parent when running in a pool task."""
+    the parent when running in a pool task; either way its key joins
+    _held.  The cache's cache_clear takes its keys out of _held again."""
 
     @wraps(build)
     def scan(*args):
         key = (build.__name__, *args)
         if key in _adopted:
-            return _adopted.pop(key)
-        result = build(*args)
-        if _built is not None:
-            _built.append((key, result))
+            result = _adopted.pop(key)
+        else:
+            result = build(*args)
+            if _built is not None:
+                _built.append((key, result))
+        _held.add(key)
         return result
 
-    return scan
+    cached = lru_cache(maxsize=None)(scan)
+    clear = cached.cache_clear
+
+    def cache_clear() -> None:
+        clear()
+        _held.difference_update([key for key in _held if key[0] == build.__name__])
+
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def _adopt(built: list) -> None:
@@ -379,8 +401,12 @@ def _irred_counts(p: FieldParams, N: np.ndarray):
     return _row_counts(admis), _distinct_counts(keys, admis), det_bad
 
 
-@lru_cache(maxsize=None)
-@_adoptable
+# the kinds whose tasks read their collector off a scan
+_IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law")
+_RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law")
+
+
+@_scan_cache
 def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     """One run of n of the irreducible side, compared chunk by chunk with the
     closed forms: the mismatches of each kind that reads it, each with the
@@ -388,10 +414,7 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     p = FieldParams(ell, f)
     _check_params(p)
     closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
-    scan = {
-        kind: _Mismatches(ell=ell, f=f)
-        for kind in ("counts-irred", "injectivity-irred", "nonempty", "det-law")
-    }
+    scan = {kind: _Mismatches(ell=ell, f=f) for kind in _IRRED_SCAN_KINDS}
     for N in _valid_irred_chunks(p, shard):
         labeled, distinct, det_bad = _irred_counts(p, N)
         # every closed form depends on n mod q+1 alone
@@ -491,8 +514,7 @@ def _red_counts(p: FieldParams):
     return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2))
 
 
-@lru_cache(maxsize=None)
-@_adoptable
+@_scan_cache
 def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     """The ratio line, compared with the closed forms: the mismatches of each
     kind that reads it, each with the number of ratio exponents (of generic
@@ -501,10 +523,7 @@ def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     _check_params(p)
     labeled, distinct, det_bad, certain = _red_counts(p)
     closed, crit, gen = _closed_red_lut(ell, f), _inj_red_lut(ell, f), _generic_lut(ell, f)
-    scan = {
-        kind: _Mismatches(ell=ell, f=f)
-        for kind in ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law")
-    }
+    scan = {kind: _Mismatches(ell=ell, f=f) for kind in _RED_SCAN_KINDS}
     ns = np.flatnonzero(labeled != closed)
     scan["counts-red"].add(len(ns), n1=ns, n2=0, enumerated=labeled[ns], closed_form=closed[ns])
     fails = distinct < labeled
@@ -586,11 +605,10 @@ def _shards(kind: str, p: FieldParams) -> list:
     return [None]
 
 
-def _run_counts_red(ell: int, f: int, shard: range | None) -> _Mismatches:
-    """The ratio line's counts from its scan, or the grid's n1 rows in shard,
-    re-enumerated block by block with the determinant law on every pair."""
-    if shard is None:
-        return _red_scan(ell, f)["counts-red"]
+def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
+    """The grid's n1 rows in shard, re-enumerated block by block with the
+    determinant law on every pair (the ratio line's counts are a lookup of
+    its scan)."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
     lut = _closed_red_lut(ell, f)
@@ -689,8 +707,10 @@ def _run_symmetry(ell: int, f: int, shard: range | None) -> _Mismatches:
             del diff, want_C
             ok &= np.take(code_img, r_img, axis=0) == want_code
             del want_code
-            ns = N[~ok.all(axis=1)]
-            mm.add(len(ns), check=kind, n=ns)
+            # one flat test first: a passing chunk skips the per-row reduction
+            if not ok.all():
+                ns = N[~ok.all(axis=1)]
+                mm.add(len(ns), check=kind, n=ns)
         mm.checked += len(N)
     return mm
 
@@ -785,8 +805,7 @@ ALL_KINDS = (
     "symmetry", "nonempty", "generic-split", "qtable-crosscheck",
 )
 
-# the kinds with code of their own; every other kind reads its collector
-# off the shard's scan
+# the runners of the tasks that _scan_key finds no scan for
 _KIND_RUNNERS: dict[str, Callable[..., _Mismatches]] = {
     "counts-red": _run_counts_red,
     "symmetry": _run_symmetry,
@@ -823,13 +842,24 @@ class VerificationReport:
         }
 
 
-def _run_one(task: tuple[str, int, int], shard: range | None) -> _Mismatches:
-    """One kind on one shard of one field: the kind's own runner, or its
-    collector in the shard's scan (the ratio line's for shard None)."""
+def _scan_key(task: tuple[str, int, int], shard: range | None) -> tuple | None:
+    """The cache key of the scan whose collector is the task's result (the
+    ratio line's for shard None), or None for a task with work of its own
+    (symmetry, the counts-red grid, qtable-crosscheck)."""
     kind, ell, f = task
-    if kind in _KIND_RUNNERS:
-        return _KIND_RUNNERS[kind](ell, f, shard)
-    return _red_scan(ell, f)[kind] if shard is None else _irred_scan(ell, f, shard)[kind]
+    if shard is None:
+        return ("_red_scan", ell, f) if kind in _RED_SCAN_KINDS else None
+    return ("_irred_scan", ell, f, shard) if kind in _IRRED_SCAN_KINDS else None
+
+
+def _run_one(task: tuple[str, int, int], shard: range | None) -> _Mismatches:
+    """One kind on one shard of one field: its collector in the scan that
+    _scan_key names, or else the kind's own runner."""
+    key = _scan_key(task, shard)
+    if key is not None:
+        return globals()[key[0]](*key[1:])[task[0]]
+    kind, ell, f = task
+    return _KIND_RUNNERS[kind](ell, f, shard)
 
 
 def _pool_task(task: tuple[str, int, int], shard: range | None):
@@ -856,10 +886,12 @@ def verify_sweep(
     (sum of ell^(2f) residue classes) exceeds the budget.  The work is one
     task per shard of each field (see the module docstring), the same
     tasks for any jobs.  With jobs > 1 they are distributed over a process
-    pool of at most min(jobs, tasks, CPUs) workers, and the scans the
-    workers build are adopted into this process's caches for the next
-    kind; results merge in task order, so the report is identical to a
-    serial run.
+    pool of at most min(jobs, pending tasks, CPUs) workers, where a task is
+    pending unless it only reads a scan this process already holds; with
+    one pending task or none, every task runs here, as in a serial run.
+    The scans the workers build are adopted into this process's caches for
+    the next kind; results merge in task order, so the report is identical
+    to a serial run.  Raises ParamError when the plan holds no field.
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")
@@ -869,6 +901,12 @@ def verify_sweep(
         tasks = [(ell, 1) for ell in sorted(set(ells))]
     else:
         tasks = plan_tasks(ells, f_max, space_cap)
+        if not tasks:
+            cap = "" if space_cap is None else f" and ell^(2f) <= {space_cap}"
+            raise ParamError(
+                f"no field to verify: no (ell, f) with 1 <= f <= {f_max}{cap};"
+                " raise --f-max or --space-cap"
+            )
     for ell, f in tasks:
         _check_params(FieldParams(ell, f))
     cost = estimate_cost(tasks)
@@ -880,8 +918,10 @@ def verify_sweep(
     t0 = time.monotonic()
     work = [((kind, ell, f), s) for ell, f in tasks for s in _shards(kind, FieldParams(ell, f))]
     # the pool forks all its workers on the first submit, so never ask for
-    # more than there are tasks or CPUs to run them
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    # more than there are tasks or CPUs to run them; a task whose scan is
+    # held here is a lookup, not worth a process
+    pending = sum(_scan_key(*w) not in _held for w in work)
+    workers = min(jobs, pending, os.cpu_count() or 1)
     if workers > 1:
         results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:

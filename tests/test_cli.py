@@ -492,6 +492,33 @@ def test_verify_budget_exceeded_exit_one(capsys):
     assert err.startswith("error: BudgetExceeded")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--f-max", "0"],
+        ["verify", "symmetry", "--ell", "2", "--f-max", "2", "--space-cap", "1"],
+    ],
+)
+def test_verify_with_no_field_exit_one(capsys, argv):
+    # a plan with no (ell, f) is refused before any scan, not reported green
+    scans = (sweeps._irred_scan, sweeps._red_scan)
+    misses = [scan.cache_info().misses for scan in scans]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParamError: no field to verify")
+    assert "--f-max" in err and "--space-cap" in err
+    assert [scan.cache_info().misses for scan in scans] == misses
+
+
+def test_verify_empty_check_over_a_field_passes(capsys):
+    # ell = 2 has no generic split datum: a real plan that checks nothing
+    code, out, _ = run_cli(capsys, ["verify", "generic-split", "--ell", "2", "--f-max", "2"])
+    assert code == 0
+    (report,) = json.loads(out)
+    assert (len(report["tasks"]), report["checked"], report["passed"]) == (2, 0, True)
+
+
 def test_verify_mismatch_exit_two(capsys, monkeypatch):
     fake = sweeps.VerificationReport(
         kind="counts-irred",

@@ -123,23 +123,50 @@ def test_irred_chunks_cover_valid_n_with_capped_cells():
     assert covered == [n for n in range(p.m_big) if n % p.m_plus]
 
 
-@pytest.mark.parametrize(
-    "jobs,cpus,expected",
-    [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (3, 1, []), (1, 64, [])],
-)
-def test_worker_pool_bounded_by_tasks_and_cpus(monkeypatch, jobs, cpus, expected):
+def _record_pools(monkeypatch, cpus):
+    """The sizes of the pools verify_sweep asks for on cpus CPUs; each pool
+    then maps serially, so no process is started."""
     sizes = []
 
     def recording_pool(max_workers):
-        # records the pool size, then maps serially: no process is started
         sizes.append(max_workers)
         return contextlib.nullcontext(SimpleNamespace(map=map))
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,expected",
+    [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (3, 1, []), (1, 64, [])],
+)
+def test_worker_pool_bounded_by_tasks_and_cpus(monkeypatch, fresh_tables, jobs, cpus, expected):
+    # cold caches: a task whose scan this process holds is a lookup, and no
+    # pool is sized for it
+    sizes = _record_pools(monkeypatch, cpus)
     r = verify_sweep("counts-irred", [2, 3, 5], 1, budget=10**6, jobs=jobs)
     assert sizes == expected
     assert r.to_dict() == verify_sweep("counts-irred", [2, 3, 5], 1, budget=10**6).to_dict()
+
+
+def test_held_scans_run_without_a_pool(monkeypatch, fresh_tables):
+    # (7, 1) in six runs of n: counts-irred builds their scans in a pool;
+    # the next kinds only read them (and build one ratio line), so they run
+    # in this process, with the serial reports
+    sizes = _record_pools(monkeypatch, 2)
+    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    monkeypatch.setattr(sweeps, "_SHARD_CELLS", 16)
+    assert len(sweeps._irred_shards(FieldParams(7, 1))) == 6
+    assert verify_sweep("counts-irred", [7], 1, jobs=2).passed
+    assert sizes == [2]
+    for kind in ("injectivity-irred", "det-law", "nonempty"):
+        report = verify_sweep(kind, [7], 1, jobs=2)
+        assert report.to_dict() == verify_sweep(kind, [7], 1).to_dict()
+    assert sizes == [2]
+    _clear_table_caches()
+    assert verify_sweep("det-law", [7], 1, jobs=2).passed
+    assert sizes == [2, 2]
 
 
 def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
@@ -201,6 +228,38 @@ def test_symmetry_catches_corrupted_irred_table(monkeypatch, fresh_tables, which
     monkeypatch.setattr(sweeps, "_MAX_WITNESSES", 10**6)
     failing = Counter(w["check"] for w in _run_all("symmetry", 3, 3)[1])
     assert failing == {"conjugation-irred": 52, "frobenius-irred": 52}
+
+
+@pytest.mark.parametrize(
+    "shard,check,n", [(range(8, 16), "frobenius-irred", 11), (range(16, 24), "conjugation-irred", 23)]
+)
+def test_symmetry_finds_the_one_failing_row_of_a_chunk(monkeypatch, fresh_tables, shard, check, n):
+    # chunks of 8 n: the corrupted C[5, 3] fails one law at one n of this
+    # chunk, and the per-row reduction must still name that n
+    tables = _corrupt_irred("C")
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
+    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    mm = sweeps._run_symmetry(3, 3, shard)
+    assert (mm.checked, mm.count) == (8, 1)
+    assert mm.witnesses == [{"ell": 3, "f": 3, "check": check, "n": n}]
+
+
+def test_symmetry_witnesses_across_chunks(monkeypatch, fresh_tables):
+    # chunks of 64 n: the 104 failures of the corrupted C[5, 3] spread over
+    # chunks, and the first 25 come in chunk order, conjugation before
+    # frobenius within a chunk
+    tables = _corrupt_irred("C")
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
+    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    conj, frob = "conjugation-irred", "frobenius-irred"
+    want = [(conj, n) for n in (5, 23, 33, 51, 61)] + [(frob, n) for n in (5, 11, 33, 39, 61)]
+    want += [(conj, n) for n in (79, 89, 107, 117)] + [(frob, n) for n in (67, 89, 95, 117, 123)]
+    want += [(conj, n) for n in (135, 145, 163, 173, 191)] + [(frob, 145)]
+    checked, mism, bad = _run_all("symmetry", 3, 3)
+    assert (checked, bad) == (702 + 4 * 26, 104)
+    assert mism == [{"ell": 3, "f": 3, "check": check, "n": n} for check, n in want]
 
 
 def test_symmetry_catches_corrupted_red_table(monkeypatch, fresh_tables):
@@ -397,14 +456,15 @@ def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
 
 
 def test_verify_sweep_merges_witnesses_in_task_order(monkeypatch):
-    def failing(ell, f, shard):
+    def failing(task, shard):
         # (2, 1) finds 30 mismatches and (3, 1) 12, each listing up to 20
+        _, ell, f = task
         mm = sweeps._Mismatches(ell=ell, f=f)
         mm.add(30 if ell == 2 else 12, i=np.arange(20 if ell == 2 else 10))
         mm.checked = 100 * ell
         return mm
 
-    monkeypatch.setitem(sweeps._KIND_RUNNERS, "counts-irred", failing)
+    monkeypatch.setattr(sweeps, "_run_one", failing)
     report = verify_sweep("counts-irred", [3, 2], 1, budget=10**6).to_dict()
     merged = [{"ell": 2, "f": 1, "i": i} for i in range(20)]
     merged += [{"ell": 3, "f": 1, "i": i} for i in range(5)]
