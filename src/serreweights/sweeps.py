@@ -30,19 +30,19 @@ injectivity-red, generic-split and qtable-crosscheck.  The list depends on
 the field alone and the collectors merge in task order, so the report
 never depends on jobs.  The scans hold collectors, not per-n arrays:
 _irred_scan compares each chunk of a run of n with the per-class tables at
-its r = n mod q+1 while the chunk is in hand, and _red_scan does the same
-for the ratio line, each keeping one collector per kind that reads it.
-Those kinds' tasks are a lookup, and _scan_key names the scan each one
-reads; only the counts-red grid, symmetry and qtable-crosscheck have
-runners.  With jobs > 1 each pool worker returns
+its k, r = divmod(n, q+1) and runs the symmetry laws on it while the chunk
+is in hand, and _red_scan does the same for the ratio line, each keeping
+one collector per kind that reads it.  Those kinds' tasks are a lookup,
+and _scan_key names the scan each one reads; only the counts-red grid and
+qtable-crosscheck have runners.  With jobs > 1 each pool worker returns
 the scans its tasks built with their results; the parent adopts them into
 its caches, so the next kind's pool forks with them in place, and no
 worker outlives its verify_sweep call.  The pool is sized by the pending
-tasks, those that are not a lookup of a scan the parent holds: symmetry,
-the counts-red grid and qtable-crosscheck always fork one, as does the
-first kind to read a scan, while a kind whose scans are all held (under
-`verify all`, injectivity-irred, injectivity-red, det-law, nonempty and
-generic-split) runs in-process, as in a serial run.
+tasks, those that are not a lookup of a scan the parent holds: the
+counts-red grid and qtable-crosscheck always fork one, as does the first
+kind to read a scan, while a kind whose scans are all held (under
+`verify all`, injectivity-irred, injectivity-red, det-law, symmetry,
+nonempty and generic-split) runs in-process, as in a serial run.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -73,17 +73,19 @@ with t = (n - cyc_sum) mod D taken once per row, a cell passes iff
 counts and keys use.  The (n1, n2) grid of counts-red runs in blocks of
 whole n1 rows.
 
-On a run of n the symmetry sweep needs no kernel call.  Per chunk it runs
-one divmod by q+1 for n and one for each image (q n and ell n, mod
-q^2-1), then gathers rows of narrow-int tables: the digit codes, -1 where
-a class is not admissible, must be equal, and the a values must agree,
-compared as a difference of C entries against the difference of the k's.
+On a run of n the symmetry laws need no kernel call.  Per chunk they take
+the scan's divmod of n by q+1 and one divmod for each image (q n and
+ell n, mod q^2-1), then gather rows of narrow-int tables: the digit codes,
+-1 where a class is not admissible, must be equal, and the a values must
+agree, compared as a difference of C entries against the difference of
+the k's.
 Each law tests its (rows x 2^f) block of cells with one flat all() and
 reduces it per row, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
-twist compare kernel calls at the images.
+twist compare the kernel arrays that the counts hold with kernel calls at
+the images.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one gathered and compared across all 2^f subsets),
@@ -402,15 +404,15 @@ def _irred_counts(p: FieldParams, N: np.ndarray):
 
 
 # the kinds whose tasks read their collector off a scan
-_IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law")
-_RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law")
+_IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law", "symmetry")
+_RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law", "symmetry")
 
 
 @_scan_cache
 def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     """One run of n of the irreducible side, compared chunk by chunk with the
-    closed forms: the mismatches of each kind that reads it, each with the
-    number of valid n."""
+    closed forms and run through the symmetry laws: the mismatches of each
+    kind that reads it, each with the number of valid n."""
     p = FieldParams(ell, f)
     _check_params(p)
     closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
@@ -418,7 +420,7 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     for N in _valid_irred_chunks(p, shard):
         labeled, distinct, det_bad = _irred_counts(p, N)
         # every closed form depends on n mod q+1 alone
-        r = N % p.m_plus
+        k, r = np.divmod(N, p.m_plus)
         bad = np.flatnonzero(labeled != closed[r])
         scan["counts-irred"].add(
             len(bad), n=N[bad], enumerated=labeled[bad], closed_form=closed[r[bad]]
@@ -432,6 +434,7 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
         scan["nonempty"].add(len(ns), case="irreducible", n=ns)
         ns = N[det_bad]
         scan["det-law"].add(len(ns), case="irreducible", n=ns)
+        _irred_symmetry(p, N, k, r, scan["symmetry"])
         for mm in scan.values():
             mm.checked += len(N)
     return scan
@@ -496,7 +499,8 @@ def _red_counts(p: FieldParams):
     """(labeled, distinct, det_bad, certain) per n of the ratio line, the
     pairs (n, 0): the labeled-set and weight-set sizes, whether a triple
     breaks the determinant law, and whether some labeled weight provably
-    fills H^1 (the certain part is nonempty)."""
+    fills H^1 (the certain part is nonempty); then the line's kernel
+    arrays (valid, a_mat, bcode_mat), which the symmetry laws read."""
     D = max(p.m_minus, 1)
     nB = 1 << p.f
     N = np.arange(D, dtype=np.int64)
@@ -511,17 +515,18 @@ def _red_counts(p: FieldParams):
         p, N[:, np.newaxis, np.newaxis], bcode_mat, np.arange(nB)[np.newaxis, :, np.newaxis]
     )
     fills &= valid
-    return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2))
+    return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2)), valid, a_mat, bcode_mat
 
 
 @_scan_cache
 def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
-    """The ratio line, compared with the closed forms: the mismatches of each
-    kind that reads it, each with the number of ratio exponents (of generic
-    ones for generic-split)."""
+    """The ratio line, compared with the closed forms and run through the
+    symmetry laws: the mismatches of each kind that reads it, each with the
+    number of ratio exponents (of generic ones for generic-split, and of
+    the line and its three images for symmetry)."""
     p = FieldParams(ell, f)
     _check_params(p)
-    labeled, distinct, det_bad, certain = _red_counts(p)
+    labeled, distinct, det_bad, certain, *line = _red_counts(p)
     closed, crit, gen = _closed_red_lut(ell, f), _inj_red_lut(ell, f), _generic_lut(ell, f)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _RED_SCAN_KINDS}
     ns = np.flatnonzero(labeled != closed)
@@ -537,9 +542,11 @@ def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     scan["nonempty"].add(len(ns), case="reducible-certain", n1=ns, n2=0)
     ns = np.flatnonzero(det_bad)
     scan["det-law"].add(len(ns), case="reducible", n1=ns, n2=0)
+    _red_symmetry(p, *line, scan["symmetry"])
     for mm in scan.values():
         mm.checked = len(labeled)
     scan["generic-split"].checked = int(gen.sum())
+    scan["symmetry"].checked = 4 * len(labeled)
     return scan
 
 
@@ -568,6 +575,130 @@ def _inj_red_lut(ell: int, f: int) -> np.ndarray:
 def _generic_lut(ell: int, f: int) -> np.ndarray:
     """Exported genericity test per ratio exponent."""
     return _per_ratio_class(ell, f, red.is_generic, bool)
+
+
+# ---------------------------------------------------------------------------
+# symmetry laws, run by both scans on the data they hold
+
+
+def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
+    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
+    top_pow = ell ** (f - 1)
+    top = bcode // top_pow
+    return (bcode - top * top_pow) * ell + top
+
+
+@lru_cache(maxsize=None)
+def _symmetry_tables(ell: int, f: int):
+    """The irreducible tables laid out for the symmetry laws, in narrow ints.
+
+    Returns (code, shifted, C, ellC, code_conj, C_conj, code_frob, C_frob),
+    each of shape (q+1, 2^f).  code is the digit code, -1 where the class is
+    not admissible, so comparing codes also compares admissibility; shifted
+    is the code of the cyclically shifted digits with the same -1 marking;
+    ellC is ell C mod q-1.  The *_conj and *_frob tables have their columns
+    already permuted by the subset maps of conjugation and Frobenius.
+    """
+    p = FieldParams(ell, f)
+    cols = np.arange(1 << f)
+    dtype = np.int16 if p.q < 1 << 14 else np.int32
+    admissible, C, bcode = _irred_tables(ell, f)
+    code = np.where(admissible, bcode, -1).astype(dtype)
+    shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1).astype(dtype)
+    ellC = (ell * C) % max(p.m_minus, 1)
+    C = C.astype(dtype)
+    conj_cols = subset_complement(cols, f)
+    frob_cols = irred.frobenius_subset(cols, f)
+    return _read_only(
+        code, shifted, C, ellC.astype(dtype),
+        code[:, conj_cols], C[:, conj_cols], code[:, frob_cols], C[:, frob_cols],
+    )
+
+
+def _irred_symmetry(p: FieldParams, N, k, r, mm: _Mismatches) -> None:
+    """Conjugation and Frobenius on a chunk of valid n, with k, r =
+    divmod(N, q+1): each n that breaks a law is a witness of it."""
+    ell, q, P, M = p.ell, p.q, p.m_plus, p.m_big
+    D = max(p.m_minus, 1)
+    code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, p.f)
+    code = np.take(code_t, r, axis=0)
+    C = np.take(C_t, r, axis=0)
+    free = code < 0  # not admissible at n: only the code has to match
+
+    # With n = k (q+1) + r, a = (k + C[r]) mod q-1.  A law that maps n to
+    # an image with a(image) = t(a(n)) then reads, per subset,
+    # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.  Each law's side
+    # of n is gathered only while that law runs.
+    def laws():
+        # conjugation: same weights at q n, labels complemented
+        yield "conjugation-irred", q * N, code_conj, C_conj, code, C, k
+        # frobenius: shifted everything at ell n
+        yield ("frobenius-irred", ell * N, code_frob, C_frob,
+               np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k)
+
+    for kind, image, code_img, C_img, want_code, want_C, want_k in laws():
+        k_img, r_img = np.divmod(image % M, P)
+        diff = np.take(C_img, r_img, axis=0)
+        diff -= want_C
+        # diff lies in (-(q-1), q-1), so it is want mod q-1 iff it is
+        # want or want - (q-1)
+        want = ((want_k - k_img) % D).astype(diff.dtype)[:, np.newaxis]
+        ok = diff == want
+        want -= D
+        ok |= diff == want
+        ok |= free
+        del diff, want_C
+        ok &= np.take(code_img, r_img, axis=0) == want_code
+        del want_code
+        # one flat test first: a passing chunk skips the per-row reduction
+        if not ok.all():
+            ns = N[~ok.all(axis=1)]
+            mm.add(len(ns), check=kind, n=ns)
+
+
+def _red_symmetry(p: FieldParams, valid, a_mat, bcode_mat, mm: _Mismatches) -> None:
+    """Swap, Frobenius and twist along the ratio line, from the line's
+    kernel arrays: each n that breaks a law is a witness of it."""
+    ell, f = p.ell, p.f
+    D = max(p.m_minus, 1)
+    cols = np.arange(1 << f)
+    N = np.arange(D, dtype=np.int64)
+    Z = np.zeros_like(N)
+
+    def slot_keys(valid, a_mat, bcode_mat):
+        # the two slots' keys per subset as (lo, hi), collapsing an unused slot
+        keys = a_mat + D * bcode_mat
+        k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
+        return np.minimum(keys[:, :, 0], k2), np.maximum(keys[:, :, 0], k2)
+
+    lo, hi = slot_keys(valid, a_mat, bcode_mat)
+    valid_s, a_s, bcode_s = _red_kernel(p, Z, N)
+    lo_s, hi_s = slot_keys(valid_s, a_s, bcode_s)
+    conj_cols = subset_complement(cols, f)
+    swap_ok = (
+        (valid_s[:, conj_cols] == valid).all(axis=2)
+        & (lo_s[:, conj_cols] == lo)
+        & (hi_s[:, conj_cols] == hi)
+    ).all(axis=1)
+
+    frob_cols = red.frobenius_subset(cols, f)
+    valid_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
+    frob_ok = (
+        (valid_f[:, frob_cols] == valid).all(axis=2)
+        & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~valid).all(axis=2)
+        & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
+    ).all(axis=1)
+
+    # twist naturality at c = 1 (composition generates every twist)
+    valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
+    twist_ok = (
+        (valid_t == valid).all(axis=2)
+        & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
+        & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
+    ).all(axis=1)
+    for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
+        ns = N[~ok]
+        mm.add(len(ns), check=kind, n=ns)
 
 
 # ---------------------------------------------------------------------------
@@ -631,139 +762,6 @@ def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
     return mm
 
 
-def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
-    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
-    top_pow = ell ** (f - 1)
-    top = bcode // top_pow
-    return (bcode - top * top_pow) * ell + top
-
-
-@lru_cache(maxsize=None)
-def _symmetry_tables(ell: int, f: int):
-    """The irreducible tables laid out for the symmetry laws, in narrow ints.
-
-    Returns (code, shifted, C, ellC, code_conj, C_conj, code_frob, C_frob),
-    each of shape (q+1, 2^f).  code is the digit code, -1 where the class is
-    not admissible, so comparing codes also compares admissibility; shifted
-    is the code of the cyclically shifted digits with the same -1 marking;
-    ellC is ell C mod q-1.  The *_conj and *_frob tables have their columns
-    already permuted by the subset maps of conjugation and Frobenius.
-    """
-    p = FieldParams(ell, f)
-    cols = np.arange(1 << f)
-    dtype = np.int16 if p.q < 1 << 14 else np.int32
-    admissible, C, bcode = _irred_tables(ell, f)
-    code = np.where(admissible, bcode, -1).astype(dtype)
-    shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1).astype(dtype)
-    ellC = (ell * C) % max(p.m_minus, 1)
-    C = C.astype(dtype)
-    conj_cols = subset_complement(cols, f)
-    frob_cols = irred.frobenius_subset(cols, f)
-    return _read_only(
-        code, shifted, C, ellC.astype(dtype),
-        code[:, conj_cols], C[:, conj_cols], code[:, frob_cols], C[:, frob_cols],
-    )
-
-
-def _run_symmetry(ell: int, f: int, shard: range | None) -> _Mismatches:
-    """The irreducible laws on the n in shard, or the reducible ones on the
-    ratio line."""
-    p = FieldParams(ell, f)
-    _check_params(p)
-    if shard is None:
-        return _red_symmetry(p)
-    D = max(p.m_minus, 1)
-    q, P, M = p.q, p.m_plus, p.m_big
-    mm = _Mismatches(ell=ell, f=f)
-    code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, f)
-    for N in _valid_irred_chunks(p, shard):
-        k, r = np.divmod(N, P)
-        code = np.take(code_t, r, axis=0)
-        C = np.take(C_t, r, axis=0)
-        free = code < 0  # not admissible at n: only the code has to match
-
-        # With n = k (q+1) + r, a = (k + C[r]) mod q-1.  A law that maps n to
-        # an image with a(image) = t(a(n)) then reads, per subset,
-        # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.  Each law's side
-        # of n is gathered only while that law runs.
-        def laws():
-            # conjugation: same weights at q n, labels complemented
-            yield "conjugation-irred", q * N, code_conj, C_conj, code, C, k
-            # frobenius: shifted everything at ell n
-            yield ("frobenius-irred", ell * N, code_frob, C_frob,
-                   np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k)
-
-        for kind, image, code_img, C_img, want_code, want_C, want_k in laws():
-            k_img, r_img = np.divmod(image % M, P)
-            diff = np.take(C_img, r_img, axis=0)
-            diff -= want_C
-            # diff lies in (-(q-1), q-1), so it is want mod q-1 iff it is
-            # want or want - (q-1)
-            want = ((want_k - k_img) % D).astype(diff.dtype)[:, np.newaxis]
-            ok = diff == want
-            want -= D
-            ok |= diff == want
-            ok |= free
-            del diff, want_C
-            ok &= np.take(code_img, r_img, axis=0) == want_code
-            del want_code
-            # one flat test first: a passing chunk skips the per-row reduction
-            if not ok.all():
-                ns = N[~ok.all(axis=1)]
-                mm.add(len(ns), check=kind, n=ns)
-        mm.checked += len(N)
-    return mm
-
-
-def _red_symmetry(p: FieldParams) -> _Mismatches:
-    """Swap, Frobenius and twist along the ratio line; checked counts the
-    line and each law's image of it."""
-    ell, f = p.ell, p.f
-    D = max(p.m_minus, 1)
-    cols = np.arange(1 << f)
-    N = np.arange(D, dtype=np.int64)
-    Z = np.zeros_like(N)
-
-    def slot_keys(valid, a_mat, bcode_mat):
-        # the two slots' keys per subset as (lo, hi), collapsing an unused slot
-        keys = a_mat + D * bcode_mat
-        k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
-        return np.minimum(keys[:, :, 0], k2), np.maximum(keys[:, :, 0], k2)
-
-    valid, a_mat, bcode_mat = _red_kernel(p, N, Z)
-    lo, hi = slot_keys(valid, a_mat, bcode_mat)
-    valid_s, a_s, bcode_s = _red_kernel(p, Z, N)
-    lo_s, hi_s = slot_keys(valid_s, a_s, bcode_s)
-    conj_cols = subset_complement(cols, f)
-    swap_ok = (
-        (valid_s[:, conj_cols] == valid).all(axis=2)
-        & (lo_s[:, conj_cols] == lo)
-        & (hi_s[:, conj_cols] == hi)
-    ).all(axis=1)
-
-    frob_cols = red.frobenius_subset(cols, f)
-    valid_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
-    frob_ok = (
-        (valid_f[:, frob_cols] == valid).all(axis=2)
-        & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~valid).all(axis=2)
-        & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
-    ).all(axis=1)
-
-    # twist naturality at c = 1 (composition generates every twist)
-    valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
-    twist_ok = (
-        (valid_t == valid).all(axis=2)
-        & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
-        & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
-    ).all(axis=1)
-    mm = _Mismatches(ell=ell, f=f)
-    for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
-        ns = N[~ok]
-        mm.add(len(ns), check=kind, n=ns)
-    mm.checked = 4 * D
-    return mm
-
-
 def _run_qtable(ell: int, f: int, shard: None) -> _Mismatches:
     # f is ignored; the tables live at f = 1
     checks: list[tuple[int, str, bool]] = []  # (b, check, passed)
@@ -808,7 +806,6 @@ ALL_KINDS = (
 # the runners of the tasks that _scan_key finds no scan for
 _KIND_RUNNERS: dict[str, Callable[..., _Mismatches]] = {
     "counts-red": _run_counts_red,
-    "symmetry": _run_symmetry,
     "qtable-crosscheck": _run_qtable,
 }
 
@@ -845,7 +842,7 @@ class VerificationReport:
 def _scan_key(task: tuple[str, int, int], shard: range | None) -> tuple | None:
     """The cache key of the scan whose collector is the task's result (the
     ratio line's for shard None), or None for a task with work of its own
-    (symmetry, the counts-red grid, qtable-crosscheck)."""
+    (the counts-red grid, qtable-crosscheck)."""
     kind, ell, f = task
     if shard is None:
         return ("_red_scan", ell, f) if kind in _RED_SCAN_KINDS else None

@@ -160,13 +160,28 @@ def test_held_scans_run_without_a_pool(monkeypatch, fresh_tables):
     assert len(sweeps._irred_shards(FieldParams(7, 1))) == 6
     assert verify_sweep("counts-irred", [7], 1, jobs=2).passed
     assert sizes == [2]
-    for kind in ("injectivity-irred", "det-law", "nonempty"):
+    for kind in ("injectivity-irred", "det-law", "symmetry", "nonempty"):
         report = verify_sweep(kind, [7], 1, jobs=2)
         assert report.to_dict() == verify_sweep(kind, [7], 1).to_dict()
     assert sizes == [2]
     _clear_table_caches()
     assert verify_sweep("det-law", [7], 1, jobs=2).passed
     assert sizes == [2, 2]
+
+
+def test_only_kinds_with_work_of_their_own_fork_a_pool(monkeypatch, fresh_tables):
+    # under `verify all --jobs 2` every kind but these reads the scans that
+    # counts-irred and counts-red built, so it runs in this process
+    sizes = _record_pools(monkeypatch, 2)
+    forked = []
+    for kind in ALL_KINDS:
+        pools = len(sizes)
+        report = verify_sweep(kind, [2, 3], 2, jobs=2)
+        assert report.passed
+        if len(sizes) > pools:
+            forked.append(kind)
+    assert forked == ["counts-irred", "counts-red", "qtable-crosscheck"]
+    assert sizes == [2, 2, 2]
 
 
 def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
@@ -224,8 +239,10 @@ def test_symmetry_catches_corrupted_irred_table(monkeypatch, fresh_tables, which
     assert len(mism) == 25
     assert all(w["check"] == "conjugation-irred" for w in mism)
     assert [w["n"] for w in mism[:3]] == [5, 23, 33]
-    # 52 conjugation and 52 frobenius failures
+    # 52 conjugation and 52 frobenius failures; the cached scans keep only
+    # 25 witnesses, so they are built again
     monkeypatch.setattr(sweeps, "_MAX_WITNESSES", 10**6)
+    _clear_table_caches()
     failing = Counter(w["check"] for w in _run_all("symmetry", 3, 3)[1])
     assert failing == {"conjugation-irred": 52, "frobenius-irred": 52}
 
@@ -240,7 +257,7 @@ def test_symmetry_finds_the_one_failing_row_of_a_chunk(monkeypatch, fresh_tables
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
     monkeypatch.setattr(sweeps, "_CHUNK", 8)
-    mm = sweeps._run_symmetry(3, 3, shard)
+    mm = sweeps._run_one(("symmetry", 3, 3), shard)
     assert (mm.checked, mm.count) == (8, 1)
     assert mm.witnesses == [{"ell": 3, "f": 3, "check": check, "n": n}]
 
