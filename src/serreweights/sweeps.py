@@ -29,9 +29,9 @@ last for det-law, nonempty and symmetry, and is the only shard of
 injectivity-red, generic-split and qtable-crosscheck.  The list depends on
 the field alone and the collectors merge in task order, so the report
 never depends on jobs.  The scans hold collectors, not per-n arrays:
-_irred_scan compares each chunk of a run of n with the per-class tables at
-its k, r = divmod(n, q+1) and runs the symmetry laws on it while the chunk
-is in hand, and _red_scan does the same for the ratio line, each keeping
+_irred_scan compares each chunk of a run of n with the per-class tables
+and runs the symmetry laws on it while the chunk is in hand, and
+_red_scan does the same for the ratio line, each keeping
 one collector per kind that reads it.  Those kinds' tasks are a lookup,
 and _scan_key names the scan each one reads; only the counts-red grid and
 qtable-crosscheck have runners.  With jobs > 1 each pool worker returns
@@ -52,35 +52,49 @@ subsets, built on first use; the same builders give the single-datum
 labeled sets one row at a time, so the recipe has one implementation.
 With n = k (q+1) + r, the irreducible solution is then
 a = (k + C_B[r]) mod (q-1) with the digit code of r; on the reducible side
-a = n1 - (B-part digit sum) mod (q-1).  The kernels evaluate every n in
-range by one divmod (or one subtraction) plus gathers from the tables,
-chunk by chunk, with chunks capped at a fixed number of (row, subset)
-cells.  The test suite pins the labeled sets against the definitional
-oracles of tests/oracles.py exhaustively on small parameters, including
-fields where each class mod q+1 has many lifts, and by sampling on large
-ones.
+a = n1 - (B-part digit sum) mod (q-1).  The test suite pins the labeled
+sets against the definitional oracles of tests/oracles.py exhaustively on
+small parameters, including fields where each class mod q+1 has many
+lifts, and by sampling on large ones.
 
-The count kernels work in narrow ints.  With D = q-1, every a lies in
-[0, D) and every digit code in [0, D], so the distinct-count keys
-a + D bcode stay below D (D+1) and the sums 2a + bcode below 3D: int32
-holds both whenever D (D+2) < 2^31, which covers every field a default
-budget admits, and int64 is used only above that.  The cached class
-tables hold that dtype, and the kernels bring a into [0, D) by one
-conditional add (or subtraction) of D, not by a modulo over cells.  The
-determinant law 2a + bcode + cyc_sum = n mod D is tested the same way:
-with t = (n - cyc_sum) mod D taken once per row, a cell passes iff
+The sweeps evaluate every n in range, chunk by chunk, with chunks capped
+at a fixed number of (row, subset) cells, and nothing is gathered per n.
+A chunk of the irreducible side is a subset-major (2^f, K, W) block: K
+rows of W <= q+1 consecutive n, so every n of a column has the same class
+r, and the class tables, transposed to (2^f, q+1) and doubled along r,
+are a view over the chunk's columns that broadcasts over its rows.  Each
+n takes its own k from its row and column, with no divmod of n, and its
+own a = k + C[r] on every subset.  A block of the counts-red grid reads
+the ratio-class tables the same way: reversed and doubled, the tables of
+a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
+strided view.  Distinct counts sort each datum's keys across the
+contiguous subset planes, by a sorting network of plane minima and maxima
+up to 16 planes and by sort(axis=0) above, and count the changes between
+adjacent planes.
+
+The blocks work in narrow ints.  With D = q-1, every a lies in [0, D)
+and every digit code in [0, D], so the distinct-count keys a + D bcode
+stay below D (D+1): int32 holds them whenever D (D+2) < 2^31, which
+covers every field a default budget admits, and int64 is used only above
+that.  Everything else per cell lies in (-D, 3D) and is int16 whenever
+3D < 2^15.  a is brought into [0, D) by one conditional add (or
+subtraction) of D, not by a modulo over cells.  The determinant law
+2a + bcode + cyc_sum = n mod D is tested the same way: with
+t = (n - cyc_sum) mod D taken once per datum, a cell passes iff
 2a + bcode - t is 0, D or 2D.  Every cell is still tested, on the a the
 counts and keys use.  The (n1, n2) grid of counts-red runs in blocks of
 whole n1 rows.
 
-On a run of n the symmetry laws need no kernel call.  Per chunk they take
-the scan's divmod of n by q+1 and one divmod for each image (q n and
-ell n, mod q^2-1), then gather rows of narrow-int tables: the digit codes,
--1 where a class is not admissible, must be equal, and the a values must
-agree, compared as a difference of C entries against the difference of
-the k's.
-Each law tests its (rows x 2^f) block of cells with one flat all() and
-reduces it per row, to name the failing n, only when that fails.
+On a run of n the symmetry laws need no a.  Each law has one narrow table
+per class and subset, Delta = C[r', pi(B)] - want_C[r, B] mod q-1 for the
+image class r' and the law's subset map pi, or a sentinel: the law fails
+where the digit codes of the cell and its image differ (admissibility
+included), and holds where neither side is admissible.  Each n computes
+its image's k' in narrow ints from closed forms in (k, r), k + r - 1
+under conjugation and ell k + floor(ell r / (q+1)) under Frobenius (mod
+q-1), and a cell holds the law iff its Delta is the pass sentinel or
+want_k - k' mod q-1.  Each law tests its block with one flat any() and
+reduces it per n, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
@@ -88,7 +102,7 @@ twist compare the kernel arrays that the counts hold with kernel calls at
 the images.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
-classes enumerated (each one gathered and compared across all 2^f subsets),
+classes enumerated (each one evaluated and compared across all 2^f subsets),
 and `verify_sweep` refuses to start when the planned total exceeds the
 budget, or when the plan holds no field at all.
 """
@@ -102,9 +116,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, IllegalShape, ParamError
 from .modarith import FieldParams, subset_complement
@@ -279,6 +294,14 @@ def _key_dtype(D: int):
     return np.int32 if D * (D + 2) < 2**31 else np.int64
 
 
+def _sum_dtype(D: int):
+    """The dtype of the per-cell arithmetic other than the keys: int16 when
+    every a (in [0, D)) and every determinant-law sum 2a + bcode - t (in
+    (-D, 3 D)) fits in it, as in every field a default budget admits with
+    ell > 2, and the key dtype above that."""
+    return np.int16 if 3 * D < 2**15 else _key_dtype(D)
+
+
 def _wrap_once(a: np.ndarray, shift: int) -> None:
     """Reduce a mod D in place, for a in [0, 2D) with shift -D or a in
     (-D, D) with shift D: one conditional add of shift, with no per-cell
@@ -298,6 +321,134 @@ def _row_counts(cells: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", cells.reshape(len(cells), -1), dtype=np.int32)
 
 
+def _per_datum(bad: np.ndarray) -> np.ndarray:
+    """Whether each datum (a position of every axis but the first, the
+    cell axis) has a bad cell.  One flat test first: a passing block skips
+    the per-datum reduction."""
+    return bad.any(axis=0) if bad.any() else np.zeros(bad.shape[1:], dtype=bool)
+
+
+@lru_cache(maxsize=None)
+def _merge_exchange(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's merge exchange sorting network for n keys, as its
+    compare-exchanges (i, j), i < j, in order: 1, 5, 19 and 63 of them for
+    n = 2, 4, 8 and 16 (Batcher 1968; Knuth, TAOCP vol. 3, 5.2.2 Algorithm
+    M and 5.3.4)."""
+    t = (n - 1).bit_length()
+    pairs: list[tuple[int, int]] = []
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+# the widest rows that _distinct_counts sorts by a network of plane minima
+# and maxima; wider ones are sorted along the cell axis
+_NETWORK_WIDTH = 16
+
+
+def _distinct_counts(keys: np.ndarray) -> np.ndarray:
+    """Number of distinct keys along the first axis, the cell axis, for each
+    datum (position of the other axes), counting only keys >= 0: -1 marks
+    a cell with no key.  Clobbers keys.
+
+    Each subset plane keys[i] is contiguous.  Up to _NETWORK_WIDTH planes
+    are sorted by _merge_exchange, one np.minimum and one np.maximum of two
+    planes per compare-exchange; wider rows by an in-place sort(axis=0).
+    Sorted, -1 comes first, and a datum has one distinct key per change
+    between adjacent planes, plus one if its first plane holds a key.
+    """
+    planes = list(keys)
+    if len(planes) <= _NETWORK_WIDTH:
+        spare = np.empty_like(planes[0])
+        for i, j in _merge_exchange(len(planes)):
+            np.minimum(planes[i], planes[j], out=spare)
+            np.maximum(planes[i], planes[j], out=planes[j])
+            planes[i], spare = spare, planes[i]
+    else:
+        keys.sort(axis=0)
+    count = (planes[0] >= 0).astype(np.int32)
+    for lo, hi in zip(planes, planes[1:]):
+        count += lo != hi
+    return count
+
+
+def _cyc_sum(p: FieldParams) -> int:
+    """The sum of ell^i over i < f, as an integer."""
+    return (p.q - 1) // (p.ell - 1)
+
+
+def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
+    """Whether each datum has a valid cell that breaks the determinant law.
+
+    Cells run along the first axis of a, data along the others; bcode and
+    valid broadcast against a, and t against a datum.  A datum with
+    exponent sum n (n, or n1 + n2) holds triples (a, b, B), each of which
+    must satisfy 2a + bcode + cyc_sum = n mod D.  With t = (n - cyc_sum)
+    mod D per datum and 0 <= 2a + bcode < 3 D, a cell passes iff
+    2a + bcode - t is 0, D or 2 D, so no cell is reduced mod D.
+    """
+    s = a * 2
+    s += bcode
+    s -= t
+    bad = s != 0
+    bad &= s != D
+    bad &= s != 2 * D
+    bad &= valid
+    return _per_datum(bad)
+
+
+# Sentinels of the symmetry laws' tables: the digit codes of a cell and of
+# its image differ (the law fails), or neither is admissible (it holds).
+_FAIL, _PASS = -1, -2
+
+
+class _IrredCols(NamedTuple):
+    """The irreducible class tables laid out for the chunk blocks.
+
+    Every table is subset-major, (2^f, 2(q+1)), and every vector (2(q+1),):
+    column i holds class r = i mod q+1, so the classes of a run of at most
+    q+1 consecutive n, the first in class rs, are the columns [rs, rs + W),
+    a view (`window`).  C, bcode, the symmetry tables, r and the shifts have
+    the field's sum dtype.  Class 0 holds no datum: nothing is admissible
+    there and both laws pass.  conj and frob are the symmetry laws' tables
+    Delta[r, B] = C[r', pi(B)] - want_C[r, B] mod q-1, with r' the image
+    class, pi the law's subset map and want_C C or ell C; a cell whose code
+    differs from its image's is _FAIL, and one where both are not
+    admissible _PASS.  An n of class r with k' its image's k then holds a
+    law at B iff Delta[r, B] is _PASS or equals want_k - k' mod q-1, with
+    want_k k or ell k.
+    """
+
+    admissible: np.ndarray
+    C: np.ndarray
+    bcode: np.ndarray
+    bcode_D: np.ndarray  # D bcode, the digit part of the distinct-count key
+    conj: np.ndarray
+    frob: np.ndarray
+    r: np.ndarray
+    labeled: np.ndarray  # admissible subsets per class
+    conj_shift: np.ndarray  # (r - 1) mod D: conjugation's k' = k + this
+    frob_shift: np.ndarray  # floor(ell r / (q+1)) mod D: Frobenius's k' = ell k + this
+    det_shift: np.ndarray  # (r - cyc_sum) mod D: n - cyc_sum = 2k + this mod D
+
+    def window(self, rs: int, W: int) -> _IrredCols:
+        return _IrredCols._make(t[..., rs : rs + W] for t in self)
+
+
+def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
+    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
+    top_pow = ell ** (f - 1)
+    top = bcode // top_pow
+    return (bcode - top * top_pow) * ell + top
+
+
 @lru_cache(maxsize=None)
 def _irred_tables(ell: int, f: int):
     """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
@@ -312,58 +463,47 @@ def _irred_tables(ell: int, f: int):
     return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
 
 
-def _irred_kernel(p: FieldParams, N: np.ndarray):
-    """Per-subset solve for every n in N (all assumed valid).
+@lru_cache(maxsize=None)
+def _irred_cols(ell: int, f: int) -> _IrredCols:
+    """`_irred_tables` laid out for the chunk blocks (see _IrredCols)."""
+    p = FieldParams(ell, f)
+    P, D = p.m_plus, max(p.m_minus, 1)
+    narrow = _sum_dtype(D)
+    admissible, C, bcode = _irred_tables(ell, f)
+    admissible = admissible.copy()
+    admissible[0] = False
+    r = np.arange(P)
+    cols = np.arange(1 << f)
+    code = np.where(admissible, bcode, -1)
+    C64 = C.astype(np.int64)
 
-    Returns (admis, a_mat, bcode_mat), each of shape (len(N), 2^f): admis
-    is bool, a_mat and bcode_mat have the field's key dtype (int32 unless
-    D (D + 2) >= 2^31), with 0 <= a < D.
-    """
-    admissible, C, bcode = _irred_tables(p.ell, p.f)
-    D = max(p.m_minus, 1)
-    k, r = np.divmod(N, p.m_plus)
-    a_mat = np.take(C, r, axis=0)
-    a_mat += (k % D).astype(a_mat.dtype)[:, np.newaxis]
-    _wrap_once(a_mat, -D)
-    return np.take(admissible, r, axis=0), a_mat, np.take(bcode, r, axis=0)
+    def delta(r_img, cols_img, want_code, want_C):
+        img = np.ix_(r_img, cols_img)
+        diff = (C64[img] - want_C) % D
+        # the sentinels in this order: codes that differ fail, even where n
+        # is not admissible
+        delta = np.where(code[img] == want_code, np.where(want_code < 0, _PASS, diff), _FAIL)
+        return delta.astype(narrow)
 
+    conj = delta((P - r) % P, subset_complement(cols, f), code, C64)
+    shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1)
+    frob = delta(ell * r % P, irred.frobenius_subset(cols, f), shifted, ell * C64)
 
-def _distinct_counts(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Number of distinct key values per row, counting only valid entries.
+    def lay(t):
+        # class axis last, doubled: column i holds class i mod q+1
+        return np.tile(t.T, 2)
 
-    Keys are non-negative.  Invalid entries become the sentinel -1, in the
-    keys' dtype so the sort stays narrow, and sort to the front of the row;
-    a row then has one distinct value per change of value along it, plus
-    one for its first entry unless that is the sentinel.
-    """
-    masked = np.where(valid, keys, keys.dtype.type(-1))
-    masked.sort(axis=1)
-    changes = _row_counts(masked[:, 1:] != masked[:, :-1])
-    return changes + (masked[:, 0] >= 0)
+    def lay_narrow(t):
+        return lay(t.astype(narrow))
 
-
-def _det_bad(p: FieldParams, n: np.ndarray, valid, a_mat, bcode_mat) -> np.ndarray:
-    """Rows with a valid cell that breaks the determinant law.
-
-    Row i holds the triples (a, b, B) of a datum with exponent sum n[i]
-    (n, or n1 + n2); each must satisfy 2a + bcode + cyc_sum = n mod D.  With
-    t = (n - cyc_sum) mod D per row and 0 <= 2a + bcode < 3 D, a cell passes
-    iff 2a + bcode is t, t + D or t + 2 D, so no cell is reduced mod D.
-    """
-    D = max(p.m_minus, 1)
-    cyc_sum = (p.q - 1) // (p.ell - 1)  # sum of ell^i as an integer
-    shape = (len(n),) + (1,) * (a_mat.ndim - 1)
-    t = ((n - cyc_sum) % D).astype(a_mat.dtype).reshape(shape)
-    s = a_mat * 2
-    s += bcode_mat
-    s -= t
-    bad = s != 0
-    bad &= s != D
-    bad &= s != 2 * D
-    bad &= valid
-    bad = bad.reshape(len(n), -1)
-    # one flat test first: a passing chunk skips the per-row reduction
-    return bad.any(axis=1) if bad.any() else np.zeros(len(n), dtype=bool)
+    laid = _IrredCols(
+        admissible=lay(admissible), C=lay_narrow(C), bcode=lay_narrow(bcode),
+        bcode_D=lay(bcode * D), conj=lay(conj), frob=lay(frob), r=lay_narrow(r),
+        labeled=lay(_row_counts(admissible)),
+        conj_shift=lay_narrow((r - 1) % D), frob_shift=lay_narrow(ell * r // P % D),
+        det_shift=lay_narrow((r - _cyc_sum(p)) % D),
+    )
+    return _IrredCols._make(_read_only(*laid))
 
 
 def _irred_chunk_rows(p: FieldParams) -> int:
@@ -380,27 +520,68 @@ def _irred_shards(p: FieldParams) -> list[range]:
     return [range(s, min(s + step, p.m_big)) for s in range(0, p.m_big, step)]
 
 
-def _valid_irred_chunks(p: FieldParams, shard: range | None = None):
-    """The valid n (not divisible by q+1) of the shard, or of the whole
-    field, chunk by chunk on the field's chunk grid."""
-    shard = range(p.m_big) if shard is None else shard
+def _irred_chunks(p: FieldParams, shard: range) -> list[tuple[int, int]]:
+    """The chunks [s, e) of the shard, on the field's chunk grid."""
     rows = _irred_chunk_rows(p)
-    for start in range(shard.start, shard.stop, rows):
-        N = np.arange(start, min(start + rows, shard.stop), dtype=np.int64)
-        N = N[N % p.m_plus != 0]
-        if len(N):
-            yield N
+    return [(s, min(s + rows, shard.stop)) for s in range(shard.start, shard.stop, rows)]
 
 
-def _irred_counts(p: FieldParams, N: np.ndarray):
-    """(labeled, distinct, det_bad) per n of a chunk: the labeled-set and
-    weight-set sizes, and whether a triple breaks the determinant law."""
-    D = max(p.m_minus, 1)
-    admis, a_mat, bcode_mat = _irred_kernel(p, N)
-    keys = bcode_mat * D
-    keys += a_mat
-    det_bad = _det_bad(p, N, admis, a_mat, bcode_mat)
-    return _row_counts(admis), _distinct_counts(keys, admis), det_bad
+def _irred_block_shape(p: FieldParams, s: int, e: int) -> tuple[int, int]:
+    """(K, W) of the block of the chunk [s, e): K rows of W = min(q+1, e - s)
+    consecutive n, the first at s.  So K W < (e - s) + W, and the block's
+    2^f K W cells are fewer than the chunk's plus 2^f (q+1), and fewer than
+    twice the chunk's."""
+    W = min(p.m_plus, e - s)
+    return -(-(e - s) // W), W
+
+
+def _irred_block(p: FieldParams, s: int, e: int):
+    """Every n of the chunk [s, e) on every subset, as a (2^f, K, W) block.
+
+    n = s + j W + c sits at (B, j, c) (see _irred_block_shape), so its
+    class is column c of the window of _irred_cols at s mod q+1, and the
+    tables broadcast over j.  Each n computes its own k, a = (k + C[r]) mod
+    (q-1) by one wrap, its determinant-law residue and its images' k', in
+    narrow ints, with no divmod of n; cells past e, or of class 0, are not
+    valid.  Returns (cols, valid, distinct, det_bad, laws): the window, and
+    per n (K, W) arrays of validity, weight-set sizes and determinant-law
+    failures; laws pairs each symmetry check with the n that break it.
+    """
+    ell, D = p.ell, max(p.m_minus, 1)
+    K, W = _irred_block_shape(p, s, e)
+    k0, rs = divmod(s, p.m_plus)
+    cols = _irred_cols(ell, p.f).window(rs, W)
+    next_row = np.arange(rs, rs + W) >= p.m_plus  # columns past class q
+    k = np.arange(k0, k0 + K, dtype=cols.C.dtype)[:, np.newaxis] + next_row
+    _wrap_once(k, -D)  # k = q-1 only past the field's last n
+    valid = np.broadcast_to(cols.r != 0, (K, W)).copy()
+    valid.reshape(-1)[e - s :] = False
+    per_class = (slice(None), np.newaxis)
+
+    a = cols.C[per_class] + k
+    _wrap_once(a, -D)
+    det_bad = _det_bad(a, cols.bcode[per_class], (2 * k + cols.det_shift) % D,
+                       cols.admissible[per_class], D)
+    keys = a + cols.bcode_D[per_class]  # in the key dtype
+    del a
+    np.copyto(keys, -1, where=~cols.admissible[per_class])
+    distinct = _distinct_counts(keys)
+    del keys
+
+    laws = []
+    ell_k = ((ell % D) * k.astype(np.int64) % D).astype(k.dtype)
+    for kind, delta, want_k, shift in (
+        ("conjugation-irred", cols.conj, k, cols.conj_shift),
+        ("frobenius-irred", cols.frob, ell_k, cols.frob_shift),
+    ):
+        k_img = want_k + shift
+        _wrap_once(k_img, -D)
+        want = want_k - k_img
+        _wrap_once(want, D)
+        bad = delta[per_class] != want
+        bad &= (delta != _PASS)[per_class]
+        laws.append((kind, _per_datum(bad)))
+    return cols, valid, distinct, det_bad, laws
 
 
 # the kinds whose tasks read their collector off a scan
@@ -417,26 +598,35 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     _check_params(p)
     closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _IRRED_SCAN_KINDS}
-    for N in _valid_irred_chunks(p, shard):
-        labeled, distinct, det_bad = _irred_counts(p, N)
+    for s, e in _irred_chunks(p, shard):
+        cols, valid, distinct, det_bad, laws = _irred_block(p, s, e)
+        W = valid.shape[1]
+
+        def found(fails):
+            # the valid n of the block where fails (per n, or per class)
+            return np.flatnonzero(valid & fails)
+
         # every closed form depends on n mod q+1 alone
-        k, r = np.divmod(N, p.m_plus)
-        bad = np.flatnonzero(labeled != closed[r])
+        labeled, closed_r, crit_r = cols.labeled, closed[cols.r], crit[cols.r]
+        bad = found(labeled != closed_r)
         scan["counts-irred"].add(
-            len(bad), n=N[bad], enumerated=labeled[bad], closed_form=closed[r[bad]]
+            len(bad), n=s + bad, enumerated=labeled[bad % W], closed_form=closed_r[bad % W]
         )
         fails = distinct < labeled
-        bad = np.flatnonzero(fails != crit[r])
+        bad = found(fails != crit_r)
         scan["injectivity-irred"].add(
-            len(bad), n=N[bad], enumerated_failure=fails[bad], criterion=crit[r[bad]]
+            len(bad), n=s + bad, enumerated_failure=fails.ravel()[bad], criterion=crit_r[bad % W]
         )
-        ns = N[labeled == 0]
+        ns = s + found(labeled == 0)
         scan["nonempty"].add(len(ns), case="irreducible", n=ns)
-        ns = N[det_bad]
+        ns = s + found(det_bad)
         scan["det-law"].add(len(ns), case="irreducible", n=ns)
-        _irred_symmetry(p, N, k, r, scan["symmetry"])
+        for kind, broken in laws:
+            ns = s + found(broken)
+            scan["symmetry"].add(len(ns), check=kind, n=ns)
+        checked = int(np.count_nonzero(valid))
         for mm in scan.values():
-            mm.checked += len(N)
+            mm.checked += checked
     return scan
 
 
@@ -505,9 +695,16 @@ def _red_counts(p: FieldParams):
     nB = 1 << p.f
     N = np.arange(D, dtype=np.int64)
     valid, a_mat, bcode_mat = _red_kernel(p, N, np.zeros_like(N))
-    keys = (a_mat + D * bcode_mat).reshape(D, 2 * nB)
-    distinct = _distinct_counts(keys, valid.reshape(D, 2 * nB))
-    det_bad = _det_bad(p, N, valid, a_mat, bcode_mat)
+
+    def cells(x):
+        # subset-slot-major: one (subset, slot) plane per row
+        return x.reshape(D, 2 * nB).T
+
+    t = ((N - _cyc_sum(p)) % D).astype(a_mat.dtype)
+    det_bad = _det_bad(cells(a_mat), cells(bcode_mat), t, cells(valid), D)
+    keys = np.ascontiguousarray(cells(a_mat + D * bcode_mat))
+    np.copyto(keys, -1, where=~cells(valid))
+    distinct = _distinct_counts(keys)
 
     # certain part: some valid slot whose subspace, decided by the recipe's
     # dimension rule, is all of H^1
@@ -579,81 +776,6 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # symmetry laws, run by both scans on the data they hold
-
-
-def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
-    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
-    top_pow = ell ** (f - 1)
-    top = bcode // top_pow
-    return (bcode - top * top_pow) * ell + top
-
-
-@lru_cache(maxsize=None)
-def _symmetry_tables(ell: int, f: int):
-    """The irreducible tables laid out for the symmetry laws, in narrow ints.
-
-    Returns (code, shifted, C, ellC, code_conj, C_conj, code_frob, C_frob),
-    each of shape (q+1, 2^f).  code is the digit code, -1 where the class is
-    not admissible, so comparing codes also compares admissibility; shifted
-    is the code of the cyclically shifted digits with the same -1 marking;
-    ellC is ell C mod q-1.  The *_conj and *_frob tables have their columns
-    already permuted by the subset maps of conjugation and Frobenius.
-    """
-    p = FieldParams(ell, f)
-    cols = np.arange(1 << f)
-    dtype = np.int16 if p.q < 1 << 14 else np.int32
-    admissible, C, bcode = _irred_tables(ell, f)
-    code = np.where(admissible, bcode, -1).astype(dtype)
-    shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1).astype(dtype)
-    ellC = (ell * C) % max(p.m_minus, 1)
-    C = C.astype(dtype)
-    conj_cols = subset_complement(cols, f)
-    frob_cols = irred.frobenius_subset(cols, f)
-    return _read_only(
-        code, shifted, C, ellC.astype(dtype),
-        code[:, conj_cols], C[:, conj_cols], code[:, frob_cols], C[:, frob_cols],
-    )
-
-
-def _irred_symmetry(p: FieldParams, N, k, r, mm: _Mismatches) -> None:
-    """Conjugation and Frobenius on a chunk of valid n, with k, r =
-    divmod(N, q+1): each n that breaks a law is a witness of it."""
-    ell, q, P, M = p.ell, p.q, p.m_plus, p.m_big
-    D = max(p.m_minus, 1)
-    code_t, shifted_t, C_t, ellC_t, code_conj, C_conj, code_frob, C_frob = _symmetry_tables(ell, p.f)
-    code = np.take(code_t, r, axis=0)
-    C = np.take(C_t, r, axis=0)
-    free = code < 0  # not admissible at n: only the code has to match
-
-    # With n = k (q+1) + r, a = (k + C[r]) mod q-1.  A law that maps n to
-    # an image with a(image) = t(a(n)) then reads, per subset,
-    # C_img[r_img] - want_C[r] = t(k) - k_img mod q-1.  Each law's side
-    # of n is gathered only while that law runs.
-    def laws():
-        # conjugation: same weights at q n, labels complemented
-        yield "conjugation-irred", q * N, code_conj, C_conj, code, C, k
-        # frobenius: shifted everything at ell n
-        yield ("frobenius-irred", ell * N, code_frob, C_frob,
-               np.take(shifted_t, r, axis=0), np.take(ellC_t, r, axis=0), ell * k)
-
-    for kind, image, code_img, C_img, want_code, want_C, want_k in laws():
-        k_img, r_img = np.divmod(image % M, P)
-        diff = np.take(C_img, r_img, axis=0)
-        diff -= want_C
-        # diff lies in (-(q-1), q-1), so it is want mod q-1 iff it is
-        # want or want - (q-1)
-        want = ((want_k - k_img) % D).astype(diff.dtype)[:, np.newaxis]
-        ok = diff == want
-        want -= D
-        ok |= diff == want
-        ok |= free
-        del diff, want_C
-        ok &= np.take(code_img, r_img, axis=0) == want_code
-        del want_code
-        # one flat test first: a passing chunk skips the per-row reduction
-        if not ok.all():
-            ns = N[~ok.all(axis=1)]
-            mm.add(len(ns), check=kind, n=ns)
 
 
 def _red_symmetry(p: FieldParams, valid, a_mat, bcode_mat, mm: _Mismatches) -> None:
@@ -736,29 +858,66 @@ def _shards(kind: str, p: FieldParams) -> list:
     return [None]
 
 
+@lru_cache(maxsize=None)
+def _grid_tables(ell: int, f: int):
+    """`_red_tables` and the per-class labeled count and closed form, laid
+    out for the counts-red grid: (valid, s_in, bcode, labeled, closed),
+    each (cells, 2(q-1)), with one (subset, slot) cell per row (one row for
+    the per-class two), and s_in and bcode in the field's sum dtype.  The
+    class axis is reversed and doubled, so column i holds ratio class
+    (D - 1 - i) mod D; row n1 of the grid, n2 = 0..D-1, is then the columns
+    from D - 1 - n1 on (see _grid_view)."""
+    valid, s_in, bcode = _red_tables(ell, f)
+    D = len(valid)
+    narrow = _sum_dtype(D)
+
+    def lay(t):
+        return np.tile(t.reshape(D, -1)[::-1].T, 2)
+
+    tables = (valid, s_in.astype(narrow), bcode.astype(narrow), _row_counts(valid), _closed_red_lut(ell, f))
+    return _read_only(*map(lay, tables))
+
+
+def _grid_view(table: np.ndarray, n1s: range, n2s: range) -> np.ndarray:
+    """(cells, len(n1s), len(n2s)) read-only view of a `_grid_tables`
+    table: the pairs (n1, n2) of n1s x n2s, with no copy."""
+    D = table.shape[1] // 2
+    windows = sliding_window_view(table, len(n2s), axis=1)
+    # the window of pair (n1, n2s[0]) starts at D - 1 - n1 + n2s[0]
+    start = D - n1s.stop + n2s.start
+    return windows[:, start : start + len(n1s)][:, ::-1]
+
+
 def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
     """The grid's n1 rows in shard, re-enumerated block by block with the
     determinant law on every pair (the ratio line's counts are a lookup of
-    its scan)."""
+    its scan).  A block reads views of the class tables: only its
+    a = n1 - s_in and the determinant-law temporaries are computed."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
-    lut = _closed_red_lut(ell, f)
+    tables = _grid_tables(ell, f)
+    dtype = tables[1].dtype
     mm = _Mismatches(ell=ell, f=f)
     rows, cols = _grid_block(p)
     for n1_start in range(shard.start, shard.stop, rows):
-        n1s = np.arange(n1_start, min(n1_start + rows, shard.stop), dtype=np.int64)
+        n1s = range(n1_start, min(n1_start + rows, shard.stop))
+        n1 = np.arange(n1s.start, n1s.stop, dtype=dtype)[:, np.newaxis]
         for n2_start in range(0, D, cols):
-            n2s = np.arange(n2_start, min(n2_start + cols, D), dtype=np.int64)
-            N1, N2 = np.repeat(n1s, len(n2s)), np.tile(n2s, len(n1s))
-            valid, a_mat, bcode_mat = _red_kernel(p, N1, N2)
-            counts = _row_counts(valid)
-            closed = lut[(N1 - N2) % D]
-            js = np.flatnonzero(counts != closed)
-            mm.add(len(js), n1=N1[js], n2=N2[js], enumerated=counts[js], closed_form=closed[js])
+            n2s = range(n2_start, min(n2_start + cols, D))
+            valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in tables)
+            i, j = np.divmod(np.flatnonzero(labeled[0] != closed[0]), len(n2s))
+            mm.add(
+                len(i), n1=n1s.start + i, n2=n2s.start + j,
+                enumerated=labeled[0, i, j], closed_form=closed[0, i, j],
+            )
             # determinant law across the grid, while the triples are in hand
-            js = np.flatnonzero(_det_bad(p, N1 + N2, valid, a_mat, bcode_mat))
-            mm.add(len(js), n1=N1[js], n2=N2[js], check="det-law")
-            mm.checked += len(N1)
+            a = n1 - s_in
+            _wrap_once(a, D)
+            n2 = np.arange(n2s.start, n2s.stop, dtype=dtype)
+            t = (n1 + (n2 - _cyc_sum(p)) % D) % D
+            i, j = np.divmod(np.flatnonzero(_det_bad(a, bcode, t, valid, D)), len(n2s))
+            mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
+            mm.checked += len(n1s) * len(n2s)
     return mm
 
 

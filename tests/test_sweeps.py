@@ -117,10 +117,31 @@ def test_unknown_kind_rejected():
 
 def test_irred_chunks_cover_valid_n_with_capped_cells():
     p = FieldParams(2, 8)
-    chunks = list(sweeps._valid_irred_chunks(p))
-    assert max(len(N) for N in chunks) << p.f <= sweeps._CHUNK << 4
-    covered = [int(n) for N in chunks for n in N]
+    chunks = sweeps._irred_chunks(p, range(p.m_big))
+    assert max(e - s for s, e in chunks) << p.f <= sweeps._CHUNK << 4
+    covered = [s + int(i) for s, e in chunks for i in np.flatnonzero(sweeps._irred_block(p, s, e)[1])]
     assert covered == [n for n in range(p.m_big) if n % p.m_plus]
+
+
+@pytest.mark.parametrize(
+    "ell,f,chunk",
+    [(3, 3, sweeps._CHUNK), (3, 3, 16), (5, 2, 16), (7, 3, 1 << 10), (2, 6, 32), (2, 8, sweeps._CHUNK)],
+)
+def test_irred_block_cells_capped(monkeypatch, ell, f, chunk):
+    # a block holds fewer cells than its chunk plus 2^f (q+1), and fewer than
+    # twice its chunk, also where q+1 exceeds the chunk rows ((3, 3) and
+    # (5, 2) in chunks of 16 n, (2, 6) in chunks of 8)
+    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+    p = FieldParams(ell, f)
+    chunks = [c for shard in sweeps._irred_shards(p) for c in sweeps._irred_chunks(p, shard)]
+    for s, e in chunks:
+        K, W = sweeps._irred_block_shape(p, s, e)
+        chunk_cells, cells = (e - s) << f, (K * W) << f
+        assert cells <= min(chunk_cells + (p.m_plus << f), 2 * chunk_cells)
+    if p.m_big < 10**4:
+        assert all(
+            sweeps._irred_block(p, s, e)[2].shape == sweeps._irred_block_shape(p, s, e) for s, e in chunks
+        )
 
 
 def _record_pools(monkeypatch, cpus):
@@ -247,6 +268,25 @@ def test_symmetry_catches_corrupted_irred_table(monkeypatch, fresh_tables, which
     assert failing == {"conjugation-irred": 52, "frobenius-irred": 52}
 
 
+def test_symmetry_one_sided_admissible_flip_fails_every_lift(monkeypatch, fresh_tables):
+    # (3, 3): subset 3 of class 5 stops being admissible, while its images
+    # under conjugation (class 23, subset 4) and Frobenius (class 15, subset
+    # 7) stay admissible.  The codes differ, so both laws fail at all q - 1
+    # lifts of class 5: "codes differ" is tested before "not admissible at
+    # n, so it holds"
+    tables = _corrupt_irred("admissible")
+    admissible = tables[0]
+    assert sweeps._irred_tables(3, 3)[0][5, 3] and not admissible[5, 3]
+    assert admissible[23, 4] and admissible[15, 7]
+    _clear_table_caches()
+    monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
+    monkeypatch.setattr(sweeps, "_MAX_WITNESSES", 10**6)
+    mism = _run_all("symmetry", 3, 3)[1]
+    lifts = set(range(5, 728, 28))
+    for law in ("conjugation-irred", "frobenius-irred"):
+        assert lifts <= {w["n"] for w in mism if w["check"] == law}
+
+
 @pytest.mark.parametrize(
     "shard,check,n", [(range(8, 16), "frobenius-irred", 11), (range(16, 24), "conjugation-irred", 23)]
 )
@@ -314,13 +354,36 @@ def test_symmetry_twist_red_catches_unreduced_s_in(monkeypatch, fresh_tables):
 
 
 def _irred_per_n(ell, f):
-    """(n, labeled, distinct, det_bad) of every valid n, from the per-chunk
-    counts the irreducible scan compares."""
+    """(n, labeled, distinct, det_bad) of every valid n, from the chunk
+    blocks the irreducible scan compares."""
     p = FieldParams(ell, f)
     rows = []
-    for N in sweeps._valid_irred_chunks(p):
-        rows += zip(N.tolist(), *(x.tolist() for x in sweeps._irred_counts(p, N)))
+    for s, e in sweeps._irred_chunks(p, range(p.m_big)):
+        cols, valid, distinct, det_bad, _ = sweeps._irred_block(p, s, e)
+        labeled = np.broadcast_to(cols.labeled, valid.shape)
+        ns = s + np.flatnonzero(valid)
+        rows += zip(ns.tolist(), *(x[valid].tolist() for x in (labeled, distinct, det_bad)))
     return rows
+
+
+@pytest.mark.parametrize("chunk", [8, 27, 29, 64])
+def test_irred_block_per_n_matches_oracle(monkeypatch, chunk):
+    # (3, 3): q + 1 = 28, so chunks of 8 and 27 n are shorter than a k-row,
+    # and chunks of 29 and 64 n end inside one
+    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+    ell, f = 3, 3
+    p = FieldParams(ell, f)
+    want = []
+    for n in range(p.m_big):
+        if n % p.m_plus == 0:
+            continue
+        triples = forced_labeled_irred(ell, f, n)
+        # the determinant law: 2a + sum b_i ell^i = n mod q-1
+        det_bad = any(
+            (2 * a + sum(bi * ell**i for i, bi in enumerate(b)) - n) % p.m_minus for a, b, _ in triples
+        )
+        want.append((n, len(triples), len({(a, b) for a, b, _ in triples}), det_bad))
+    assert _irred_per_n(ell, f) == want
 
 
 @pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
@@ -500,6 +563,10 @@ def test_key_dtype_boundary():
         assert D * D + D - 1 <= np.iinfo(np.int32).max and 3 * D <= np.iinfo(np.int32).max
     for D in (46340, 46341, 2**20):
         assert sweeps._key_dtype(D) == np.int64
+    # int16 sums exactly when 3 D < 2^15: a < D and 2a + bcode - t in (-D, 3 D)
+    assert [sweeps._sum_dtype(D) for D in (1, 2400, 10922, 10923, 46340)] == [
+        np.int16, np.int16, np.int16, np.int32, np.int64,
+    ]
 
 
 @pytest.mark.parametrize("ncols", [2, 16, 256])
@@ -509,12 +576,39 @@ def test_distinct_counts_same_on_int32_and_int64(ncols):
     valid = rng.random((300, ncols)) < rng.random((300, 1))  # rows from empty to full
     want = [len(set(row[ok].tolist())) for row, ok in zip(keys, valid)]
     for dtype in (np.int32, np.int64):
-        assert sweeps._distinct_counts(keys.astype(dtype), valid).tolist() == want
+        cells = np.ascontiguousarray(np.where(valid, keys, -1).T, dtype=dtype)  # subset-major
+        assert sweeps._distinct_counts(cells).tolist() == want
+
+
+@pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 256])
+def test_distinct_counts_against_unique(width):
+    # every width the scans sort: by the network up to _NETWORK_WIDTH
+    # (2^f on the irreducible side, 2^(f+1) on the ratio line), along the
+    # cell axis above; -1 marks a cell with no key
+    assert (width <= sweeps._NETWORK_WIDTH) == (width <= 16)
+    rng = np.random.default_rng(width)
+    rows = rng.integers(-1, width, size=(500, width))
+    want = [len(np.unique(row[row >= 0])) for row in rows]
+    keys = np.ascontiguousarray(rows.T, dtype=np.int32).reshape(width, 20, 25)
+    assert sweeps._distinct_counts(keys).ravel().tolist() == want
+
+
+@pytest.mark.parametrize("n,size", [(2, 1), (4, 5), (8, 19), (16, 63)])
+def test_merge_exchange_sorts_every_zero_one_input(n, size):
+    # by the 0-1 principle (Knuth 5.3.4) a network that sorts every 0-1
+    # input sorts every input; here all 2^n of them at once
+    network = sweeps._merge_exchange(n)
+    assert len(network) == size and all(i < j for i, j in network)
+    planes = [(np.arange(1 << n) >> i) & 1 for i in range(n)]
+    for i, j in network:
+        planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
+    assert all((lo <= hi).all() for lo, hi in zip(planes, planes[1:]))
 
 
 def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
-    # fields past D (D + 2) >= 2^31 are too large for a test to sweep, so
-    # the int64 path runs here on a small field and must agree with int32
+    # fields past 3 D >= 2^15 (int32 sums) or D (D + 2) >= 2^31 (int64 keys
+    # and sums) are too large for a test to sweep, so those paths run here
+    # on small fields and must agree with the narrow one
     fields = [(2, 4), (3, 3), (5, 2)]
 
     def results():
@@ -529,9 +623,14 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
         return out
 
     narrow = results()
-    monkeypatch.setattr(sweeps, "_key_dtype", lambda D: np.int64)
+    monkeypatch.setattr(sweeps, "_sum_dtype", sweeps._key_dtype)
     assert results() == narrow
-    assert sweeps._irred_kernel(FieldParams(3, 3), np.arange(1, 28))[1].dtype == np.int64
+    assert sweeps._irred_cols(3, 3).C.dtype == np.int32
+    monkeypatch.setattr(sweeps, "_key_dtype", lambda D: np.int64)
+    monkeypatch.setattr(sweeps, "_sum_dtype", lambda D: np.int64)
+    assert results() == narrow
+    assert sweeps._irred_cols(3, 3).C.dtype == np.int64
+    assert sweeps._grid_tables(3, 3)[1].dtype == np.int64
     assert sweeps._red_kernel(FieldParams(3, 3), np.arange(26), np.zeros(26, dtype=np.int64))[1].dtype == np.int64
 
 
@@ -586,13 +685,13 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     calls = []
-    kernel = sweeps._irred_kernel
+    block = sweeps._irred_block
 
-    def counting(p, N):
-        calls.append(len(N))  # a worker appends to its own copy of the list
-        return kernel(p, N)
+    def counting(p, s, e):
+        calls.append(e - s)  # a worker appends to its own copy of the list
+        return block(p, s, e)
 
-    monkeypatch.setattr(sweeps, "_irred_kernel", counting)
+    monkeypatch.setattr(sweeps, "_irred_block", counting)
     fields = plan_tasks([3, 5], 2)
     shards = [(ell, f, s) for ell, f in fields for s in sweeps._irred_shards(FieldParams(ell, f))]
     assert len(shards) == 6  # (5, 2) in three
