@@ -321,6 +321,20 @@ def _row_counts(cells: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", cells.reshape(len(cells), -1), dtype=np.int32)
 
 
+@lru_cache(maxsize=None)
+def _irred_tables(ell: int, f: int):
+    """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
+    each of shape (q+1, 2^f), with C and bcode in the field's key dtype.
+
+    Writing n = k (q+1) + r, admissibility and the digit code of n depend on
+    r alone, and a = (k + C[r]) mod (q-1) exactly.
+    """
+    p = FieldParams(ell, f)
+    dtype = _key_dtype(max(p.m_minus, 1))
+    admissible, C, bcode = irred.class_tables(p, np.arange(p.m_plus))
+    return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
+
+
 def _per_datum(bad: np.ndarray) -> np.ndarray:
     """Whether each datum (a position of every axis but the first, the
     cell axis) has a bad cell.  One flat test first: a passing block skips
@@ -436,31 +450,9 @@ class _IrredCols(NamedTuple):
     labeled: np.ndarray  # admissible subsets per class
     conj_shift: np.ndarray  # (r - 1) mod D: conjugation's k' = k + this
     frob_shift: np.ndarray  # floor(ell r / (q+1)) mod D: Frobenius's k' = ell k + this
-    det_shift: np.ndarray  # (r - cyc_sum) mod D: n - cyc_sum = 2k + this mod D
 
     def window(self, rs: int, W: int) -> _IrredCols:
         return _IrredCols._make(t[..., rs : rs + W] for t in self)
-
-
-def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
-    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
-    top_pow = ell ** (f - 1)
-    top = bcode // top_pow
-    return (bcode - top * top_pow) * ell + top
-
-
-@lru_cache(maxsize=None)
-def _irred_tables(ell: int, f: int):
-    """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
-    each of shape (q+1, 2^f), with C and bcode in the field's key dtype.
-
-    Writing n = k (q+1) + r, admissibility and the digit code of n depend on
-    r alone, and a = (k + C[r]) mod (q-1) exactly.
-    """
-    p = FieldParams(ell, f)
-    dtype = _key_dtype(max(p.m_minus, 1))
-    admissible, C, bcode = irred.class_tables(p, np.arange(p.m_plus))
-    return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
 
 
 @lru_cache(maxsize=None)
@@ -482,8 +474,8 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
         diff = (C64[img] - want_C) % D
         # the sentinels in this order: codes that differ fail, even where n
         # is not admissible
-        delta = np.where(code[img] == want_code, np.where(want_code < 0, _PASS, diff), _FAIL)
-        return delta.astype(narrow)
+        table = np.where(code[img] == want_code, np.where(want_code < 0, _PASS, diff), _FAIL)
+        return table.astype(narrow)
 
     conj = delta((P - r) % P, subset_complement(cols, f), code, C64)
     shifted = np.where(admissible, _shift_bcode(bcode, ell, f), -1)
@@ -501,7 +493,6 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
         bcode_D=lay(bcode * D), conj=lay(conj), frob=lay(frob), r=lay_narrow(r),
         labeled=lay(_row_counts(admissible)),
         conj_shift=lay_narrow((r - 1) % D), frob_shift=lay_narrow(ell * r // P % D),
-        det_shift=lay_narrow((r - _cyc_sum(p)) % D),
     )
     return _IrredCols._make(_read_only(*laid))
 
@@ -541,9 +532,9 @@ def _irred_block(p: FieldParams, s: int, e: int):
     n = s + j W + c sits at (B, j, c) (see _irred_block_shape), so its
     class is column c of the window of _irred_cols at s mod q+1, and the
     tables broadcast over j.  Each n computes its own k, a = (k + C[r]) mod
-    (q-1) by one wrap, its determinant-law residue and its images' k', in
-    narrow ints, with no divmod of n; cells past e, or of class 0, are not
-    valid.  Returns (cols, valid, distinct, det_bad, laws): the window, and
+    (q-1) by one wrap and its images' k', in narrow ints, with no divmod of
+    n, and its determinant-law residue t = (n - cyc_sum) mod q-1 from n
+    itself; cells past e, or of class 0, are not valid.  Returns (cols, valid, distinct, det_bad, laws): the window, and
     per n (K, W) arrays of validity, weight-set sizes and determinant-law
     failures; laws pairs each symmetry check with the n that break it.
     """
@@ -560,8 +551,10 @@ def _irred_block(p: FieldParams, s: int, e: int):
 
     a = cols.C[per_class] + k
     _wrap_once(a, -D)
-    det_bad = _det_bad(a, cols.bcode[per_class], (2 * k + cols.det_shift) % D,
-                       cols.admissible[per_class], D)
+    # t from n itself, not from k, so the law also checks each n's k
+    t0 = (s - _cyc_sum(p)) % D
+    t = (np.arange(t0, t0 + K * W, dtype=np.int64) % D).astype(k.dtype).reshape(K, W)
+    det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
     keys = a + cols.bcode_D[per_class]  # in the key dtype
     del a
     np.copyto(keys, -1, where=~cols.admissible[per_class])
@@ -776,6 +769,13 @@ def _generic_lut(ell: int, f: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # symmetry laws, run by both scans on the data they hold
+
+
+def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
+    """Digit code of the cyclically shifted digit vector (top digit wraps)."""
+    top_pow = ell ** (f - 1)
+    top = bcode // top_pow
+    return (bcode - top * top_pow) * ell + top
 
 
 def _red_symmetry(p: FieldParams, valid, a_mat, bcode_mat, mm: _Mismatches) -> None:
