@@ -67,7 +67,9 @@ n takes its own k from its row and column, with no divmod of n, and its
 own a = k + C[r] on every subset.  A block of the counts-red grid reads
 the ratio-class tables the same way: reversed and doubled, the tables of
 a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
-strided view.  Distinct counts sort each datum's keys across the
+strided view.  _pairs reads any rectangle of pairs so, and every
+reducible computation goes through it: the grid blocks, the ratio line
+(the pairs (n, 0)) and its symmetry images.  Distinct counts sort each datum's keys across the
 contiguous subset planes, by a sorting network of plane minima and maxima
 up to 16 planes and by sort(axis=0) above, and count the changes between
 adjacent planes.
@@ -98,8 +100,10 @@ reduces it per n, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
-twist compare the kernel arrays that the counts hold with kernel calls at
-the images.
+twist compare the arrays that the counts hold with those of the images:
+the swap of (n, 0) is (0, n), read by _pairs as the pairs (0, n2); its
+Frobenius image (ell n, 0) is a column of the line itself; its twist
+(n + 1, 1) is read as the pairs (n1, 1), so its a comes from its own n1.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one evaluated and compared across all 2^f subsets),
@@ -321,10 +325,10 @@ def _row_counts(cells: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", cells.reshape(len(cells), -1), dtype=np.int32)
 
 
-@lru_cache(maxsize=None)
 def _irred_tables(ell: int, f: int):
     """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
     each of shape (q+1, 2^f), with C and bcode in the field's key dtype.
+    Only the cached _irred_cols reads them.
 
     Writing n = k (q+1) + r, admissibility and the digit code of n depend on
     r alone, and a = (k + C[r]) mod (q-1) exactly.
@@ -332,7 +336,7 @@ def _irred_tables(ell: int, f: int):
     p = FieldParams(ell, f)
     dtype = _key_dtype(max(p.m_minus, 1))
     admissible, C, bcode = irred.class_tables(p, np.arange(p.m_plus))
-    return _read_only(admissible, C.astype(dtype), bcode.astype(dtype))
+    return admissible, C.astype(dtype), bcode.astype(dtype)
 
 
 def _per_datum(bad: np.ndarray) -> np.ndarray:
@@ -648,64 +652,38 @@ def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
 # reducible engine
 
 
-@lru_cache(maxsize=None)
 def _red_tables(ell: int, f: int):
     """`red.class_tables` of every ratio class n mod q-1: (valid, s_in,
     bcode), each of shape (q-1, 2^f, 2), where valid marks the slots that
     hold a window solution (slot 1 only on a doubled class).  s_in is
-    reduced mod q-1, and s_in and bcode have the field's key dtype."""
+    reduced mod q-1, and s_in and bcode have the field's key dtype.  Only
+    the cached _grid_tables reads them."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
     dtype = _key_dtype(D)
     valid, s_in, bcode = red.class_tables(p, np.arange(D))
-    return _read_only(valid, (s_in % D).astype(dtype), bcode.astype(dtype))
-
-
-def _red_kernel(p: FieldParams, N1: np.ndarray, N2: np.ndarray):
-    """Per-subset solve for every pair; two solution slots per subset.
-
-    Returns (valid, a_mat, bcode_mat), each of shape (len, 2^f, 2): valid
-    is bool, a_mat and bcode_mat have the field's key dtype (int32 unless
-    D (D + 2) >= 2^31), with 0 <= a < D.  A slot is only meaningful where
-    valid is set.
-    """
-    valid, s_in, bcode = _red_tables(p.ell, p.f)
-    D = max(p.m_minus, 1)
-    n = (N1 - N2) % D
-    a_mat = np.take(s_in, n, axis=0)
-    np.subtract(N1.astype(a_mat.dtype)[:, np.newaxis, np.newaxis], a_mat, out=a_mat)
-    _wrap_once(a_mat, D)
-    return np.take(valid, n, axis=0), a_mat, np.take(bcode, n, axis=0)
+    return valid, (s_in % D).astype(dtype), bcode.astype(dtype)
 
 
 def _red_counts(p: FieldParams):
     """(labeled, distinct, det_bad, certain) per n of the ratio line, the
     pairs (n, 0): the labeled-set and weight-set sizes, whether a triple
     breaks the determinant law, and whether some labeled weight provably
-    fills H^1 (the certain part is nonempty); then the line's kernel
-    arrays (valid, a_mat, bcode_mat), which the symmetry laws read."""
+    fills H^1 (the certain part is nonempty); then the line's (valid, a,
+    bcode) from _pairs, each (cells, q-1), which the symmetry laws read."""
     D = max(p.m_minus, 1)
-    nB = 1 << p.f
-    N = np.arange(D, dtype=np.int64)
-    valid, a_mat, bcode_mat = _red_kernel(p, N, np.zeros_like(N))
-
-    def cells(x):
-        # subset-slot-major: one (subset, slot) plane per row
-        return x.reshape(D, 2 * nB).T
-
-    t = ((N - _cyc_sum(p)) % D).astype(a_mat.dtype)
-    det_bad = _det_bad(cells(a_mat), cells(bcode_mat), t, cells(valid), D)
-    keys = np.ascontiguousarray(cells(a_mat + D * bcode_mat))
-    np.copyto(keys, -1, where=~cells(valid))
+    valid, a, bcode, labeled, _, det_bad = (x[..., 0] for x in _pairs(p, range(D), range(1)))
+    keys = bcode.astype(_key_dtype(D)) * D
+    keys += a
+    np.copyto(keys, -1, where=~valid)
     distinct = _distinct_counts(keys)
 
     # certain part: some valid slot whose subspace, decided by the recipe's
     # dimension rule, is all of H^1
-    _, _, fills = red.dim_bounds(
-        p, N[:, np.newaxis, np.newaxis], bcode_mat, np.arange(nB)[np.newaxis, :, np.newaxis]
-    )
+    subset = np.arange(len(valid))[:, np.newaxis] >> 1
+    _, _, fills = red.dim_bounds(p, np.arange(D), bcode, subset)
     fills &= valid
-    return _row_counts(valid), distinct, det_bad, fills.any(axis=(1, 2)), valid, a_mat, bcode_mat
+    return labeled, distinct, det_bad, fills.any(axis=0), valid, a, bcode
 
 
 @_scan_cache
@@ -778,46 +756,50 @@ def _shift_bcode(bcode: np.ndarray, ell: int, f: int) -> np.ndarray:
     return (bcode - top * top_pow) * ell + top
 
 
-def _red_symmetry(p: FieldParams, valid, a_mat, bcode_mat, mm: _Mismatches) -> None:
+def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
     """Swap, Frobenius and twist along the ratio line, from the line's
-    kernel arrays: each n that breaks a law is a witness of it."""
+    arrays and those of its images, all read by _pairs: each n that breaks
+    a law is a witness of it."""
     ell, f = p.ell, p.f
     D = max(p.m_minus, 1)
+    dtype = _key_dtype(D)
     cols = np.arange(1 << f)
-    N = np.arange(D, dtype=np.int64)
-    Z = np.zeros_like(N)
+    N = np.arange(D)
 
-    def slot_keys(valid, a_mat, bcode_mat):
+    def by_subset(valid, a, bcode):
+        # (subset, slot, n), with a and bcode in the key dtype
+        return [x.reshape(1 << f, 2, D) for x in (valid, a.astype(dtype), bcode.astype(dtype))]
+
+    def slot_keys(valid, a, bcode):
         # the two slots' keys per subset as (lo, hi), collapsing an unused slot
-        keys = a_mat + D * bcode_mat
-        k2 = np.where(valid[:, :, 1], keys[:, :, 1], keys[:, :, 0])
-        return np.minimum(keys[:, :, 0], k2), np.maximum(keys[:, :, 0], k2)
+        keys = a + D * bcode
+        k2 = np.where(valid[:, 1], keys[:, 1], keys[:, 0])
+        return np.minimum(keys[:, 0], k2), np.maximum(keys[:, 0], k2)
 
-    lo, hi = slot_keys(valid, a_mat, bcode_mat)
-    valid_s, a_s, bcode_s = _red_kernel(p, Z, N)
+    valid, a, bcode = by_subset(valid, a, bcode)
+    lo, hi = slot_keys(valid, a, bcode)
+    # the swap of (n, 0) is (0, n)
+    valid_s, a_s, bcode_s = by_subset(*_pairs(p, range(1), range(D))[:3])
     lo_s, hi_s = slot_keys(valid_s, a_s, bcode_s)
     conj_cols = subset_complement(cols, f)
     swap_ok = (
-        (valid_s[:, conj_cols] == valid).all(axis=2)
-        & (lo_s[:, conj_cols] == lo)
-        & (hi_s[:, conj_cols] == hi)
-    ).all(axis=1)
+        (valid_s[conj_cols] == valid).all(axis=1)
+        & (lo_s[conj_cols] == lo)
+        & (hi_s[conj_cols] == hi)
+    ).all(axis=0)
 
+    def law_holds(valid_i, a_i, bcode_i, want_a, want_bcode):
+        # the image has the line's slots, and on them the wanted triples
+        return ((valid_i == valid) & ((a_i == want_a) & (bcode_i == want_bcode) | ~valid)).all(axis=(0, 1))
+
+    # the Frobenius image of (n, 0) is (ell n, 0), on the line itself
     frob_cols = red.frobenius_subset(cols, f)
-    valid_f, a_f, bcode_f = _red_kernel(p, (ell * N) % D, Z)
-    frob_ok = (
-        (valid_f[:, frob_cols] == valid).all(axis=2)
-        & ((a_f[:, frob_cols] == (ell * a_mat) % D) | ~valid).all(axis=2)
-        & ((bcode_f[:, frob_cols] == _shift_bcode(bcode_mat, ell, f)) | ~valid).all(axis=2)
-    ).all(axis=1)
-
-    # twist naturality at c = 1 (composition generates every twist)
-    valid_t, a_t, bcode_t = _red_kernel(p, (N + 1) % D, (Z + 1) % D)
-    twist_ok = (
-        (valid_t == valid).all(axis=2)
-        & ((a_t == (a_mat + 1) % D) | ~valid).all(axis=2)
-        & ((bcode_t == bcode_mat) | ~valid).all(axis=2)
-    ).all(axis=1)
+    frob = (x[frob_cols][..., ell * N % D] for x in (valid, a, bcode))
+    frob_ok = law_holds(*frob, (ell * a) % D, _shift_bcode(bcode, ell, f))
+    # twist naturality at c = 1 (composition generates every twist): the
+    # image of (n, 0) is (n + 1, 1), whose a comes from its own n1
+    twist = (x[..., (N + 1) % D] for x in by_subset(*_pairs(p, range(D), range(1, 2))[:3]))
+    twist_ok = law_holds(*twist, (a + 1) % D, bcode)
     for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
         ns = N[~ok]
         mm.add(len(ns), check=kind, n=ns)
@@ -888,34 +870,42 @@ def _grid_view(table: np.ndarray, n1s: range, n2s: range) -> np.ndarray:
     return windows[:, start : start + len(n1s)][:, ::-1]
 
 
+def _pairs(p: FieldParams, n1s: range, n2s: range):
+    """(valid, a, bcode, labeled, closed, det_bad) of the pairs (n1, n2) of
+    n1s x n2s: the `_grid_tables` views of valid, bcode, the labeled count
+    and the closed form, a = n1 - s_in mod q-1 by one wrap, and whether a
+    pair has a triple that breaks the determinant law.  The per-cell three
+    are (cells, len(n1s), len(n2s)), the per-pair three (len(n1s),
+    len(n2s)); only a and the determinant-law temporaries are computed."""
+    D = max(p.m_minus, 1)
+    valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in _grid_tables(p.ell, p.f))
+    n1 = np.arange(n1s.start, n1s.stop, dtype=s_in.dtype)[:, np.newaxis]
+    a = n1 - s_in
+    _wrap_once(a, D)
+    n2 = np.arange(n2s.start, n2s.stop, dtype=s_in.dtype)
+    t = (n1 + (n2 - _cyc_sum(p)) % D) % D
+    return valid, a, bcode, labeled[0], closed[0], _det_bad(a, bcode, t, valid, D)
+
+
 def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
-    """The grid's n1 rows in shard, re-enumerated block by block with the
-    determinant law on every pair (the ratio line's counts are a lookup of
-    its scan).  A block reads views of the class tables: only its
-    a = n1 - s_in and the determinant-law temporaries are computed."""
+    """The grid's n1 rows in shard, re-enumerated block by block by _pairs,
+    with the determinant law on every pair (the ratio line's counts are a
+    lookup of its scan)."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
-    tables = _grid_tables(ell, f)
-    dtype = tables[1].dtype
     mm = _Mismatches(ell=ell, f=f)
     rows, cols = _grid_block(p)
     for n1_start in range(shard.start, shard.stop, rows):
         n1s = range(n1_start, min(n1_start + rows, shard.stop))
-        n1 = np.arange(n1s.start, n1s.stop, dtype=dtype)[:, np.newaxis]
         for n2_start in range(0, D, cols):
             n2s = range(n2_start, min(n2_start + cols, D))
-            valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in tables)
-            i, j = np.divmod(np.flatnonzero(labeled[0] != closed[0]), len(n2s))
+            labeled, closed, det_bad = _pairs(p, n1s, n2s)[3:]
+            i, j = np.divmod(np.flatnonzero(labeled != closed), len(n2s))
             mm.add(
                 len(i), n1=n1s.start + i, n2=n2s.start + j,
-                enumerated=labeled[0, i, j], closed_form=closed[0, i, j],
+                enumerated=labeled[i, j], closed_form=closed[i, j],
             )
-            # determinant law across the grid, while the triples are in hand
-            a = n1 - s_in
-            _wrap_once(a, D)
-            n2 = np.arange(n2s.start, n2s.stop, dtype=dtype)
-            t = (n1 + (n2 - _cyc_sum(p)) % D) % D
-            i, j = np.divmod(np.flatnonzero(_det_bad(a, bcode, t, valid, D)), len(n2s))
+            i, j = np.divmod(np.flatnonzero(det_bad), len(n2s))
             mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
             mm.checked += len(n1s) * len(n2s)
     return mm
@@ -1066,7 +1056,8 @@ def verify_sweep(
     for ell, f in tasks:
         _check_params(FieldParams(ell, f))
     cost = estimate_cost(tasks)
-    if cost > budget:
+    # not cost > budget: a NaN budget would admit every plan
+    if not cost <= budget:
         raise BudgetExceeded(
             f"planned sweep enumerates {cost} residue classes, budget is {budget:g}"
         )

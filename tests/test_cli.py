@@ -483,13 +483,19 @@ def test_verify_pretty_line(capsys):
 
 
 def test_verify_budget_exceeded_exit_one(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["verify", "counts-irred", "--ell", "13", "--f-max", "3", "--budget", "100"],
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: BudgetExceeded")
+    # a NaN budget compares False against every cost, so it must refuse too;
+    # either way no scan starts
+    scans = (sweeps._irred_scan, sweeps._red_scan)
+    for budget in ("100", "nan"):
+        misses = [scan.cache_info().misses for scan in scans]
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "counts-irred", "--ell", "13", "--f-max", "3", "--budget", budget],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BudgetExceeded")
+        assert [scan.cache_info().misses for scan in scans] == misses
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,9 @@ def test_budget_guard():
     # a passing run right at the edge is fine
     r = verify_sweep("counts-irred", [2], 1, budget=4)
     assert r.passed
+    assert verify_sweep("counts-irred", [2], 1, budget=float("inf")).passed
+    with pytest.raises(BudgetExceeded):
+        verify_sweep("counts-irred", [2], 1, budget=float("nan"))
 
 
 def test_engine_size_guard():
@@ -386,6 +389,36 @@ def test_irred_block_per_n_matches_oracle(monkeypatch, chunk):
     assert _irred_per_n(ell, f) == want
 
 
+def _red_oracle(ell, f, n1, n2):
+    """(labeled, distinct, det_bad) of the pair (n1, n2) from the oracle
+    triples; the determinant law is 2a + sum b_i ell^i = n1 + n2 mod q-1."""
+    triples = forced_labeled_red(ell, f, n1, n2)
+    m = max(ell**f - 1, 1)
+    det_bad = any(
+        (2 * a + sum(bi * ell**i for i, bi in enumerate(b)) - n1 - n2) % m for a, b, _ in triples
+    )
+    return len(triples), len({(a, b) for a, b, _ in triples}), det_bad
+
+
+@pytest.mark.parametrize("ell,f", [(2, 1), (3, 2), (3, 3), (5, 2), (2, 4)])
+def test_red_line_per_n_matches_oracle(ell, f):
+    # the ratio line, the pairs (n, 0), per n; (2, 1) has the one ratio 0
+    labeled, distinct, det_bad = sweeps._red_counts(FieldParams(ell, f))[:3]
+    got = list(zip(labeled.tolist(), distinct.tolist(), det_bad.tolist()))
+    assert got == [_red_oracle(ell, f, n, 0) for n in range(len(got))]
+
+
+def test_red_pairs_det_law_matches_oracle():
+    # every pair of (3, 2), as _pairs returns the whole grid: each carries
+    # its own a = n1 - s_in and t = n1 + n2 - cyc_sum
+    p = FieldParams(3, 2)
+    labeled, _, det_bad = sweeps._pairs(p, range(8), range(8))[3:]
+    assert det_bad.shape == (8, 8)
+    for n1, n2 in itertools.product(range(8), repeat=2):
+        want_labeled, _, want_bad = _red_oracle(3, 2, n1, n2)
+        assert (labeled[n1, n2], det_bad[n1, n2]) == (want_labeled, want_bad), (n1, n2)
+
+
 @pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
 def test_counts_catch_corrupted_irred_table(monkeypatch, fresh_tables, which):
     # one cell (r = 5, B = 3) of one table at (3, 3); q + 1 = 28, q - 1 = 26
@@ -631,7 +664,7 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
     assert results() == narrow
     assert sweeps._irred_cols(3, 3).C.dtype == np.int64
     assert sweeps._grid_tables(3, 3)[1].dtype == np.int64
-    assert sweeps._red_kernel(FieldParams(3, 3), np.arange(26), np.zeros(26, dtype=np.int64))[1].dtype == np.int64
+    assert sweeps._red_counts(FieldParams(3, 3))[5].dtype == np.int64  # the ratio line's a
 
 
 def _serve_for(monkeypatch, name, ell, f, tables):
