@@ -69,10 +69,10 @@ the ratio-class tables the same way: reversed and doubled, the tables of
 a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
 strided view.  _pairs reads any rectangle of pairs so, and every
 reducible computation goes through it: the grid blocks, the ratio line
-(the pairs (n, 0)) and its symmetry images.  Distinct counts sort each datum's keys across the
-contiguous subset planes, by a sorting network of plane minima and maxima
-up to 16 planes and by sort(axis=0) above, and count the changes between
-adjacent planes.
+(the pairs (n, 0)) and its symmetry images.  Distinct counts sort each
+datum's keys across the contiguous subset planes, by a sorting network of
+plane minima and maxima up to 16 planes and by sort(axis=0) above, and
+count the changes between adjacent planes.
 
 The blocks work in narrow ints.  With D = q-1, every a lies in [0, D)
 and every digit code in [0, D], so the distinct-count keys a + D bcode
@@ -339,11 +339,19 @@ def _irred_tables(ell: int, f: int):
     return admissible, C.astype(dtype), bcode.astype(dtype)
 
 
-def _per_datum(bad: np.ndarray) -> np.ndarray:
+def _per_datum(bad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Whether each datum (a position of every axis but the first, the
-    cell axis) has a bad cell.  One flat test first: a passing block skips
-    the per-datum reduction."""
-    return bad.any(axis=0) if bad.any() else np.zeros(bad.shape[1:], dtype=bool)
+    cell axis) has a bad cell, written into out, zeros of the data's shape.
+    One flat test first: a passing block skips the per-datum reduction.
+
+    Callers make out before bad and its other temporaries.  Made after
+    them, it can land in the heap just past them and split the hole they
+    leave, so that the block's next large array (the keys) grows the heap
+    instead of reusing it, and peak RSS depends on the heap's layout.
+    """
+    if bad.any():
+        bad.any(axis=0, out=out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -412,6 +420,7 @@ def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
     mod D per datum and 0 <= 2a + bcode < 3 D, a cell passes iff
     2a + bcode - t is 0, D or 2 D, so no cell is reduced mod D.
     """
+    out = np.zeros(a.shape[1:], dtype=bool)
     s = a * 2
     s += bcode
     s -= t
@@ -419,7 +428,7 @@ def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
     bad &= s != D
     bad &= s != 2 * D
     bad &= valid
-    return _per_datum(bad)
+    return _per_datum(bad, out)
 
 
 # Sentinels of the symmetry laws' tables: the digit codes of a cell and of
@@ -575,9 +584,10 @@ def _irred_block(p: FieldParams, s: int, e: int):
         _wrap_once(k_img, -D)
         want = want_k - k_img
         _wrap_once(want, D)
+        out = np.zeros(want.shape, dtype=bool)
         bad = delta[per_class] != want
         bad &= (delta != _PASS)[per_class]
-        laws.append((kind, _per_datum(bad)))
+        laws.append((kind, _per_datum(bad, out)))
     return cols, valid, distinct, det_bad, laws
 
 
@@ -1029,7 +1039,8 @@ def verify_sweep(
     """Run one verification kind over every (ell, f) in range.
 
     Raises BudgetExceeded before doing any work when the planned cost
-    (sum of ell^(2f) residue classes) exceeds the budget.  The work is one
+    (sum of ell^(2f) residue classes) exceeds the budget, or the budget is
+    NaN.  The work is one
     task per shard of each field (see the module docstring), the same
     tasks for any jobs.  With jobs > 1 they are distributed over a process
     pool of at most min(jobs, pending tasks, CPUs) workers, where a task is
