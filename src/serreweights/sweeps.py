@@ -67,12 +67,11 @@ n takes its own k from its row and column, with no divmod of n, and its
 own a = k + C[r] on every subset.  A block of the counts-red grid reads
 the ratio-class tables the same way: reversed and doubled, the tables of
 a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
-strided view.  _pairs reads any rectangle of pairs so, and every
-reducible computation goes through it: the grid blocks, the ratio line
-(the pairs (n, 0)) and its symmetry images.  Distinct counts sort each
-datum's keys across the contiguous subset planes, by a sorting network of
-plane minima and maxima up to 16 planes and by sort(axis=0) above, and
-count the changes between adjacent planes.
+strided view.  _pairs reads every block of pairs so, the ratio line and
+its symmetry images included.  Distinct counts sort each datum's keys
+across the contiguous subset planes, by a sorting network of plane minima
+and maxima up to 16 planes and by sort(axis=0) above, and count the
+changes between adjacent planes.
 
 The blocks work in narrow ints.  With D = q-1, every a lies in [0, D)
 and every digit code in [0, D], so the distinct-count keys a + D bcode
@@ -100,10 +99,8 @@ reduces it per n, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
-twist compare the arrays that the counts hold with those of the images:
-the swap of (n, 0) is (0, n), read by _pairs as the pairs (0, n2); its
-Frobenius image (ell n, 0) is a column of the line itself; its twist
-(n + 1, 1) is read as the pairs (n1, 1), so its a comes from its own n1.
+twist compare the arrays that the counts hold with those that _pairs
+reads at the images.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one evaluated and compared across all 2^f subsets),
@@ -327,8 +324,8 @@ def _row_counts(cells: np.ndarray) -> np.ndarray:
 
 def _irred_tables(ell: int, f: int):
     """`irred.class_tables` of every class r mod q+1: (admissible, C, bcode),
-    each of shape (q+1, 2^f), with C and bcode in the field's key dtype.
-    Only the cached _irred_cols reads them.
+    each of shape (q+1, 2^f), with C and bcode in the field's key dtype;
+    uncached, as only the cached _irred_cols reads them.
 
     Writing n = k (q+1) + r, admissibility and the digit code of n depend on
     r alone, and a = (k + C[r]) mod (q-1) exactly.
@@ -341,13 +338,10 @@ def _irred_tables(ell: int, f: int):
 
 def _per_datum(bad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Whether each datum (a position of every axis but the first, the
-    cell axis) has a bad cell, written into out, zeros of the data's shape.
-    One flat test first: a passing block skips the per-datum reduction.
-
-    Callers make out before bad and its other temporaries.  Made after
-    them, it can land in the heap just past them and split the hole they
-    leave, so that the block's next large array (the keys) grows the heap
-    instead of reusing it, and peak RSS depends on the heap's layout.
+    cell axis) has a bad cell, into out, zeros of the data's shape.  One
+    flat test first: a passing block skips the per-datum reduction.  out is
+    made before bad: made after, it could split the heap hole that bad
+    leaves, and the next large array (keys) would grow the heap instead.
     """
     if bad.any():
         bad.any(axis=0, out=out)
@@ -666,8 +660,8 @@ def _red_tables(ell: int, f: int):
     """`red.class_tables` of every ratio class n mod q-1: (valid, s_in,
     bcode), each of shape (q-1, 2^f, 2), where valid marks the slots that
     hold a window solution (slot 1 only on a doubled class).  s_in is
-    reduced mod q-1, and s_in and bcode have the field's key dtype.  Only
-    the cached _grid_tables reads them."""
+    reduced mod q-1, and s_in and bcode have the field's key dtype;
+    uncached, as only the cached _grid_tables reads them."""
     p = FieldParams(ell, f)
     D = max(p.m_minus, 1)
     dtype = _key_dtype(D)
@@ -881,12 +875,11 @@ def _grid_view(table: np.ndarray, n1s: range, n2s: range) -> np.ndarray:
 
 
 def _pairs(p: FieldParams, n1s: range, n2s: range):
-    """(valid, a, bcode, labeled, closed, det_bad) of the pairs (n1, n2) of
-    n1s x n2s: the `_grid_tables` views of valid, bcode, the labeled count
-    and the closed form, a = n1 - s_in mod q-1 by one wrap, and whether a
-    pair has a triple that breaks the determinant law.  The per-cell three
-    are (cells, len(n1s), len(n2s)), the per-pair three (len(n1s),
-    len(n2s)); only a and the determinant-law temporaries are computed."""
+    """(valid, a, bcode, labeled, closed, det_bad) of the pairs n1s x n2s:
+    `_grid_tables` views of valid, bcode, the labeled count and the closed
+    form, a = n1 - s_in mod q-1 by one wrap, and whether a triple breaks
+    the determinant law; per cell (cells, len(n1s), len(n2s)), per pair
+    (len(n1s), len(n2s)).  Only a and the det-law temporaries are made."""
     D = max(p.m_minus, 1)
     valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in _grid_tables(p.ell, p.f))
     n1 = np.arange(n1s.start, n1s.stop, dtype=s_in.dtype)[:, np.newaxis]
