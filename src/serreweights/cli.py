@@ -77,12 +77,14 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _json(payload: Any) -> str:
     """`json.dumps(payload, indent=2)`, byte for byte, for acyclic trees of
-    dict with str keys, list, tuple, str, int, float, bool and None.
+    dict with str keys, list, tuple, str, int, float, bool and None; a
+    `_JsonRows` leaf is written as the list of dicts it stands for.
 
     The stdlib encodes indented output in pure Python; here only the tree
     walk is Python.  Strings go through the C-level ASCII escaper, ints
-    through int.__repr__ (a list of plain ints in one join), and other
-    leaves through the C encoder of `json.dumps`.
+    through int.__repr__ (a list of plain ints in one join), row tables
+    through their columnar text at the walker's indent, and other leaves
+    through the C encoder of `json.dumps`.
     """
     parts: list[str] = []
     _json_walk(payload, "\n", parts.append)
@@ -126,6 +128,8 @@ def _json_walk(x: Any, newline: str, put) -> None:
         put(_json_str(x))
     elif type(x) is int:
         put(int.__repr__(x))
+    elif isinstance(x, _JsonRows):
+        put(x.text(newline))
     else:
         put(json.dumps(x))
 
@@ -140,48 +144,133 @@ def _tsv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-class _RowText:
-    """Output cells of labeled rows (`weights.labeled_rows`), each built at
-    most once per row and only when a format asks for it."""
+# ---------------------------------------------------------------------------
+# columnar rendering of labeled rows
 
-    def __init__(self, rows: LabeledRows, p: FieldParams) -> None:
+
+def _texts(x: np.ndarray, fmt=str) -> np.ndarray:
+    """fmt(v) of each entry v of the integer array x, as an object array of
+    x's shape; each distinct value is formatted once."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse.reshape(x.shape)]
+
+
+def _spaced(block: np.ndarray, sep: str) -> list:
+    """The columns of block, with the constant sep between neighbours."""
+    cols = [block[:, 0]]
+    for j in range(1, block.shape[1]):
+        cols += [sep, block[:, j]]
+    return cols
+
+
+@lru_cache(maxsize=64)  # f <= MAX_SUBSET_F, times the three subset styles
+def _subset_texts(f: int, sep: str, head: str, tail: str, empty: str) -> np.ndarray:
+    """Text of every subset of range(f), indexed by its mask: the members in
+    increasing order, sep between them and head and tail around them, or
+    empty for the empty subset."""
+    members = [""]
+    for i in range(f):  # the masks with top bit i are those below it plus i
+        members += [m + sep + str(i) if m else str(i) for m in members]
+    table = np.array([head + m + tail if m else empty for m in members], dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def _joined(cols: list, sep: str = "", head: str = "", tail: str = "") -> str:
+    """head, the rows of cols with sep between rows, then tail.
+
+    A column is a constant string or an object array with one string per
+    row.  The columns go into one (rows, columns) object grid, adjacent
+    constants merged, and the grid is joined once.
+    """
+    merged: list = []
+    for c in (sep, *cols):
+        if not isinstance(c, str):
+            merged.append(c)
+        elif merged and isinstance(merged[-1], str):
+            merged[-1] += c
+        elif c:
+            merged.append(c)
+    n = len(next(c for c in merged if not isinstance(c, str)))
+    if not n:
+        return head + tail
+    grid = np.empty((n, len(merged)), dtype=object)
+    for j, c in enumerate(merged):
+        grid[:, j] = c
+    grid[0, 0] = head + grid[0, 0][len(sep) :]
+    grid[-1, -1] += tail
+    return "".join(grid.ravel().tolist())
+
+
+class _RowCols:
+    """Text columns of labeled rows (`weights.labeled_rows`) for one output
+    format.  Each format is a fixed list of columns over some rows idx:
+    constant strings, and per-row strings gathered from small tables (the
+    digit strings, str(a) of each row, the text of each subset mask), which
+    `_joined` renders in one join."""
+
+    def __init__(self, rows: LabeledRows, p: FieldParams, fmt: str) -> None:
         self.rows, self.p = rows, p
-        self.a = rows.a.tolist()
-        self.b = rows.b.tolist()
-        self.firsts = np.flatnonzero(rows.first)
+        self.every, self.firsts = slice(None), np.flatnonzero(rows.first)
+        # tsv and pretty spell each weight out, with the base-ell digits of a
+        spelled = fmt != "json"
+        digits = np.hstack((rows.b, code_digits(rows.a, p.ell, p.f) - 1)) if spelled else rows.b
+        texts = _texts(digits)
+        self.b, self.a_digits = texts[:, : p.f], texts[:, p.f :]
 
     @cached_property
-    def b_cells(self) -> list[str]:
-        return [",".join(map(str, b)) for b in self.b]
+    def a(self) -> np.ndarray:
+        return np.array(list(map(str, self.rows.a.tolist())), dtype=object)
 
-    @cached_property
-    def weights(self) -> list[str]:
-        """str(SerreWeight) of each row: base-ell digits of a, then b."""
-        a_digits = (code_digits(self.rows.a, self.p.ell, self.p.f) - 1).tolist()
-        return [f"V[{','.join(map(str, x))} ; {y}]" for x, y in zip(a_digits, self.b_cells)]
+    def subsets(self, idx, sep=",", head="", tail="", empty="") -> np.ndarray:
+        return _subset_texts(self.p.f, sep, head, tail, empty)[self.rows.B[idx]]
 
-    @cached_property
-    def subsets(self) -> list[list[int]]:
-        f = self.p.f
-        return [[i for i in range(f) if B >> i & 1] for B in self.rows.B.tolist()]
+    def weight(self, idx) -> list:
+        """str(SerreWeight) of the rows idx: base-ell digits of a, then b."""
+        return ["V[", *_spaced(self.a_digits[idx], ","), " ; ", *_spaced(self.b[idx], ","), "]"]
 
-    def weight_json(self, i: int) -> dict:
-        return {"ell": self.p.ell, "f": self.p.f, "a": self.a[i], "b": self.b[i]}
+    def weight_cells(self, idx) -> list:
+        """The tsv cells a, b and weight of the rows idx."""
+        return [self.a[idx], "\t", *_spaced(self.b[idx], ","), "\t", *self.weight(idx)]
 
-    def labeled_json(self) -> list[dict]:
-        return [{"weight": self.weight_json(i), "B": B} for i, B in enumerate(self.subsets)]
-
-    def weight_cells(self, i: int) -> list[str]:
-        return [str(self.a[i]), self.b_cells[i], self.weights[i]]
-
-    def weight_set(self, idx) -> str:
-        """Brace-delimited weights of the rows idx, as `format_weight_set`."""
-        return "{" + ", ".join(self.weights[i] for i in idx) + "}"
-
-    def labeled_lines(self) -> list[str]:
+    def weight_json(self, idx, indent: str) -> list:
+        """`json.dumps(weight_to_dict(V), indent=2)` of the weights of the
+        rows idx, each opened at indent (a newline and spaces)."""
+        inner, digit = indent + "  ", indent + "    "
         return [
-            "  B={" + ",".join(map(str, B)) + "}  " + w for B, w in zip(self.subsets, self.weights)
+            "{" + inner + f'"ell": {self.p.ell},' + inner + f'"f": {self.p.f},' + inner + '"a": ',
+            self.a[idx],
+            "," + inner + '"b": [' + digit,
+            *_spaced(self.b[idx], "," + digit),
+            inner + "]" + indent + "}",
         ]
+
+    def labeled_json(self, idx, indent: str) -> list:
+        """The rows idx as `{"weight": .., "B": [members]}`, opened at indent."""
+        inner, member = indent + "  ", indent + "    "
+        return [
+            "{" + inner + '"weight": ',
+            *self.weight_json(idx, inner),
+            "," + inner + '"B": ',
+            self.subsets(idx, "," + member, "[" + member, inner + "]", "[]"),
+            indent + "}",
+        ]
+
+
+class _JsonRows:
+    """A JSON list with one item per row idx of t: the labeled item of
+    `_RowCols.labeled_json` or the weight of `_RowCols.weight_json`.
+    `_json` writes it at the walker's indent."""
+
+    def __init__(self, t: _RowCols, idx, labeled: bool) -> None:
+        self.t, self.idx, self.labeled = t, idx, labeled
+
+    def text(self, newline: str) -> str:
+        if not self.t.rows.B[self.idx].size:  # no rows
+            return "[]"
+        inner = newline + "  "
+        item = self.t.labeled_json if self.labeled else self.t.weight_json
+        return _joined(item(self.idx, inner), "," + inner, "[" + inner, newline + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +280,28 @@ class _RowText:
 def _render_labeled(args, recipe, d, header: str) -> tuple[str, int]:
     """json / tsv / pretty output of the labeled set of d and the weights it
     projects to; recipe is the irreducible or the reducible module."""
-    t = _RowText(labeled_rows(*recipe.labeled_triples(d), d.params), d.params)
-    firsts = t.firsts.tolist()
+    t = _RowCols(labeled_rows(*recipe.labeled_triples(d), d.params), d.params, args.format)
     if args.format == "json":
-        payload = t.labeled_json() if args.labels else [t.weight_json(i) for i in firsts]
-        return _json(payload), EXIT_OK
+        rows = _JsonRows(t, t.every, True) if args.labels else _JsonRows(t, t.firsts, False)
+        return _json(rows), EXIT_OK
     if args.format == "tsv":
         if args.labels:
-            rows = [t.weight_cells(i) + [",".join(map(str, B))] for i, B in enumerate(t.subsets)]
-            return _tsv(["a", "b", "weight", "B"], rows), EXIT_OK
-        return _tsv(["a", "b", "weight"], [t.weight_cells(i) for i in firsts]), EXIT_OK
-    lines = [
-        f"{header}  labeled={len(t.a)} weights={len(firsts)}"
-        f" injective={'yes' if recipe.projection_is_injective(d) else 'no'}",
-        *t.labeled_lines(),
-        f"weights: {t.weight_set(firsts)}",
-    ]
-    return "\n".join(lines), EXIT_OK
+            cells = ["\n", *t.weight_cells(t.every), "\t", t.subsets(t.every)]
+            return _joined(cells, head="a\tb\tweight\tB"), EXIT_OK
+        return _joined(["\n", *t.weight_cells(t.firsts)], head="a\tb\tweight"), EXIT_OK
+    injective = "yes" if recipe.projection_is_injective(d) else "no"
+    head = f"{header}  labeled={len(t.rows.a)} weights={len(t.firsts)} injective={injective}\n"
+    lines = _joined(["  B={", t.subsets(t.every), "}  ", *t.weight(t.every), "\n"], head=head)
+    return lines + _joined(t.weight(t.firsts), ", ", "weights: {", "}"), EXIT_OK
 
 
 def _cmd_irred(args) -> tuple[str, int]:
     d = irred.niveau_two(FieldParams(args.ell, args.f), args.n)
     return _render_labeled(args, irred, d, f"ell={args.ell} f={args.f} n={d.n}")
+
+
+def _dim_text(lo: int, hi: int) -> str:
+    return f"dim={lo}" if lo == hi else f"dim={lo}..{hi}"
 
 
 def _cmd_red(args) -> tuple[str, int]:
@@ -223,29 +312,26 @@ def _cmd_red(args) -> tuple[str, int]:
         return _render_labeled(args, red, d, f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=split")
 
     rows, lo, hi, certain = red.partial_rows(d)
-    t = _RowText(rows, p)
-    sure, maybe = t.firsts[certain].tolist(), t.firsts[~certain].tolist()
+    t = _RowCols(rows, p, args.format)
+    sure, maybe = t.firsts[certain], t.firsts[~certain]
     if args.format == "json":
-        payload = {
-            "certain": [t.weight_json(i) for i in sure],
-            "possible": [t.weight_json(i) for i in maybe],
-        }
+        payload = {"certain": _JsonRows(t, sure, False), "possible": _JsonRows(t, maybe, False)}
         if args.labels:
-            payload["labeled"] = t.labeled_json()
+            payload["labeled"] = _JsonRows(t, t.every, True)
         return _json(payload), EXIT_OK
     if args.format == "tsv":
-        body = [["certain"] + t.weight_cells(i) for i in sure]
-        body += [["possible"] + t.weight_cells(i) for i in maybe]
-        return _tsv(["part", "a", "b", "weight"], body), EXIT_OK
-    dims = [f"dim={x}" if x == y else f"dim={x}..{y}" for x, y in zip(lo.tolist(), hi.tolist())]
-    lines = [
+        text = _joined(["\ncertain\t", *t.weight_cells(sure)], head="part\ta\tb\tweight")
+        return text + _joined(["\npossible\t", *t.weight_cells(maybe)]), EXIT_OK
+    span = int(hi.max(initial=0)) + 1  # (lo, hi) as one code lo * span + hi
+    dims = _texts(lo * span + hi, lambda c: _dim_text(*divmod(c, span)))
+    head = (
         f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext=unknown"
-        f"  labeled={len(t.a)} h1_dim={red.h1_dim(d)}",
-        *(f"{line}  {dim}" for line, dim in zip(t.labeled_lines(), dims)),
-        f"certain: {t.weight_set(sure)}",
-        f"possible: {t.weight_set(maybe)}",
-    ]
-    return "\n".join(lines), EXIT_OK
+        f"  labeled={len(rows.a)} h1_dim={red.h1_dim(d)}\n"
+    )
+    lines = ["  B={", t.subsets(t.every), "}  ", *t.weight(t.every), "  ", dims, "\n"]
+    text = _joined(lines, head=head)
+    text += _joined(t.weight(sure), ", ", "certain: {", "}\n")
+    return text + _joined(t.weight(maybe), ", ", "possible: {", "}"), EXIT_OK
 
 
 def _cmd_qtable(args) -> tuple[str, int]:
@@ -284,26 +370,46 @@ def _read_json_input(args) -> Any:
     raise UsageError("provide --stdin or --input FILE")
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: a float, a bool or a string
+    is refused, not rounded or read."""
+    v = obj[key]
+    if type(v) is not int:
+        raise UsageError(f"{key!r} must be an integer, got {json.dumps(v)}")
+    return v
+
+
+def _json_flag(obj: dict, key: str) -> bool:
+    """obj[key], false when absent, which must be a JSON true or false."""
+    v = obj.get(key, False)
+    if type(v) is not bool:
+        raise UsageError(f"{key!r} must be true or false, got {json.dumps(v)}")
+    return v
+
+
 def parse_global_datum(obj: Any) -> GlobalDatum:
     """Build a multi-prime datum from its JSON form."""
     try:
-        ell = int(obj["ell"])
+        ell = _json_int(obj, "ell")
         entries = obj["primes"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"global datum JSON needs 'ell' and 'primes': {exc}") from exc
+    if type(entries) is not list:
+        raise UsageError(f"'primes' must be a list, got {json.dumps(entries)}")
     primes = []
     for entry in entries:
         try:
-            p = FieldParams(ell, int(entry["f"]))
+            p = FieldParams(ell, _json_int(entry, "f"))
             case = entry["case"]
             if case == "irreducible":
-                primes.append(irred.niveau_two(p, int(entry["n"])))
+                primes.append(irred.niveau_two(p, _json_int(entry, "n")))
             elif case == "reducible":
                 ext = red.ExtClass(entry.get("ext", "unknown"))
-                primes.append(red.niveau_one(p, int(entry["n1"]), int(entry["n2"]), ext))
+                n1, n2 = _json_int(entry, "n1"), _json_int(entry, "n2")
+                primes.append(red.niveau_one(p, n1, n2, ext))
             else:
                 raise UsageError(f"unknown case {case!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"bad prime entry {entry!r}: {exc}") from exc
     return GlobalDatum(ell, tuple(primes))
 
@@ -340,13 +446,13 @@ def parse_factor_input(obj: Any) -> lf.LocalFactorInput:
     """Build a classifier input from its JSON form."""
     try:
         return lf.LocalFactorInput(
-            ell=int(obj["ell"]),
-            q_mod_ell=int(obj["q_mod_ell"]),
+            ell=_json_int(obj, "ell"),
+            q_mod_ell=_json_int(obj, "q_mod_ell"),
             shape=lf.GaloisShape(obj["shape"]),
-            split=bool(obj.get("split", False)),
-            ext_nonzero=bool(obj.get("ext_nonzero", False)),
+            split=_json_flag(obj, "split"),
+            ext_nonzero=_json_flag(obj, "ext_nonzero"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise UsageError(f"bad factor input: {exc}") from exc
 
 

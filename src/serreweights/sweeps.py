@@ -631,25 +631,34 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     return scan
 
 
-def _per_irred_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
-    # every closed form of an irreducible datum depends on n mod q+1 only
+def _lut(data: list, closed_form, dtype, skip: int = 0) -> np.ndarray:
+    """closed_form of each class datum, after skip unused zero entries."""
+    return np.array([0] * skip + [closed_form(d) for d in data], dtype=dtype)
+
+
+@lru_cache(maxsize=None)
+def _irred_luts(ell: int, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two irreducible closed-form tables of the field, from one build
+    of its class data: every closed form of an irreducible datum depends on
+    n mod q+1 only, and class 0 holds no datum."""
     p = FieldParams(ell, f)
-    lut = np.zeros(p.m_plus, dtype=dtype)
-    for r in range(1, p.m_plus):
-        lut[r] = closed_form(irred.niveau_two(p, r))
-    return lut
+    data = [irred.niveau_two(p, r) for r in range(1, p.m_plus)]
+    return (
+        _lut(data, irred.labeled_count_formula, np.int16, skip=1),
+        _lut(data, lambda d: irred.injectivity_witness(d) is not None, bool, skip=1),
+    )
 
 
 @lru_cache(maxsize=None)
 def _closed_irred_lut(ell: int, f: int) -> np.ndarray:
     """Exported closed-form labeled count per class n mod q+1 (index 0 unused)."""
-    return _per_irred_class(ell, f, irred.labeled_count_formula, np.int16)
+    return _irred_luts(ell, f)[0]
 
 
 @lru_cache(maxsize=None)
 def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
     """Exported witness criterion per class n mod q+1 (index 0 unused)."""
-    return _per_irred_class(ell, f, lambda d: irred.injectivity_witness(d) is not None, bool)
+    return _irred_luts(ell, f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -722,31 +731,36 @@ def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     return scan
 
 
-def _per_ratio_class(ell: int, f: int, closed_form, dtype) -> np.ndarray:
-    # every closed form of a split datum depends on the ratio n1 - n2 only
+@lru_cache(maxsize=None)
+def _ratio_luts(ell: int, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three reducible closed-form tables of the field, from one build
+    of its ratio-class data: every closed form of a split datum depends on
+    the ratio n1 - n2 only."""
     p = FieldParams(ell, f)
-    lut = np.zeros(max(p.m_minus, 1), dtype=dtype)
-    for n in range(len(lut)):
-        lut[n] = closed_form(red.niveau_one(p, n, 0, red.ExtClass.SPLIT))
-    return lut
+    data = [red.niveau_one(p, n, 0, red.ExtClass.SPLIT) for n in range(max(p.m_minus, 1))]
+    return (
+        _lut(data, red.labeled_count_formula, np.int16),
+        _lut(data, lambda d: red.injectivity_witness(d) is not None, bool),
+        _lut(data, red.is_generic, bool),
+    )
 
 
 @lru_cache(maxsize=None)
 def _closed_red_lut(ell: int, f: int) -> np.ndarray:
     """Exported closed-form labeled count per ratio exponent."""
-    return _per_ratio_class(ell, f, red.labeled_count_formula, np.int16)
+    return _ratio_luts(ell, f)[0]
 
 
 @lru_cache(maxsize=None)
 def _inj_red_lut(ell: int, f: int) -> np.ndarray:
     """Exported witness criterion per ratio exponent."""
-    return _per_ratio_class(ell, f, lambda d: red.injectivity_witness(d) is not None, bool)
+    return _ratio_luts(ell, f)[1]
 
 
 @lru_cache(maxsize=None)
 def _generic_lut(ell: int, f: int) -> np.ndarray:
     """Exported genericity test per ratio exponent."""
-    return _per_ratio_class(ell, f, red.is_generic, bool)
+    return _ratio_luts(ell, f)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ runs so formatting regressions are caught byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -14,14 +15,16 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serreweights import cli, sweeps
 from serreweights import irreducible as irred
 from serreweights import reducible as red
-from serreweights.modarith import MAX_SUBSET_F
+from serreweights.modarith import MAX_SUBSET_F, FieldParams, subset_indices
+from serreweights.weights import format_weight_set, weight_sort_key, weight_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,6 +245,123 @@ def test_single_datum_output_matches_golden_digests(capsys):
 
 
 # ---------------------------------------------------------------------------
+# an independent oracle for the irred / red renderer
+
+_ORACLE_FIELDS = [(ell, f) for ell in (2, 3, 5, 7, 11, 13) for f in range(1, 5) if ell**f <= 200]
+
+
+def _cli_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _members(B: int, f: int) -> str:
+    return ",".join(map(str, subset_indices(B, f)))
+
+
+def _oracle_answers(case: str, p: FieldParams, x: int) -> tuple[list[str], dict]:
+    """(argv, {(format, labels): stdout}) for one datum, built from the
+    library's weight sets with json.dumps and str(SerreWeight)."""
+    q, m = p.q, max(p.m_minus, 1)
+    if case == "irred":
+        n = x % (q * q - 1)
+        n += n % (q + 1) == 0  # niveau 2 needs n != 0 mod q+1
+        d, recipe = irred.niveau_two(p, n), irred
+        argv = ["irred", "--ell", str(p.ell), "--f", str(p.f), "--n", str(n)]
+        head = f"ell={p.ell} f={p.f} n={d.n}"
+    else:
+        ext = red.ExtClass.SPLIT if case == "split" else red.ExtClass.NONSPLIT_UNKNOWN
+        d, recipe = red.niveau_one(p, x % m, x // m % m, ext), red
+        argv = ["red", "--ell", str(p.ell), "--f", str(p.f), "--n1", str(d.n1), "--n2", str(d.n2)]
+        argv += ["--ext", ext.value]
+        head = f"ell={p.ell} f={p.f} n1={d.n1} n2={d.n2} ext={ext.value}"
+    labeled = sorted(recipe.labeled_weight_set(d), key=lambda lw: (lw.weight.b, lw.weight.a, lw.B))
+    labeled_tree = [
+        {"weight": weight_to_dict(lw.weight), "B": list(subset_indices(lw.B, p.f))} for lw in labeled
+    ]
+
+    def cells(V):
+        return f"{V.a}\t{','.join(map(str, V.b))}\t{V}"
+
+    def lines(*parts):
+        return "\n".join(parts) + "\n"
+
+    if case == "unknown":
+        certain, possible = (sorted(s, key=weight_sort_key) for s in red.weight_sets_partial(d))
+        tree = {"certain": list(map(weight_to_dict, certain)), "possible": list(map(weight_to_dict, possible))}
+        tsv = lines(
+            "part\ta\tb\tweight",
+            *(f"certain\t{cells(V)}" for V in certain),
+            *(f"possible\t{cells(V)}" for V in possible),
+        )
+        dims = (red.dim_report(lw, d).dim_bounds for lw in labeled)
+        pretty = lines(
+            f"{head}  labeled={len(labeled)} h1_dim={red.h1_dim(d)}",
+            *(
+                f"  B={{{_members(lw.B, p.f)}}}  {lw.weight}  dim={lo}" + (f"..{hi}" if hi != lo else "")
+                for lw, (lo, hi) in zip(labeled, dims)
+            ),
+            f"certain: {format_weight_set(certain)}",
+            f"possible: {format_weight_set(possible)}",
+        )
+        return argv, {
+            ("json", False): json.dumps(tree, indent=2) + "\n",
+            ("json", True): json.dumps({**tree, "labeled": labeled_tree}, indent=2) + "\n",
+            ("tsv", False): tsv,
+            ("tsv", True): tsv,
+            ("pretty", False): pretty,
+            ("pretty", True): pretty,
+        }
+    weights = sorted({lw.weight for lw in labeled}, key=weight_sort_key)
+    injective = "yes" if recipe.projection_is_injective(d) else "no"
+    pretty = lines(
+        f"{head}  labeled={len(labeled)} weights={len(weights)} injective={injective}",
+        *(f"  B={{{_members(lw.B, p.f)}}}  {lw.weight}" for lw in labeled),
+        f"weights: {format_weight_set(weights)}",
+    )
+    return argv, {
+        ("json", False): json.dumps(list(map(weight_to_dict, weights)), indent=2) + "\n",
+        ("json", True): json.dumps(labeled_tree, indent=2) + "\n",
+        ("tsv", False): lines("a\tb\tweight", *map(cells, weights)),
+        ("tsv", True): lines(
+            "a\tb\tweight\tB", *(f"{cells(lw.weight)}\t{_members(lw.B, p.f)}" for lw in labeled)
+        ),
+        ("pretty", False): pretty,
+        ("pretty", True): pretty,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(("irred", "split", "unknown")),
+    field=st.sampled_from(_ORACLE_FIELDS),
+    x=st.integers(min_value=0, max_value=2**40),
+)
+@example(case="irred", field=(2, 1), x=1)  # q - 1 = 1: every a is 0
+@example(case="split", field=(2, 1), x=0)
+@example(case="unknown", field=(2, 1), x=0)
+@example(case="unknown", field=(5, 1), x=1)  # a labeled weight with the empty subset
+@example(case="unknown", field=(3, 1), x=0)  # no possible weight
+@example(case="unknown", field=(2, 2), x=0)  # an undecided dimension, dim=1..2
+def test_renderer_matches_library_oracle(case, field, x):
+    argv, answers = _oracle_answers(case, FieldParams(*field), x)
+    for (fmt, labels), expected in answers.items():
+        got = _cli_stdout(argv + ["--format", fmt] + ["--labels"] * labels)
+        assert got == expected, (argv, fmt, labels)
+
+
+def test_renderer_oracle_covers_the_edge_cases():
+    # the explicit examples above do reach an empty subset and an empty
+    # possible list
+    _, answers = _oracle_answers("unknown", FieldParams(5, 1), 1)
+    assert "  B={}  " in answers["pretty", False]
+    _, answers = _oracle_answers("unknown", FieldParams(3, 1), 0)
+    assert json.loads(answers["json", False])["possible"] == []
+
+
+# ---------------------------------------------------------------------------
 # qtable
 
 
@@ -356,6 +476,28 @@ def test_global_missing_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "datum, field",
+    [
+        # every number of the datum a float: once read as ell = 3, f = 1, n = 2
+        ({"ell": 3.9, "primes": [{"f": 1.7, "case": "irreducible", "n": 2.5}]}, "'ell'"),
+        ({"ell": 3, "primes": [{"f": 1.7, "case": "irreducible", "n": 1}]}, "'f'"),
+        ({"ell": 3, "primes": [{"f": 1, "case": "irreducible", "n": 2.5}]}, "'n'"),
+        # a bool, once read as 1
+        ({"ell": 3, "primes": [{"f": 1, "case": "irreducible", "n": True}]}, "'n'"),
+        ({"ell": 3, "primes": [{"f": 1, "case": "reducible", "n1": 1, "n2": False}]}, "'n2'"),
+        # a string, once read by int()
+        ({"ell": "3", "primes": [{"f": 1, "case": "irreducible", "n": 1}]}, "'ell'"),
+        ({"ell": 3, "primes": 5}, "'primes'"),
+    ],
+)
+def test_global_refuses_coerced_numbers(capsys, monkeypatch, datum, field):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(datum)))
+    code, out, err = run_cli(capsys, ["global", "--stdin"])
+    assert (code, out) == (1, "")
+    assert field in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["irred", "--ell", "2", "--f", "30", "--n", "1"],
@@ -434,6 +576,26 @@ def test_factor_requires_shape_flags(capsys):
     code, _, err = run_cli(capsys, ["factor", "--ell", "3"])
     assert code == 1
     assert "factor needs --shape and --q-mod-ell" in err
+
+
+@pytest.mark.parametrize(
+    "blob, field",
+    [
+        # once read as q_mod_ell = 2
+        ({"ell": 3, "q_mod_ell": 2.9, "shape": "cyc_twist_ext"}, "'q_mod_ell'"),
+        # once read as ell = 1
+        ({"ell": True, "q_mod_ell": 2, "shape": "cyc_twist_ext"}, "'ell'"),
+        ({"ell": "3", "q_mod_ell": 2, "shape": "cyc_twist_ext"}, "'ell'"),
+        # once read as split = True
+        ({"ell": 3, "q_mod_ell": 2, "shape": "cyc_twist_ext", "split": "false"}, "'split'"),
+        ({"ell": 3, "q_mod_ell": 2, "shape": "cyc_twist_ext", "ext_nonzero": 1}, "'ext_nonzero'"),
+    ],
+)
+def test_factor_refuses_coerced_fields(capsys, monkeypatch, blob, field):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = run_cli(capsys, ["factor", "--stdin"])
+    assert (code, out) == (1, "")
+    assert field in err
 
 
 def test_factor_invalid_combination(capsys):
@@ -701,9 +863,25 @@ def test_json_writer_matches_stdlib_on_every_payload(capsys, monkeypatch, argv):
         payloads.append(payload)
         return real(payload)
 
+    def plain(x):
+        # the stdlib's tree for a row table of the irred / red payloads,
+        # built item by item from the rows it renders
+        rows, p = x.t.rows, x.t.p
+        idx = np.arange(len(rows.a))[x.idx].tolist()
+
+        def weight(i):
+            return {"ell": p.ell, "f": p.f, "a": int(rows.a[i]), "b": rows.b[i].tolist()}
+
+        if x.labeled:
+            return [
+                {"weight": weight(i), "B": [j for j in range(p.f) if rows.B[i] >> j & 1]}
+                for i in idx
+            ]
+        return [weight(i) for i in idx]
+
     monkeypatch.setattr(cli, "_json", recording)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GLOBAL_DATUM)))
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     (payload,) = payloads
-    assert out == json.dumps(payload, indent=2) + "\n"
+    assert out == json.dumps(payload, indent=2, default=plain) + "\n"
