@@ -474,6 +474,8 @@ def _cmd_factor(args) -> tuple[str, int]:
     else:
         if args.shape is None or args.q_mod_ell is None:
             raise UsageError("factor needs --shape and --q-mod-ell (or --stdin)")
+        if args.ell is None:
+            raise UsageError("factor needs --ell (or --stdin)")
         inp = lf.LocalFactorInput(
             ell=args.ell,
             q_mod_ell=args.q_mod_ell,

@@ -16,7 +16,8 @@ them at every datum in range:
 The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
 n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
-datum per class, into a table indexed by that class.  nonempty's certain
+datum per class, into a table indexed by that class; the class data of a
+field are built once for all of its tables.  nonempty's certain
 part reads reducible.dim_bounds.
 
 A task is one kind on one shard of one field, and returns one collector,

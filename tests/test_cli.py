@@ -578,6 +578,14 @@ def test_factor_requires_shape_flags(capsys):
     assert "factor needs --shape and --q-mod-ell" in err
 
 
+def test_factor_requires_ell_flag(capsys):
+    # without --ell the classifier once compared None with an int and
+    # left through a traceback
+    code, out, err = run_cli(capsys, ["factor", "--q-mod-ell", "2", "--shape", "irreducible"])
+    assert (code, out) == (1, "")
+    assert "factor needs --ell" in err
+
+
 @pytest.mark.parametrize(
     "blob, field",
     [
