@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -50,6 +51,8 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_MISMATCH = 2
+# 128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ends
+EXIT_BROKEN_PIPE = 141
 
 _VERIFY_ALIASES = {
     "counts": ("counts-irred", "counts-red"),
@@ -663,8 +666,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
+        return code
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: stop quietly, with stdout on
+        # devnull so that the flush at interpreter exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -109,7 +109,7 @@ class DetReport:
 
 
 def _expected_det(d: LocalDatum) -> int:
-    m = max(d.params.m_minus, 1)
+    m = d.params.m_minus
     if isinstance(d, irred.NiveauTwoDatum):
         return d.n % m
     return (d.n1 + d.n2) % m

@@ -127,7 +127,7 @@ def labeled_triples(d: NiveauTwoDatum) -> tuple[np.ndarray, np.ndarray, np.ndarr
     k, r = divmod(d.n, p.m_plus)
     admissible, C, bcode = (t[0] for t in class_tables(p, [r]))
     (Bs,) = np.nonzero(admissible)
-    return (k + C[Bs]) % max(p.m_minus, 1), bcode[Bs], Bs
+    return (k + C[Bs]) % p.m_minus, bcode[Bs], Bs
 
 
 def labeled_weight_set(d: NiveauTwoDatum) -> frozenset[LabeledWeight]:
@@ -233,5 +233,5 @@ def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
     p = lw.weight.params
     b = lw.weight.b
     new_b = (b[-1],) + b[:-1]
-    new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
+    new_a = (p.ell * lw.weight.a) % p.m_minus
     return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))

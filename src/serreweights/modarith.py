@@ -105,7 +105,7 @@ class FieldParams:
     @cached_property
     def cyclotomic_exponent(self) -> int:
         """Exponent of the mod-ell cyclotomic character: sum of ell^i, i < f."""
-        return sum(self.ell**i for i in range(self.f)) % max(self.m_minus, 1)
+        return sum(self.ell**i for i in range(self.f)) % self.m_minus
 
     def __repr__(self) -> str:  # noqa: D105
         return f"FieldParams(ell={self.ell}, f={self.f})"
@@ -171,7 +171,7 @@ def digits_base_ell(a: "Residue | int", params: FieldParams) -> tuple[int, ...]:
     The canonical representative lies in [0, q-1), so the digit vector is never
     all ell-1 (that value equals q-1 itself).
     """
-    v = int(a) % max(params.m_minus, 1)
+    v = int(a) % params.m_minus
     out = []
     for _ in range(params.f):
         out.append(v % params.ell)

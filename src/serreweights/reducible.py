@@ -99,20 +99,20 @@ class ReducibleDatum:
     ext: ExtClass
 
     def __post_init__(self) -> None:
-        m = max(self.params.m_minus, 1)
+        m = self.params.m_minus
         if not (0 <= self.n1 < m and 0 <= self.n2 < m):
             raise ParamError(f"exponents ({self.n1}, {self.n2}) not canonical mod {m}")
 
     @property
     def n(self) -> int:
         """Inertia exponent of the character ratio."""
-        return (self.n1 - self.n2) % max(self.params.m_minus, 1)
+        return (self.n1 - self.n2) % self.params.m_minus
 
 
 def niveau_one(
     params: FieldParams, n1: "int | Residue", n2: "int | Residue", ext: ExtClass
 ) -> ReducibleDatum:
-    m = max(params.m_minus, 1)
+    m = params.m_minus
     return ReducibleDatum(params, int(n1) % m, int(n2) % m, ext)
 
 
@@ -132,7 +132,7 @@ def class_tables(params: FieldParams, n) -> tuple[np.ndarray, np.ndarray, np.nda
     solution (slot 1 exactly where the class is doubled).  s_in is the
     B-part digit sum and bcode the digit code sum (b_i - 1) ell^i.
     """
-    D = max(params.m_minus, 1)
+    D = params.m_minus
     B = np.arange(len(subsets(params.f)), dtype=np.int64)  # every subset mask
     low = doubled_class(B, params) + 1 - params.q
     off = (np.asarray(n, dtype=np.int64)[:, np.newaxis] - low) % D
@@ -155,7 +155,7 @@ def labeled_triples(d: ReducibleDatum) -> tuple[np.ndarray, np.ndarray, np.ndarr
     check_subset_limit(p)
     valid, s_in, bcode = (t[0] for t in class_tables(p, [d.n]))
     Bs, slots = np.nonzero(valid)
-    a = (d.n1 - s_in[Bs, slots]) % max(p.m_minus, 1)
+    a = (d.n1 - s_in[Bs, slots]) % p.m_minus
     return a, bcode[Bs, slots], Bs
 
 
@@ -247,7 +247,7 @@ def injectivity_witness(d: ReducibleDatum) -> tuple[int, int] | None:
     r = 0..f-1, shared with the irreducible recipe.
     """
     p = d.params
-    return small_residue_witness(d.n, p.ell, p.f, max(p.m_minus, 1), p.f)
+    return small_residue_witness(d.n, p.ell, p.f, p.m_minus, p.f)
 
 
 def projection_is_injective(d: ReducibleDatum) -> bool:
@@ -302,7 +302,7 @@ def _membership_check(d: ReducibleDatum, a, b, B) -> None:
     """Raise unless every triple solves the datum's two congruences: twist
     exponents a, digit vectors b (one per row, or one) and subset masks B."""
     p = d.params
-    m = max(p.m_minus, 1)
+    m = p.m_minus
     a, B, b = np.atleast_1d(a), np.atleast_1d(B), np.atleast_2d(b)
     terms = b * np.array([p.ell**i for i in range(p.f)])
     s_in = np.where(B[:, np.newaxis] >> np.arange(p.f) & 1, terms, 0).sum(axis=1)
@@ -436,13 +436,13 @@ def is_generic(d: ReducibleDatum) -> bool:
 
 def frobenius_datum(d: ReducibleDatum) -> ReducibleDatum:
     """Base change along Frobenius: both exponents multiply by ell."""
-    m = max(d.params.m_minus, 1)
+    m = d.params.m_minus
     return ReducibleDatum(d.params, (d.params.ell * d.n1) % m, (d.params.ell * d.n2) % m, d.ext)
 
 
 def twist_datum(d: ReducibleDatum, c: int) -> ReducibleDatum:
     """Twist by a niveau 1 character of exponent c: both exponents shift by c."""
-    m = max(d.params.m_minus, 1)
+    m = d.params.m_minus
     return ReducibleDatum(d.params, (d.n1 + c) % m, (d.n2 + c) % m, d.ext)
 
 
@@ -459,5 +459,5 @@ def frobenius_labeled(lw: LabeledWeight) -> LabeledWeight:
     p = lw.weight.params
     b = lw.weight.b
     new_b = (b[-1],) + b[:-1]
-    new_a = (p.ell * lw.weight.a) % max(p.m_minus, 1)
+    new_a = (p.ell * lw.weight.a) % p.m_minus
     return LabeledWeight(canonical_weight(new_a, new_b, p), frobenius_subset(lw.B, p.f))

@@ -15,10 +15,10 @@ them at every datum in range:
 
 The closed-form side is the exported labeled_count_formula,
 injectivity_witness and is_generic themselves, not copies.  Each depends on
-n mod q+1 or on the ratio n1 - n2 mod q-1 only, so it is called on one
-datum per class, into a table indexed by that class; the class data of a
-field are built once for all of its tables.  nonempty's certain
-part reads reducible.dim_bounds.
+n mod q+1 or on the ratio n1 - n2 mod q-1 only, so the builder of a field's
+class layout (_irred_cols, _grid_tables) calls it on one datum per class
+and lays the results out as columns beside the labeled counts, which the
+scans read.  nonempty's certain part reads reducible.dim_bounds.
 
 A task is one kind on one shard of one field, and returns one collector,
 _Mismatches: its mismatch count, first witnesses and number of data
@@ -115,6 +115,7 @@ import ctypes
 import itertools
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -332,7 +333,7 @@ def _irred_tables(ell: int, f: int):
     r alone, and a = (k + C[r]) mod (q-1) exactly.
     """
     p = FieldParams(ell, f)
-    dtype = _key_dtype(max(p.m_minus, 1))
+    dtype = _key_dtype(p.m_minus)
     admissible, C, bcode = irred.class_tables(p, np.arange(p.m_plus))
     return admissible, C.astype(dtype), bcode.astype(dtype)
 
@@ -439,13 +440,13 @@ class _IrredCols(NamedTuple):
     q+1 consecutive n, the first in class rs, are the columns [rs, rs + W),
     a view (`window`).  C, bcode, the symmetry tables, r and the shifts have
     the field's sum dtype.  Class 0 holds no datum: nothing is admissible
-    there and both laws pass.  conj and frob are the symmetry laws' tables
-    Delta[r, B] = C[r', pi(B)] - want_C[r, B] mod q-1, with r' the image
-    class, pi the law's subset map and want_C C or ell C; a cell whose code
-    differs from its image's is _FAIL, and one where both are not
-    admissible _PASS.  An n of class r with k' its image's k then holds a
-    law at B iff Delta[r, B] is _PASS or equals want_k - k' mod q-1, with
-    want_k k or ell k.
+    there, both laws pass and its closed forms are 0.  conj and frob are the
+    symmetry laws' tables Delta[r, B] = C[r', pi(B)] - want_C[r, B] mod q-1,
+    with r' the image class, pi the law's subset map and want_C C or ell C;
+    a cell whose code differs from its image's is _FAIL, and one where both
+    are not admissible _PASS.  An n of class r with k' its image's k then
+    holds a law at B iff Delta[r, B] is _PASS or equals want_k - k' mod q-1,
+    with want_k k or ell k.
     """
 
     admissible: np.ndarray
@@ -456,6 +457,8 @@ class _IrredCols(NamedTuple):
     frob: np.ndarray
     r: np.ndarray
     labeled: np.ndarray  # admissible subsets per class
+    closed: np.ndarray  # irred.labeled_count_formula on one datum per class
+    crit: np.ndarray  # whether irred.injectivity_witness finds a witness there
     conj_shift: np.ndarray  # (r - 1) mod D: conjugation's k' = k + this
     frob_shift: np.ndarray  # floor(ell r / (q+1)) mod D: Frobenius's k' = ell k + this
 
@@ -465,9 +468,9 @@ class _IrredCols(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _irred_cols(ell: int, f: int) -> _IrredCols:
-    """`_irred_tables` laid out for the chunk blocks (see _IrredCols)."""
+    """The field's class layout for the chunk blocks (see _IrredCols)."""
     p = FieldParams(ell, f)
-    P, D = p.m_plus, max(p.m_minus, 1)
+    P, D = p.m_plus, p.m_minus
     narrow = _sum_dtype(D)
     admissible, C, bcode = _irred_tables(ell, f)
     admissible = admissible.copy()
@@ -476,6 +479,9 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
     cols = np.arange(1 << f)
     code = np.where(admissible, bcode, -1)
     C64 = C.astype(np.int64)
+    data = [irred.niveau_two(p, n) for n in range(1, P)]
+    closed = np.array([0] + [irred.labeled_count_formula(d) for d in data], dtype=np.int32)
+    crit = np.array([False] + [irred.injectivity_witness(d) is not None for d in data])
 
     def delta(r_img, cols_img, want_code, want_C):
         img = np.ix_(r_img, cols_img)
@@ -499,7 +505,7 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
     laid = _IrredCols(
         admissible=lay(admissible), C=lay_narrow(C), bcode=lay_narrow(bcode),
         bcode_D=lay(bcode * D), conj=lay(conj), frob=lay(frob), r=lay_narrow(r),
-        labeled=lay(_row_counts(admissible)),
+        labeled=lay(_row_counts(admissible)), closed=lay(closed), crit=lay(crit),
         conj_shift=lay_narrow((r - 1) % D), frob_shift=lay_narrow(ell * r // P % D),
     )
     return _IrredCols._make(_read_only(*laid))
@@ -546,7 +552,7 @@ def _irred_block(p: FieldParams, s: int, e: int):
     per n (K, W) arrays of validity, weight-set sizes and determinant-law
     failures; laws pairs each symmetry check with the n that break it.
     """
-    ell, D = p.ell, max(p.m_minus, 1)
+    ell, D = p.ell, p.m_minus
     K, W = _irred_block_shape(p, s, e)
     k0, rs = divmod(s, p.m_plus)
     cols = _irred_cols(ell, p.f).window(rs, W)
@@ -598,7 +604,6 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     kind that reads it, each with the number of valid n."""
     p = FieldParams(ell, f)
     _check_params(p)
-    closed, crit = _closed_irred_lut(ell, f), _inj_irred_lut(ell, f)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _IRRED_SCAN_KINDS}
     for s, e in _irred_chunks(p, shard):
         cols, valid, distinct, det_bad, laws = _irred_block(p, s, e)
@@ -609,17 +614,16 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
             return np.flatnonzero(valid & fails)
 
         # every closed form depends on n mod q+1 alone
-        labeled, closed_r, crit_r = cols.labeled, closed[cols.r], crit[cols.r]
-        bad = found(labeled != closed_r)
+        bad = found(cols.labeled != cols.closed)
         scan["counts-irred"].add(
-            len(bad), n=s + bad, enumerated=labeled[bad % W], closed_form=closed_r[bad % W]
+            len(bad), n=s + bad, enumerated=cols.labeled[bad % W], closed_form=cols.closed[bad % W]
         )
-        fails = distinct < labeled
-        bad = found(fails != crit_r)
+        fails = distinct < cols.labeled
+        bad = found(fails != cols.crit)
         scan["injectivity-irred"].add(
-            len(bad), n=s + bad, enumerated_failure=fails.ravel()[bad], criterion=crit_r[bad % W]
+            len(bad), n=s + bad, enumerated_failure=fails.ravel()[bad], criterion=cols.crit[bad % W]
         )
-        ns = s + found(labeled == 0)
+        ns = s + found(cols.labeled == 0)
         scan["nonempty"].add(len(ns), case="irreducible", n=ns)
         ns = s + found(det_bad)
         scan["det-law"].add(len(ns), case="irreducible", n=ns)
@@ -630,36 +634,6 @@ def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
         for mm in scan.values():
             mm.checked += checked
     return scan
-
-
-def _lut(data: list, closed_form, dtype, skip: int = 0) -> np.ndarray:
-    """closed_form of each class datum, after skip unused zero entries."""
-    return np.array([0] * skip + [closed_form(d) for d in data], dtype=dtype)
-
-
-@lru_cache(maxsize=None)
-def _irred_luts(ell: int, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two irreducible closed-form tables of the field, from one build
-    of its class data: every closed form of an irreducible datum depends on
-    n mod q+1 only, and class 0 holds no datum."""
-    p = FieldParams(ell, f)
-    data = [irred.niveau_two(p, r) for r in range(1, p.m_plus)]
-    return (
-        _lut(data, irred.labeled_count_formula, np.int16, skip=1),
-        _lut(data, lambda d: irred.injectivity_witness(d) is not None, bool, skip=1),
-    )
-
-
-@lru_cache(maxsize=None)
-def _closed_irred_lut(ell: int, f: int) -> np.ndarray:
-    """Exported closed-form labeled count per class n mod q+1 (index 0 unused)."""
-    return _irred_luts(ell, f)[0]
-
-
-@lru_cache(maxsize=None)
-def _inj_irred_lut(ell: int, f: int) -> np.ndarray:
-    """Exported witness criterion per class n mod q+1 (index 0 unused)."""
-    return _irred_luts(ell, f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -673,20 +647,26 @@ def _red_tables(ell: int, f: int):
     reduced mod q-1, and s_in and bcode have the field's key dtype;
     uncached, as only the cached _grid_tables reads them."""
     p = FieldParams(ell, f)
-    D = max(p.m_minus, 1)
+    D = p.m_minus
     dtype = _key_dtype(D)
     valid, s_in, bcode = red.class_tables(p, np.arange(D))
     return valid, (s_in % D).astype(dtype), bcode.astype(dtype)
 
 
-def _red_counts(p: FieldParams):
-    """(labeled, distinct, det_bad, certain) per n of the ratio line, the
-    pairs (n, 0): the labeled-set and weight-set sizes, whether a triple
-    breaks the determinant law, and whether some labeled weight provably
-    fills H^1 (the certain part is nonempty); then the line's (valid, a,
-    bcode) from _pairs, each (cells, q-1), which the symmetry laws read."""
-    D = max(p.m_minus, 1)
-    valid, a, bcode, labeled, _, det_bad = (x[..., 0] for x in _pairs(p, range(D), range(1)))
+_RedLine = namedtuple("_RedLine", "labeled closed crit generic distinct det_bad certain valid a bcode")
+
+
+def _red_counts(p: FieldParams) -> _RedLine:
+    """The ratio line, the pairs (n, 0), per n: the labeled-set size and the
+    closed forms of the _grid_tables layout (closed, crit, generic), the
+    weight-set size, whether a triple breaks the determinant law, and
+    whether some labeled weight provably fills H^1 (the certain part is
+    nonempty); then the line's (valid, a, bcode) from _pairs, each
+    (cells, q-1), which the symmetry laws read."""
+    D = p.m_minus
+    valid, a, bcode, labeled, closed, det_bad = (x[..., 0] for x in _pairs(p, range(D), range(1)))
+    tables = _grid_tables(p.ell, p.f)
+    crit, generic = (_grid_view(t, range(D), range(1))[0, :, 0] for t in (tables.crit, tables.generic))
     keys = bcode.astype(_key_dtype(D)) * D
     keys += a
     np.copyto(keys, -1, where=~valid)
@@ -697,7 +677,7 @@ def _red_counts(p: FieldParams):
     subset = np.arange(len(valid))[:, np.newaxis] >> 1
     _, _, fills = red.dim_bounds(p, np.arange(D), bcode, subset)
     fills &= valid
-    return labeled, distinct, det_bad, fills.any(axis=0), valid, a, bcode
+    return _RedLine(labeled, closed, crit, generic, distinct, det_bad, fills.any(axis=0), valid, a, bcode)
 
 
 @_scan_cache
@@ -708,8 +688,7 @@ def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     the line and its three images for symmetry)."""
     p = FieldParams(ell, f)
     _check_params(p)
-    labeled, distinct, det_bad, certain, *line = _red_counts(p)
-    closed, crit, gen = _closed_red_lut(ell, f), _inj_red_lut(ell, f), _generic_lut(ell, f)
+    labeled, closed, crit, generic, distinct, det_bad, certain, *cells = _red_counts(p)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _RED_SCAN_KINDS}
     ns = np.flatnonzero(labeled != closed)
     scan["counts-red"].add(len(ns), n1=ns, n2=0, enumerated=labeled[ns], closed_form=closed[ns])
@@ -718,50 +697,18 @@ def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     scan["injectivity-red"].add(
         len(ns), n1=ns, n2=0, enumerated_failure=fails[ns], criterion=crit[ns]
     )
-    ns = np.flatnonzero(gen & (distinct != 2**f))
+    ns = np.flatnonzero(generic & (distinct != 2**f))
     scan["generic-split"].add(len(ns), n1=ns, n2=0, weights=distinct[ns], expected=2**f)
     ns = np.flatnonzero(~certain)
     scan["nonempty"].add(len(ns), case="reducible-certain", n1=ns, n2=0)
     ns = np.flatnonzero(det_bad)
     scan["det-law"].add(len(ns), case="reducible", n1=ns, n2=0)
-    _red_symmetry(p, *line, scan["symmetry"])
+    _red_symmetry(p, *cells, scan["symmetry"])
     for mm in scan.values():
         mm.checked = len(labeled)
-    scan["generic-split"].checked = int(gen.sum())
+    scan["generic-split"].checked = int(generic.sum())
     scan["symmetry"].checked = 4 * len(labeled)
     return scan
-
-
-@lru_cache(maxsize=None)
-def _ratio_luts(ell: int, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three reducible closed-form tables of the field, from one build
-    of its ratio-class data: every closed form of a split datum depends on
-    the ratio n1 - n2 only."""
-    p = FieldParams(ell, f)
-    data = [red.niveau_one(p, n, 0, red.ExtClass.SPLIT) for n in range(max(p.m_minus, 1))]
-    return (
-        _lut(data, red.labeled_count_formula, np.int16),
-        _lut(data, lambda d: red.injectivity_witness(d) is not None, bool),
-        _lut(data, red.is_generic, bool),
-    )
-
-
-@lru_cache(maxsize=None)
-def _closed_red_lut(ell: int, f: int) -> np.ndarray:
-    """Exported closed-form labeled count per ratio exponent."""
-    return _ratio_luts(ell, f)[0]
-
-
-@lru_cache(maxsize=None)
-def _inj_red_lut(ell: int, f: int) -> np.ndarray:
-    """Exported witness criterion per ratio exponent."""
-    return _ratio_luts(ell, f)[1]
-
-
-@lru_cache(maxsize=None)
-def _generic_lut(ell: int, f: int) -> np.ndarray:
-    """Exported genericity test per ratio exponent."""
-    return _ratio_luts(ell, f)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +727,7 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
     arrays and those of its images, all read by _pairs: each n that breaks
     a law is a witness of it."""
     ell, f = p.ell, p.f
-    D = max(p.m_minus, 1)
+    D = p.m_minus
     dtype = _key_dtype(D)
     cols = np.arange(1 << f)
     N = np.arange(D)
@@ -833,7 +780,7 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
 def _grid_block(p: FieldParams) -> tuple[int, int]:
     """(n1 rows, n2 columns) of one block of the counts-red (n1, n2) grid:
     whole n1 rows, or pieces of one row when a row alone exceeds the chunk."""
-    D = max(p.m_minus, 1)
+    D = p.m_minus
     pair_chunk = max(1, _CHUNK // (2 << p.f))
     return max(1, pair_chunk // D), min(D, pair_chunk)
 
@@ -842,7 +789,7 @@ def _grid_shards(p: FieldParams) -> list[range]:
     """The grid's n1 range cut into shards of whole blocks, at most
     _SHARD_CELLS (pair, slot) cells each (one block of rows where that is
     larger)."""
-    D = max(p.m_minus, 1)
+    D = p.m_minus
     rows, _ = _grid_block(p)
     step = rows * max(1, _SHARD_CELLS // ((rows * D) << (p.f + 1)))
     return [range(s, min(s + step, D)) for s in range(0, D, step)]
@@ -859,24 +806,42 @@ def _shards(kind: str, p: FieldParams) -> list:
     return [None]
 
 
-@lru_cache(maxsize=None)
-def _grid_tables(ell: int, f: int):
-    """`_red_tables` and the per-class labeled count and closed form, laid
-    out for the counts-red grid: (valid, s_in, bcode, labeled, closed),
-    each (cells, 2(q-1)), with one (subset, slot) cell per row (one row for
-    the per-class two), and s_in and bcode in the field's sum dtype.  The
+class _GridTables(NamedTuple):
+    """`_red_tables` and the per-class vectors laid out for the counts-red
+    grid, each (cells, 2(q-1)): one (subset, slot) cell per row of a table,
+    one row for a vector.  s_in and bcode have the field's sum dtype.  The
     class axis is reversed and doubled, so column i holds ratio class
     (D - 1 - i) mod D; row n1 of the grid, n2 = 0..D-1, is then the columns
     from D - 1 - n1 on (see _grid_view)."""
-    valid, s_in, bcode = _red_tables(ell, f)
-    D = len(valid)
+
+    valid: np.ndarray
+    s_in: np.ndarray
+    bcode: np.ndarray
+    labeled: np.ndarray  # valid slots per class
+    closed: np.ndarray  # red.labeled_count_formula on one split datum per class
+    crit: np.ndarray  # whether red.injectivity_witness finds a witness there
+    generic: np.ndarray  # red.is_generic there
+
+
+@lru_cache(maxsize=None)
+def _grid_tables(ell: int, f: int) -> _GridTables:
+    """The field's class layout for the counts-red grid (see _GridTables)."""
+    p = FieldParams(ell, f)
+    D = p.m_minus
     narrow = _sum_dtype(D)
+    valid, s_in, bcode = _red_tables(ell, f)
+    data = [red.niveau_one(p, n, 0, red.ExtClass.SPLIT) for n in range(D)]
 
     def lay(t):
         return np.tile(t.reshape(D, -1)[::-1].T, 2)
 
-    tables = (valid, s_in.astype(narrow), bcode.astype(narrow), _row_counts(valid), _closed_red_lut(ell, f))
-    return _read_only(*map(lay, tables))
+    tables = _GridTables(
+        valid=valid, s_in=s_in.astype(narrow), bcode=bcode.astype(narrow), labeled=_row_counts(valid),
+        closed=np.array([red.labeled_count_formula(d) for d in data], dtype=np.int32),
+        crit=np.array([red.injectivity_witness(d) is not None for d in data]),
+        generic=np.array([red.is_generic(d) for d in data]),
+    )
+    return _GridTables._make(_read_only(*map(lay, tables)))
 
 
 def _grid_view(table: np.ndarray, n1s: range, n2s: range) -> np.ndarray:
@@ -895,8 +860,10 @@ def _pairs(p: FieldParams, n1s: range, n2s: range):
     form, a = n1 - s_in mod q-1 by one wrap, and whether a triple breaks
     the determinant law; per cell (cells, len(n1s), len(n2s)), per pair
     (len(n1s), len(n2s)).  Only a and the det-law temporaries are made."""
-    D = max(p.m_minus, 1)
-    valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in _grid_tables(p.ell, p.f))
+    D = p.m_minus
+    tables = _grid_tables(p.ell, p.f)
+    read = (tables.valid, tables.s_in, tables.bcode, tables.labeled, tables.closed)
+    valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in read)
     n1 = np.arange(n1s.start, n1s.stop, dtype=s_in.dtype)[:, np.newaxis]
     a = n1 - s_in
     _wrap_once(a, D)
@@ -910,7 +877,7 @@ def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
     with the determinant law on every pair (the ratio line's counts are a
     lookup of its scan)."""
     p = FieldParams(ell, f)
-    D = max(p.m_minus, 1)
+    D = p.m_minus
     mm = _Mismatches(ell=ell, f=f)
     rows, cols = _grid_block(p)
     for n1_start in range(shard.start, shard.stop, rows):

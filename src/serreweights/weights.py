@@ -48,7 +48,7 @@ class SerreWeight:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = max(self.params.m_minus, 1)
+        m = self.params.m_minus
         if not 0 <= self.a < m:
             raise BadWeightDigits(f"a = {self.a} not canonical mod {m}")
         if len(self.b) != self.params.f:
@@ -84,11 +84,11 @@ class LabeledWeight:
 
 def canonical_weight(a: "int | Residue", b: tuple[int, ...], params: FieldParams) -> SerreWeight:
     """Build a weight, reducing the twist exponent to its canonical residue."""
-    if isinstance(a, Residue) and a.modulus != max(params.m_minus, 1):
+    if isinstance(a, Residue) and a.modulus != params.m_minus:
         raise ParamMismatch(
             f"twist exponent modulus {a.modulus} does not match q-1 = {params.m_minus}"
         )
-    return SerreWeight(params, int(a) % max(params.m_minus, 1), tuple(b))
+    return SerreWeight(params, int(a) % params.m_minus, tuple(b))
 
 
 class LabeledRows(NamedTuple):
@@ -112,7 +112,7 @@ def labeled_rows(a, bcode, B, params: FieldParams) -> LabeledRows:
     produce each labeled weight once, so the triples must be pairwise
     distinct.  Every check raises, under python -O too.
     """
-    m = max(params.m_minus, 1)
+    m = params.m_minus
     a, bcode, B = (np.asarray(x, dtype=np.int64) for x in (a, bcode, B))
     if a.size and (a.min() < 0 or a.max() >= m):
         bad = a[(a < 0) | (a >= m)][0]
@@ -144,7 +144,7 @@ def labeled_weights(a, bcode, B, params: FieldParams) -> frozenset[LabeledWeight
 
 def twist_weight(V: SerreWeight, c: "int | Residue") -> SerreWeight:
     """Twist by det^c: adds c to the twist exponent, b unchanged."""
-    if isinstance(c, Residue) and c.modulus != max(V.params.m_minus, 1):
+    if isinstance(c, Residue) and c.modulus != V.params.m_minus:
         raise ParamMismatch(
             f"twist exponent modulus {c.modulus} does not match q-1 = {V.params.m_minus}"
         )
@@ -157,14 +157,14 @@ def _b_exponent(V: SerreWeight) -> int:
 
 def central_character_exponent(V: SerreWeight) -> int:
     """Exponent of the central character: sum (2 a_i + b_i - 1) ell^i mod q-1."""
-    m = max(V.params.m_minus, 1)
+    m = V.params.m_minus
     return (2 * V.a + _b_exponent(V) - V.params.cyclotomic_exponent) % m
 
 
 def det_exponent(V: SerreWeight) -> int:
     """Exponent sum (2 a_i + b_i) ell^i mod q-1; the recipes match it with the
     determinant of the input datum."""
-    m = max(V.params.m_minus, 1)
+    m = V.params.m_minus
     return (2 * V.a + _b_exponent(V)) % m
 
 

@@ -1,7 +1,7 @@
 """End-to-end tests of the command line surface.
 
-Every test drives ``cli.main(argv)`` directly and checks stdout, stderr,
-exit codes, and file output.  Expected payloads are frozen from hand-checked
+Every test but the broken-pipe ones drives ``cli.main(argv)`` directly
+and checks stdout, stderr, exit codes, and file output.  Expected payloads are frozen from hand-checked
 runs so formatting regressions are caught byte for byte.
 """
 
@@ -11,7 +11,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -782,6 +784,33 @@ def test_usage_errors_exit_one_not_two(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [
+        # 389 KB, more than a pipe holds: print itself meets the closed pipe
+        (["irred", "--ell", "2", "--f", "12", "--n", "1", "--labels", "--format", "tsv"], 1),
+        # a few bytes, closed before any is read: the flush meets it
+        (["irred", "--ell", "3", "--f", "1", "--n", "2"], 0),
+    ],
+)
+def test_reader_closing_the_pipe_early_exits_quietly(argv, lines_read):
+    # as `serreweights ... | head -1`: no traceback and no "Exception
+    # ignored" line at interpreter exit, and exit 141
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "serreweights", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+    assert all(line.endswith(b"\n") for line in lines)
 
 
 def test_one_parser_serves_every_call_like_a_fresh_one(capsys, monkeypatch):

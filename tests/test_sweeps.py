@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from serreweights import qtable, reducible, sweeps
+from serreweights import irreducible, qtable, reducible, sweeps
 from serreweights.errors import BudgetExceeded, ParamError
 from serreweights.irreducible import labeled_weight_set as irred_labeled
 from serreweights.irreducible import niveau_two
@@ -403,8 +403,8 @@ def _red_oracle(ell, f, n1, n2):
 @pytest.mark.parametrize("ell,f", [(2, 1), (3, 2), (3, 3), (5, 2), (2, 4)])
 def test_red_line_per_n_matches_oracle(ell, f):
     # the ratio line, the pairs (n, 0), per n; (2, 1) has the one ratio 0
-    labeled, distinct, det_bad = sweeps._red_counts(FieldParams(ell, f))[:3]
-    got = list(zip(labeled.tolist(), distinct.tolist(), det_bad.tolist()))
+    line = sweeps._red_counts(FieldParams(ell, f))
+    got = list(zip(line.labeled.tolist(), line.distinct.tolist(), line.det_bad.tolist()))
     assert got == [_red_oracle(ell, f, n, 0) for n in range(len(got))]
 
 
@@ -466,7 +466,7 @@ def test_counts_red_grid_catches_corrupted_red_table(monkeypatch, fresh_tables, 
     assert [(w["n1"], w["n2"], w.get("check")) for w in mism] == [
         (n1, (n1 - 4) % 26, "det-law") for n1 in range(25)
     ]
-    assert np.flatnonzero(sweeps._red_counts(FieldParams(3, 3))[2]).tolist() == [4]
+    assert np.flatnonzero(sweeps._red_counts(FieldParams(3, 3)).det_bad).tolist() == [4]
 
 
 def _patch_tables(monkeypatch, name, ell, f, corrupt):
@@ -553,6 +553,53 @@ def test_counts_red_count_witness_payload(monkeypatch, fresh_tables):
     ]
     witnesses += [{"ell": 3, "f": 2, "n1": n1, "n2": n2, "check": "det-law"} for n1, n2 in pairs]
     assert json.dumps(_run_all("counts-red", 3, 2)) == json.dumps([8 + 64, witnesses, 17])
+
+
+def _flip_witness(w):
+    return None if w else (1, 1)
+
+
+# (5, 2): q + 1 = 26 and q - 1 = 24.  Each case makes one exported closed
+# form wrong on one class: irreducible class r = 3, whose 24 lifts are
+# n = 3 mod 26, or ratio class 3 or 6, which holds the line's (n, 0) and
+# the 24 grid pairs (n1, n1 - n mod 24)
+_IRRED_LIFTS = range(3, 624, 26)
+_RATIO_3 = [(3, 0)] + [(n1, (n1 - 3) % 24) for n1 in range(24)]
+
+
+@pytest.mark.parametrize(
+    "module,name,cls,wrong,kind,want",
+    [
+        (irreducible, "labeled_count_formula", 3, lambda v: v + 1, "counts-irred",
+         [{"n": n, "enumerated": 4, "closed_form": 5} for n in _IRRED_LIFTS]),
+        (irreducible, "injectivity_witness", 3, _flip_witness, "injectivity-irred",
+         [{"n": n, "enumerated_failure": False, "criterion": True} for n in _IRRED_LIFTS]),
+        (reducible, "labeled_count_formula", 3, lambda v: v + 1, "counts-red",
+         [{"n1": n1, "n2": n2, "enumerated": 4, "closed_form": 5} for n1, n2 in _RATIO_3]),
+        (reducible, "injectivity_witness", 3, _flip_witness, "injectivity-red",
+         [{"n1": 3, "n2": 0, "enumerated_failure": False, "criterion": True}]),
+        # ratio 6 is not generic and has 5 weights
+        (reducible, "is_generic", 6, lambda v: not v, "generic-split",
+         [{"n1": 6, "n2": 0, "weights": 5, "expected": 4}]),
+    ],
+    ids=["irred-count", "irred-criterion", "red-count", "red-criterion", "red-generic"],
+)
+def test_sweeps_read_the_exported_closed_forms(monkeypatch, fresh_tables, module, name, cls, wrong, kind, want):
+    # the sweeps compare with the exported function itself, looked up when
+    # a field's tables are built: wrong on one class, it is reported there
+    # and nowhere else
+    real = getattr(module, name)
+    modulus = 26 if module is irreducible else 24
+
+    def patched(d):
+        value = real(d)
+        return wrong(value) if d.n % modulus == cls else value
+
+    monkeypatch.setattr(module, name, patched)
+    _clear_table_caches()
+    _, mism, bad = _run_all(kind, 5, 2)
+    assert bad == len(want)
+    assert mism == [{"ell": 5, "f": 2, **w} for w in want]
 
 
 def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
@@ -663,8 +710,8 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
     monkeypatch.setattr(sweeps, "_sum_dtype", lambda D: np.int64)
     assert results() == narrow
     assert sweeps._irred_cols(3, 3).C.dtype == np.int64
-    assert sweeps._grid_tables(3, 3)[1].dtype == np.int64
-    assert sweeps._red_counts(FieldParams(3, 3))[5].dtype == np.int64  # the ratio line's a
+    assert sweeps._grid_tables(3, 3).s_in.dtype == np.int64
+    assert sweeps._red_counts(FieldParams(3, 3)).a.dtype == np.int64  # the ratio line's a
 
 
 def _serve_for(monkeypatch, name, ell, f, tables):
