@@ -1,8 +1,9 @@
 """End-to-end tests of the command line surface.
 
 Every test but the broken-pipe ones drives ``cli.main(argv)`` directly
-and checks stdout, stderr, exit codes, and file output.  Expected payloads are frozen from hand-checked
-runs so formatting regressions are caught byte for byte.
+and checks stdout, stderr, exit codes, and file output.  Expected payloads
+are frozen from hand-checked runs so formatting regressions are caught byte
+for byte.
 """
 
 from __future__ import annotations
