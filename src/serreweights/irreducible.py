@@ -24,7 +24,6 @@ serves the verification sweeps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +33,7 @@ from .errors import InvalidNiveauTwo
 from .modarith import (
     FieldParams,
     Residue,
+    alternating_classes,
     check_subset_limit,
     small_residue_witness,
     subsets,
@@ -149,25 +149,14 @@ def _ambiguous_classes_irred(ell: int, f: int) -> frozenset[int]:
     """Classes mod q+1 that a valid n can share with an excluded class.
 
     For odd ell these are built from alternating digit sums over auxiliary
-    subsets; the construction differs with the parity of f.  The builder
-    asserts the distinctness and nonvanishing that the counting argument
-    relies on.
+    subsets: every subset for even f, the proper nonempty ones for odd f.
+    The builders assert the distinctness and nonvanishing that the counting
+    argument relies on.
     """
-    P = ell**f + 1
-    A: set[int] = set()
-    if f % 2 == 0:
-        for k in range(f + 1):
-            for Bs in itertools.combinations(range(f), k):
-                A.add((-1 + (ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % P)
-        size = 2**f
-    else:
-        for k in range(1, f):
-            for Bs in itertools.combinations(range(f), k):
-                A.add(((ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % P)
-        size = 2**f - 2
-    if len(A) != size or 0 in A:
-        raise AssertionError("ambiguous classes must be distinct and nonzero")
-    return frozenset(A)
+    A = alternating_classes(ell, f, ell**f + 1, every=f % 2 == 0)
+    if 0 in A:
+        raise AssertionError("ambiguous classes must be nonzero")
+    return A
 
 
 def labeled_count_formula(d: NiveauTwoDatum) -> int:

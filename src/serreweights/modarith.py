@@ -22,6 +22,7 @@ subsets at once; both recipes and the sweep tables decode through it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,7 @@ __all__ = [
     "window_top",
     "witness_bound",
     "small_residue_witness",
+    "alternating_classes",
     "MAX_SUBSET_F",
     "check_subset_limit",
     "subsets",
@@ -277,6 +279,29 @@ def _powers(ell: int, f: int) -> np.ndarray:
 def code_digits(bcode, ell: int, f: int) -> np.ndarray:
     """Digit vectors (b_0, .., b_{f-1}) of digit codes, along a new last axis."""
     return np.asarray(bcode, dtype=np.int64)[..., np.newaxis] // _powers(ell, f) % ell + 1
+
+
+# ---------------------------------------------------------------------------
+# the alternating digit sums of the closed-form counts
+
+
+def alternating_classes(
+    ell: int, f: int, modulus: int, every: bool, skip: frozenset[tuple[int, ...]] = frozenset()
+) -> frozenset[int]:
+    """The classes c + (ell + 1) sum_{i in B} (-1)^i ell^i mod modulus.
+
+    With every, B runs over every subset of {0..f-1} and c = -1; otherwise
+    over the proper nonempty ones, and c = 0.  B is a sorted tuple of
+    indices, and the subsets in skip are left out.  The builder asserts
+    that the classes are distinct, as the counting argument needs.
+    """
+    sizes = range(f + 1) if every else range(1, f)
+    subs = [B for k in sizes for B in itertools.combinations(range(f), k) if B not in skip]
+    c = -1 if every else 0
+    classes = frozenset((c + (ell + 1) * sum((-ell) ** i for i in B)) % modulus for B in subs)
+    if len(classes) != len(subs):
+        raise AssertionError("alternating classes must be distinct")
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,7 @@ def crosscheck_split(ell: int, b: int) -> bool:
 
 def all_legal_shapes(ell: int) -> list[RationalShape]:
     """Every legal shape for the prime, in a fixed deterministic order."""
+    FieldParams(ell, 1)  # validates ell, also where range(1, ell) is empty
     kinds = [
         RationalShapeKind.NIVEAU2,
         RationalShapeKind.SPLIT,

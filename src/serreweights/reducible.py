@@ -39,6 +39,7 @@ from .errors import NotInLabeledSet, ParamError, WrongExtClass
 from .modarith import (
     FieldParams,
     Residue,
+    alternating_classes,
     check_subset_limit,
     digits_base_ell,
     small_residue_witness,
@@ -173,44 +174,15 @@ def _ambiguous_classes_red(ell: int, f: int) -> frozenset[int]:
     """Classes mod q-1 hit by exactly one window top, for odd ell.
 
     Built from alternating digit sums as in the irreducible case, but with
-    the parity roles swapped, and with extra exclusions for ell = 3 where two
-    subsets share the class (q-1)/2.
+    the parity roles swapped, and for ell = 3 without the two alternating
+    subsets {0, 2, ..} and {1, 3, ..}, which share the class (q-1)/2.
     """
     D = ell**f - 1
-    A: set[int] = set()
-    if ell == 3:
-        if f % 2 == 1:
-            excluded = {tuple(range(0, f, 2)), tuple(range(1, f - 1, 2))}
-            for k in range(f + 1):
-                for Bs in itertools.combinations(range(f), k):
-                    if Bs in excluded:
-                        continue
-                    A.add((-1 + 4 * sum((-1) ** i * 3**i for i in Bs)) % D)
-            size = 2**f - 2
-        else:
-            excluded = {tuple(range(0, f, 2)), tuple(range(1, f, 2))}
-            for k in range(1, f):
-                for Bs in itertools.combinations(range(f), k):
-                    if Bs in excluded:
-                        continue
-                    A.add((4 * sum((-1) ** i * 3**i for i in Bs)) % D)
-            size = 2**f - 4
-        if len(A) != size or any(c % (D // 2) == 0 for c in A):
-            raise AssertionError("classes must be distinct and avoid 0 and (q-1)/2")
-        return frozenset(A)
-    if f % 2 == 1:
-        for k in range(f + 1):
-            for Bs in itertools.combinations(range(f), k):
-                A.add((-1 + (ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % D)
-        size = 2**f
-    else:
-        for k in range(1, f):
-            for Bs in itertools.combinations(range(f), k):
-                A.add(((ell + 1) * sum((-1) ** i * ell**i for i in Bs)) % D)
-        size = 2**f - 2
-    if len(A) != size or 0 in A:
-        raise AssertionError("ambiguous classes must be distinct and nonzero")
-    return frozenset(A)
+    skip = frozenset({tuple(range(0, f, 2)), tuple(range(1, f, 2))} if ell == 3 else ())
+    A = alternating_classes(ell, f, D, every=f % 2 == 1, skip=skip)
+    if 0 in A or (ell == 3 and D // 2 in A):
+        raise AssertionError("ambiguous classes must avoid 0, and (q-1)/2 for ell = 3")
+    return A
 
 
 def labeled_count_formula(d: ReducibleDatum) -> int:

@@ -20,30 +20,30 @@ class layout (_irred_cols, _grid_tables) calls it on one datum per class
 and lays the results out as columns beside the labeled counts, which the
 scans read.  nonempty's certain part reads reducible.dim_bounds.
 
-A task is one kind on one shard of one field, and returns one collector,
-_Mismatches: its mismatch count, first witnesses and number of data
-checked.  A shard is a run of n or a block of whole n1 rows of the
+A task is one kind on one shard of one field, and its result is one
+collector, _Mismatches: its mismatch count, first witnesses and number of
+data checked.  A shard is a run of n or a block of whole n1 rows of the
 counts-red (n1, n2) grid, each of whole chunks and at most _SHARD_CELLS
 (row, subset) cells, or None, the ratio line.  _shards lists a kind's
 shards in its witness order: the ratio line comes first for counts-red,
 last for det-law, nonempty and symmetry, and is the only shard of
 injectivity-red, generic-split and qtable-crosscheck.  The list depends on
 the field alone and the collectors merge in task order, so the report
-never depends on jobs.  The scans hold collectors, not per-n arrays:
-_irred_scan compares each chunk of a run of n with the per-class tables
-and runs the symmetry laws on it while the chunk is in hand, and
-_red_scan does the same for the ratio line, each keeping
-one collector per kind that reads it.  Those kinds' tasks are a lookup,
-and _scan_key names the scan each one reads; only the counts-red grid and
-qtable-crosscheck have runners.  With jobs > 1 each pool worker returns
-the scans its tasks built with their results; the parent adopts them into
-its caches, so the next kind's pool forks with them in place, and no
-worker outlives its verify_sweep call.  The pool is sized by the pending
-tasks, those that are not a lookup of a scan the parent holds: the
-counts-red grid and qtable-crosscheck always fork one, as does the first
-kind to read a scan, while a kind whose scans are all held (under
-`verify all`, injectivity-irred, injectivity-red, det-law, symmetry,
-nonempty and generic-split) runs in-process, as in a serial run.
+never depends on jobs.
+
+Every task is a lookup: _scan_key names the cached scan that holds its
+collector, and _run_one reads it there.  A scan keeps one collector per
+kind that reads its data, not per-n arrays: _irred_scan compares each
+chunk of a run of n with the per-class tables and runs the symmetry laws
+on it while the chunk is in hand, _red_scan does the same for the ratio
+line, _grid_scan re-enumerates rows of the counts-red grid, and
+_qtable_scan compares the f = 1 tables of one ell with the general
+recipes.  With jobs > 1, verify_sweep builds the scans that the parent
+lacks in a pool sized by their number and adopts them into its caches,
+then runs every task in the parent; so the next kind's pool forks with
+them in place, and no worker outlives its verify_sweep call.  Under
+`verify all`, only counts-irred, counts-red and qtable-crosscheck fork a
+pool; the other kinds read held scans and run in-process.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -119,7 +119,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -235,32 +235,24 @@ class _Mismatches:
         self.checked += other.checked
 
 
-# Scans built in pool workers come home: a worker returns the scans that
-# each task built (_built is a list only while a pool task runs), and the
-# parent hands each to its cache through _adopted, so that the next kind's
-# pool forks with them in place.  _held has the key of every scan in this
-# process's caches, built or adopted, so verify_sweep can tell which tasks
-# are lookups here.
-_built: list | None = None
+# Scans built in pool workers come home: verify_sweep hands each to its
+# cache through _adopted, so that the next kind's pool forks with them in
+# place.  _held has the key of every scan in this process's caches, built
+# or adopted, so verify_sweep can tell which scans are missing here.
 _adopted: dict[tuple, Any] = {}
 _held: set[tuple] = set()
 
 
 def _scan_cache(build):
     """A scan builder under lru_cache.  A miss takes the scan waiting in
-    _adopted, if there is one, and otherwise builds it, recording it for
-    the parent when running in a pool task; either way its key joins
-    _held.  The cache's cache_clear takes its keys out of _held again."""
+    _adopted, if there is one, and otherwise builds it; either way its key
+    joins _held.  The cache's cache_clear takes its keys out of _held
+    again."""
 
     @wraps(build)
     def scan(*args):
         key = (build.__name__, *args)
-        if key in _adopted:
-            result = _adopted.pop(key)
-        else:
-            result = build(*args)
-            if _built is not None:
-                _built.append((key, result))
+        result = _adopted.pop(key) if key in _adopted else build(*args)
         _held.add(key)
         return result
 
@@ -273,15 +265,6 @@ def _scan_cache(build):
 
     cached.cache_clear = cache_clear
     return cached
-
-
-def _adopt(built: list) -> None:
-    """Put scans that a pool worker built into this process's caches."""
-    for key, scan in built:
-        _adopted[key] = scan
-        globals()[key[0]](*key[1:])
-        # already cached here (the pool ran in this process): drop it
-        _adopted.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +382,6 @@ def _distinct_counts(keys: np.ndarray) -> np.ndarray:
     for lo, hi in zip(planes, planes[1:]):
         count += lo != hi
     return count
-
-
-def _cyc_sum(p: FieldParams) -> int:
-    """The sum of ell^i over i < f, as an integer."""
-    return (p.q - 1) // (p.ell - 1)
 
 
 def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
@@ -566,7 +544,7 @@ def _irred_block(p: FieldParams, s: int, e: int):
     a = cols.C[per_class] + k
     _wrap_once(a, -D)
     # t from n itself, not from k, so the law also checks each n's k
-    t0 = (s - _cyc_sum(p)) % D
+    t0 = (s - p.cyclotomic_exponent) % D
     t = (np.arange(t0, t0 + K * W, dtype=np.int64) % D).astype(k.dtype).reshape(K, W)
     det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
     keys = a + cols.bcode_D[per_class]  # in the key dtype
@@ -592,7 +570,7 @@ def _irred_block(p: FieldParams, s: int, e: int):
     return cols, valid, distinct, det_bad, laws
 
 
-# the kinds whose tasks read their collector off a scan
+# the kinds that the scans of runs of n and of the ratio line serve
 _IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law", "symmetry")
 _RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law", "symmetry")
 
@@ -772,9 +750,9 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tasks: one kind on one shard of one field, each returning one _Mismatches.
-# A shard is a run of n, a block of n1 rows of the counts-red grid, or None,
-# the ratio line.
+# tasks: one kind on one shard of one field, each reading one _Mismatches
+# off a scan.  A shard is a run of n, a block of n1 rows of the counts-red
+# grid, or None, the ratio line.
 
 
 def _grid_block(p: FieldParams) -> tuple[int, int]:
@@ -868,14 +846,15 @@ def _pairs(p: FieldParams, n1s: range, n2s: range):
     a = n1 - s_in
     _wrap_once(a, D)
     n2 = np.arange(n2s.start, n2s.stop, dtype=s_in.dtype)
-    t = (n1 + (n2 - _cyc_sum(p)) % D) % D
+    t = (n1 + (n2 - p.cyclotomic_exponent) % D) % D
     return valid, a, bcode, labeled[0], closed[0], _det_bad(a, bcode, t, valid, D)
 
 
-def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
+@_scan_cache
+def _grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     """The grid's n1 rows in shard, re-enumerated block by block by _pairs,
-    with the determinant law on every pair (the ratio line's counts are a
-    lookup of its scan)."""
+    with the determinant law on every pair: the counts-red mismatches (the
+    ratio line's are in its scan)."""
     p = FieldParams(ell, f)
     D = p.m_minus
     mm = _Mismatches(ell=ell, f=f)
@@ -893,17 +872,19 @@ def _run_counts_red(ell: int, f: int, shard: range) -> _Mismatches:
             i, j = np.divmod(np.flatnonzero(det_bad), len(n2s))
             mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
             mm.checked += len(n1s) * len(n2s)
-    return mm
+    return {"counts-red": mm}
 
 
-def _run_qtable(ell: int, f: int, shard: None) -> _Mismatches:
-    # f is ignored; the tables live at f = 1
+@_scan_cache
+def _qtable_scan(ell: int) -> dict[str, _Mismatches]:
+    """The f = 1 tables of ell against the general recipes: the
+    qtable-crosscheck mismatches."""
+    params = FieldParams(ell, 1)
     checks: list[tuple[int, str, bool]] = []  # (b, check, passed)
     for b in range(1, ell):
         checks.append((b, "niveau2", qtable.crosscheck_niveau2(ell, b)))
         checks.append((b, "split", qtable.crosscheck_split(ell, b)))
         # subset relations for the non-split rows
-        params = FieldParams(ell, 1)
         d_unknown = red.niveau_one(params, b, 0, red.ExtClass.NONSPLIT_UNKNOWN)
         certain, possible = red.weight_sets_partial(d_unknown)
         split_set = red.weight_set_split(red.niveau_one(params, b, 0, red.ExtClass.SPLIT))
@@ -929,19 +910,13 @@ def _run_qtable(ell: int, f: int, shard: None) -> _Mismatches:
     for b, check, passed in checks:
         mm.add(int(not passed), b=b, check=check)
     mm.checked = len(checks)
-    return mm
+    return {"qtable-crosscheck": mm}
 
 
 ALL_KINDS = (
     "counts-irred", "counts-red", "injectivity-irred", "injectivity-red", "det-law",
     "symmetry", "nonempty", "generic-split", "qtable-crosscheck",
 )
-
-# the runners of the tasks that _scan_key finds no scan for
-_KIND_RUNNERS: dict[str, Callable[..., _Mismatches]] = {
-    "counts-red": _run_counts_red,
-    "qtable-crosscheck": _run_qtable,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -973,34 +948,28 @@ class VerificationReport:
         }
 
 
-def _scan_key(task: tuple[str, int, int], shard: range | None) -> tuple | None:
-    """The cache key of the scan whose collector is the task's result (the
-    ratio line's for shard None), or None for a task with work of its own
-    (the counts-red grid, qtable-crosscheck)."""
+def _scan_key(task: tuple[str, int, int], shard: range | None) -> tuple:
+    """The cache key of the scan that holds the task's collector: the
+    scan's name and its arguments."""
     kind, ell, f = task
+    if kind == "qtable-crosscheck":
+        return ("_qtable_scan", ell)
     if shard is None:
-        return ("_red_scan", ell, f) if kind in _RED_SCAN_KINDS else None
-    return ("_irred_scan", ell, f, shard) if kind in _IRRED_SCAN_KINDS else None
+        return ("_red_scan", ell, f)
+    if kind == "counts-red":
+        return ("_grid_scan", ell, f, shard)
+    return ("_irred_scan", ell, f, shard)
+
+
+def _scan(key: tuple) -> dict[str, _Mismatches]:
+    """The scan that key names, from its cache."""
+    return globals()[key[0]](*key[1:])
 
 
 def _run_one(task: tuple[str, int, int], shard: range | None) -> _Mismatches:
     """One kind on one shard of one field: its collector in the scan that
-    _scan_key names, or else the kind's own runner."""
-    key = _scan_key(task, shard)
-    if key is not None:
-        return globals()[key[0]](*key[1:])[task[0]]
-    kind, ell, f = task
-    return _KIND_RUNNERS[kind](ell, f, shard)
-
-
-def _pool_task(task: tuple[str, int, int], shard: range | None):
-    """_run_one in a pool worker: its result, and the scans it built."""
-    global _built
-    _built = []
-    try:
-        return _run_one(task, shard), _built
-    finally:
-        _built = None
+    _scan_key names."""
+    return _scan(_scan_key(task, shard))[task[0]]
 
 
 def verify_sweep(
@@ -1015,15 +984,16 @@ def verify_sweep(
 
     Raises BudgetExceeded before doing any work when the planned cost
     (sum of ell^(2f) residue classes) exceeds the budget, or the budget is
-    NaN.  The work is one
-    task per shard of each field (see the module docstring), the same
-    tasks for any jobs.  With jobs > 1 they are distributed over a process
-    pool of at most min(jobs, pending tasks, CPUs) workers, where a task is
-    pending unless it only reads a scan this process already holds; with
-    one pending task or none, every task runs here, as in a serial run.
-    The scans the workers build are adopted into this process's caches for
-    the next kind; results merge in task order, so the report is identical
-    to a serial run.  Raises ParamError when the plan holds no field.
+    NaN.  The work is one task per shard of each field (see the module
+    docstring), the same tasks for any jobs.  Every task reads its
+    collector off a cached scan.
+    With jobs > 1 the scans that this process does not hold are built in a
+    process pool of at most min(jobs, missing scans, CPUs) workers and
+    adopted into this process's caches, for these tasks and the next
+    kind's; with one missing scan or none, no pool is made.  The tasks
+    then run here, and their results merge in task order, so the report
+    is identical to a serial run.  Raises ParamError when the plan holds
+    no field.
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")
@@ -1051,21 +1021,19 @@ def verify_sweep(
     t0 = time.monotonic()
     work = [((kind, ell, f), s) for ell, f in tasks for s in _shards(kind, FieldParams(ell, f))]
     # the pool forks all its workers on the first submit, so never ask for
-    # more than there are tasks or CPUs to run them; a task whose scan is
-    # held here is a lookup, not worth a process
-    pending = sum(_scan_key(*w) not in _held for w in work)
-    workers = min(jobs, pending, os.cpu_count() or 1)
+    # more than there are scans to build or CPUs to build them
+    missing = [key for key in dict.fromkeys(_scan_key(*w) for w in work) if key not in _held]
+    workers = min(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1:
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result, built in pool.map(_pool_task, *zip(*work)):
-                _adopt(built)
-                results.append(result)
-    else:
-        results = [_run_one(*w) for w in work]
+            for key, scan in zip(missing, pool.map(_scan, missing)):
+                _adopted[key] = scan
+                _scan(key)
+                # already cached here (the pool ran in this process): drop it
+                _adopted.pop(key, None)
     merged = _Mismatches()
-    for result in results:
-        merged.merge(result)
+    for w in work:
+        merged.merge(_run_one(*w))
     return VerificationReport(
         kind=kind,
         tasks=tasks,

@@ -392,9 +392,12 @@ def test_qtable_json_row_count(capsys):
 
 
 def test_qtable_rejects_composite(capsys):
-    code, _, err = run_cli(capsys, ["qtable", "--ell", "9"])
-    assert code == 1
-    assert "error:" in err
+    # and every ell below 2, which has no b in range(1, ell) to list
+    for ell in ("9", "1", "0", "-7"):
+        code, out, err = run_cli(capsys, ["qtable", "--ell", ell])
+        assert code == 1
+        assert out == ""
+        assert f"ell = {ell} is not prime" in err
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,9 @@ def test_only_kinds_with_work_of_their_own_fork_a_pool(monkeypatch, fresh_tables
     assert sizes == [2, 2, 2]
 
 
-def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch):
+def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch, fresh_tables):
     # only an illegal shape may be skipped; any other error is a bug to report
+    # (on cold caches: a cached qtable scan would not build the shapes again)
     def broken(*args, **kwargs):
         raise RuntimeError("broken shape constructor")
 
@@ -760,7 +761,8 @@ def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrup
 
 def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     # the scans a pool's workers build come back to this process: the next
-    # kinds read them from its caches, without calling the kernel here
+    # kinds read them from its caches, without calling the kernel (or, for
+    # the counts-red grid, _pairs) here
     monkeypatch.setattr(sweeps, "_CHUNK", 64)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
@@ -783,6 +785,13 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
         assert verify_sweep(kind, [3, 5], 2, budget=10**6).passed
     assert calls == []
     assert sweeps._irred_scan.cache_info().hits == hits + 3 * len(shards)
+    pairs = sweeps._pairs
+    monkeypatch.setattr(sweeps, "_pairs", lambda *args: calls.append(args) or pairs(*args))
+    grid = [s for ell, f in fields for s in sweeps._grid_shards(FieldParams(ell, f))]
+    assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
+    assert sweeps._grid_scan.cache_info().currsize == len(grid)
+    assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
+    assert calls == []
     assert sweeps._adopted == {}
 
 
