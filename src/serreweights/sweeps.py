@@ -20,30 +20,30 @@ class layout (_irred_cols, _grid_tables) calls it on one datum per class
 and lays the results out as columns beside the labeled counts, which the
 scans read.  nonempty's certain part reads reducible.dim_bounds.
 
-A task is one kind on one shard of one field, and its result is one
-collector, _Mismatches: its mismatch count, first witnesses and number of
-data checked.  A shard is a run of n or a block of whole n1 rows of the
-counts-red (n1, n2) grid, each of whole chunks and at most _SHARD_CELLS
-(row, subset) cells, or None, the ratio line.  _shards lists a kind's
-shards in its witness order: the ratio line comes first for counts-red,
-last for det-law, nonempty and symmetry, and is the only shard of
-injectivity-red, generic-split and qtable-crosscheck.  The list depends on
-the field alone and the collectors merge in task order, so the report
-never depends on jobs.
+A sweep reads every result off scans.  A scan keeps one collector,
+_Mismatches (a mismatch count, the first witnesses and the number of data
+checked), per kind that reads its data, not per-n arrays:
+_build_irred_scan compares each chunk of a run of n with the per-class
+tables and runs the symmetry laws on it while the chunk is in hand,
+_build_red_scan does the same for the ratio line, _build_grid_scan
+re-enumerates a block of whole n1 rows of the counts-red (n1, n2) grid,
+and _build_qtable_scan compares the f = 1 tables of one ell with the
+general recipes.  Runs of n and grid blocks are whole chunks of at most
+_SHARD_CELLS (row, subset) cells.  _IRRED_SCAN_KINDS and _RED_SCAN_KINDS
+name the kinds that runs of n and the ratio line serve.  _scan_keys lists
+the scans of one kind on one field in its witness order: runs of n and
+grid blocks in increasing order, and the ratio line first for counts-red
+and last for det-law, nonempty and symmetry.  The list depends on the
+field alone and the collectors merge in its order, so the report never
+depends on jobs.
 
-Every task is a lookup: _scan_key names the cached scan that holds its
-collector, and _run_one reads it there.  A scan keeps one collector per
-kind that reads its data, not per-n arrays: _irred_scan compares each
-chunk of a run of n with the per-class tables and runs the symmetry laws
-on it while the chunk is in hand, _red_scan does the same for the ratio
-line, _grid_scan re-enumerates rows of the counts-red grid, and
-_qtable_scan compares the f = 1 tables of one ell with the general
-recipes.  With jobs > 1, verify_sweep builds the scans that the parent
-lacks in a pool sized by their number and adopts them into its caches,
-then runs every task in the parent; so the next kind's pool forks with
-them in place, and no worker outlives its verify_sweep call.  Under
-`verify all`, only counts-irred, counts-red and qtable-crosscheck fork a
-pool; the other kinds read held scans and run in-process.
+Every scan this process holds is in _scans, under its builder's name and
+arguments, and _scan builds one only on a miss.  With jobs > 1,
+verify_sweep builds the scans missing from _scans in a pool sized by
+their number and stores what the workers return; so the next kind's pool
+forks with them in place, and no worker outlives its verify_sweep call.
+Under `verify all`, only counts-irred, counts-red and qtable-crosscheck
+fork a pool; the other kinds read held scans and run in-process.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
 recipe's greedy window decode depends only on n mod q+1 (irreducible side)
@@ -118,7 +118,7 @@ import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,10 +158,12 @@ def plan_tasks(
     """(ell, f) pairs in deterministic order, optionally capped by ell^(2f)."""
     tasks = []
     for ell in sorted(set(ells)):
+        FieldParams(ell, 1)  # validates ell
         for f in range(1, f_max + 1):
-            FieldParams(ell, f)  # validates
+            # ell^(2f) grows with f: the first field over the cap ends the run
             if space_cap is not None and ell ** (2 * f) > space_cap:
-                continue
+                break
+            FieldParams(ell, f)  # validates f
             tasks.append((ell, f))
     return tasks
 
@@ -207,9 +209,9 @@ def _check_params(p: FieldParams) -> None:
 
 class _Mismatches:
     """A mismatch count and the first _MAX_WITNESSES witnesses, in the order
-    they were found, and the number of data checked.  Every task returns
-    one, and the report merges them in task order; a witness is its context
-    (ell, f) followed by the fields of the mismatch."""
+    they were found, and the number of data checked.  A scan holds one per
+    kind that reads it, and the report merges a kind's in scan order; a
+    witness is its context (ell, f) followed by the fields of the mismatch."""
 
     def __init__(self, **context: int) -> None:
         self.context = context
@@ -235,36 +237,16 @@ class _Mismatches:
         self.checked += other.checked
 
 
-# Scans built in pool workers come home: verify_sweep hands each to its
-# cache through _adopted, so that the next kind's pool forks with them in
-# place.  _held has the key of every scan in this process's caches, built
-# or adopted, so verify_sweep can tell which scans are missing here.
-_adopted: dict[tuple, Any] = {}
-_held: set[tuple] = set()
+# Every scan this process holds, built here or in a pool's worker: its
+# builder's name and arguments -> one collector per kind that reads it.
+_scans: dict[tuple, dict[str, _Mismatches]] = {}
 
 
-def _scan_cache(build):
-    """A scan builder under lru_cache.  A miss takes the scan waiting in
-    _adopted, if there is one, and otherwise builds it; either way its key
-    joins _held.  The cache's cache_clear takes its keys out of _held
-    again."""
-
-    @wraps(build)
-    def scan(*args):
-        key = (build.__name__, *args)
-        result = _adopted.pop(key) if key in _adopted else build(*args)
-        _held.add(key)
-        return result
-
-    cached = lru_cache(maxsize=None)(scan)
-    clear = cached.cache_clear
-
-    def cache_clear() -> None:
-        clear()
-        _held.difference_update([key for key in _held if key[0] == build.__name__])
-
-    cached.cache_clear = cache_clear
-    return cached
+def _scan(key: tuple) -> dict[str, _Mismatches]:
+    """The scan that key names, built and held on a miss."""
+    if key not in _scans:
+        _scans[key] = globals()[key[0]](*key[1:])
+    return _scans[key]
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +557,11 @@ _IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law",
 _RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law", "symmetry")
 
 
-@_scan_cache
-def _irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
+def _build_irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     """One run of n of the irreducible side, compared chunk by chunk with the
     closed forms and run through the symmetry laws: the mismatches of each
     kind that reads it, each with the number of valid n."""
     p = FieldParams(ell, f)
-    _check_params(p)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _IRRED_SCAN_KINDS}
     for s, e in _irred_chunks(p, shard):
         cols, valid, distinct, det_bad, laws = _irred_block(p, s, e)
@@ -658,14 +638,12 @@ def _red_counts(p: FieldParams) -> _RedLine:
     return _RedLine(labeled, closed, crit, generic, distinct, det_bad, fills.any(axis=0), valid, a, bcode)
 
 
-@_scan_cache
-def _red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
+def _build_red_scan(ell: int, f: int) -> dict[str, _Mismatches]:
     """The ratio line, compared with the closed forms and run through the
     symmetry laws: the mismatches of each kind that reads it, each with the
     number of ratio exponents (of generic ones for generic-split, and of
     the line and its three images for symmetry)."""
     p = FieldParams(ell, f)
-    _check_params(p)
     labeled, closed, crit, generic, distinct, det_bad, certain, *cells = _red_counts(p)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _RED_SCAN_KINDS}
     ns = np.flatnonzero(labeled != closed)
@@ -750,9 +728,7 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tasks: one kind on one shard of one field, each reading one _Mismatches
-# off a scan.  A shard is a run of n, a block of n1 rows of the counts-red
-# grid, or None, the ratio line.
+# the counts-red grid, and the scans that each kind reads
 
 
 def _grid_block(p: FieldParams) -> tuple[int, int]:
@@ -773,15 +749,19 @@ def _grid_shards(p: FieldParams) -> list[range]:
     return [range(s, min(s + step, D)) for s in range(0, D, step)]
 
 
-def _shards(kind: str, p: FieldParams) -> list:
-    """The shards of one kind on one field, in the order of its witnesses."""
-    if kind in ("counts-irred", "injectivity-irred"):
-        return _irred_shards(p)
-    if kind in ("det-law", "nonempty", "symmetry"):
-        return _irred_shards(p) + [None]
+def _scan_keys(kind: str, ell: int, f: int) -> list[tuple]:
+    """The keys of the scans that hold kind's collectors on the field
+    (ell, f), in the order of its witnesses: runs of n and grid blocks in
+    increasing order, and the ratio line first for counts-red and last for
+    the kinds that also read runs of n."""
+    if kind == "qtable-crosscheck":
+        return [("_build_qtable_scan", ell)]
+    p = FieldParams(ell, f)
+    line = [("_build_red_scan", ell, f)] if kind in _RED_SCAN_KINDS else []
     if kind == "counts-red":
-        return [None] + _grid_shards(p)
-    return [None]
+        return line + [("_build_grid_scan", ell, f, s) for s in _grid_shards(p)]
+    runs = [("_build_irred_scan", ell, f, s) for s in _irred_shards(p)]
+    return (runs if kind in _IRRED_SCAN_KINDS else []) + line
 
 
 class _GridTables(NamedTuple):
@@ -850,8 +830,7 @@ def _pairs(p: FieldParams, n1s: range, n2s: range):
     return valid, a, bcode, labeled[0], closed[0], _det_bad(a, bcode, t, valid, D)
 
 
-@_scan_cache
-def _grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
+def _build_grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     """The grid's n1 rows in shard, re-enumerated block by block by _pairs,
     with the determinant law on every pair: the counts-red mismatches (the
     ratio line's are in its scan)."""
@@ -875,8 +854,7 @@ def _grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     return {"counts-red": mm}
 
 
-@_scan_cache
-def _qtable_scan(ell: int) -> dict[str, _Mismatches]:
+def _build_qtable_scan(ell: int) -> dict[str, _Mismatches]:
     """The f = 1 tables of ell against the general recipes: the
     qtable-crosscheck mismatches."""
     params = FieldParams(ell, 1)
@@ -948,30 +926,6 @@ class VerificationReport:
         }
 
 
-def _scan_key(task: tuple[str, int, int], shard: range | None) -> tuple:
-    """The cache key of the scan that holds the task's collector: the
-    scan's name and its arguments."""
-    kind, ell, f = task
-    if kind == "qtable-crosscheck":
-        return ("_qtable_scan", ell)
-    if shard is None:
-        return ("_red_scan", ell, f)
-    if kind == "counts-red":
-        return ("_grid_scan", ell, f, shard)
-    return ("_irred_scan", ell, f, shard)
-
-
-def _scan(key: tuple) -> dict[str, _Mismatches]:
-    """The scan that key names, from its cache."""
-    return globals()[key[0]](*key[1:])
-
-
-def _run_one(task: tuple[str, int, int], shard: range | None) -> _Mismatches:
-    """One kind on one shard of one field: its collector in the scan that
-    _scan_key names."""
-    return _scan(_scan_key(task, shard))[task[0]]
-
-
 def verify_sweep(
     kind: str,
     ells: Sequence[int],
@@ -984,16 +938,14 @@ def verify_sweep(
 
     Raises BudgetExceeded before doing any work when the planned cost
     (sum of ell^(2f) residue classes) exceeds the budget, or the budget is
-    NaN.  The work is one task per shard of each field (see the module
-    docstring), the same tasks for any jobs.  Every task reads its
-    collector off a cached scan.
-    With jobs > 1 the scans that this process does not hold are built in a
+    NaN.  The report merges the kind's collectors off the scans that
+    _scan_keys lists for each field, in that order, the same scans for any
+    jobs.  With jobs > 1 the scans missing from _scans are built in a
     process pool of at most min(jobs, missing scans, CPUs) workers and
-    adopted into this process's caches, for these tasks and the next
-    kind's; with one missing scan or none, no pool is made.  The tasks
-    then run here, and their results merge in task order, so the report
-    is identical to a serial run.  Raises ParamError when the plan holds
-    no field.
+    stored in _scans, for this kind and the next; with one missing scan or
+    none, no pool is made and _scan builds them here.  So the report is
+    identical to a serial run.  Raises ParamError when the plan holds no
+    field.
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")
@@ -1019,21 +971,17 @@ def verify_sweep(
         )
     _keep_freed_memory()
     t0 = time.monotonic()
-    work = [((kind, ell, f), s) for ell, f in tasks for s in _shards(kind, FieldParams(ell, f))]
+    keys = [key for ell, f in tasks for key in _scan_keys(kind, ell, f)]
     # the pool forks all its workers on the first submit, so never ask for
     # more than there are scans to build or CPUs to build them
-    missing = [key for key in dict.fromkeys(_scan_key(*w) for w in work) if key not in _held]
+    missing = [key for key in keys if key not in _scans]
     workers = min(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, scan in zip(missing, pool.map(_scan, missing)):
-                _adopted[key] = scan
-                _scan(key)
-                # already cached here (the pool ran in this process): drop it
-                _adopted.pop(key, None)
+            _scans.update(zip(missing, pool.map(_scan, missing)))
     merged = _Mismatches()
-    for w in work:
-        merged.merge(_run_one(*w))
+    for key in keys:
+        merged.merge(_scan(key)[kind])
     return VerificationReport(
         kind=kind,
         tasks=tasks,

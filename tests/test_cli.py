@@ -661,9 +661,8 @@ def test_verify_pretty_line(capsys):
 def test_verify_budget_exceeded_exit_one(capsys):
     # a NaN budget compares False against every cost, so it must refuse too;
     # either way no scan starts
-    scans = (sweeps._irred_scan, sweeps._red_scan)
     for budget in ("100", "nan"):
-        misses = [scan.cache_info().misses for scan in scans]
+        held = list(sweeps._scans)
         code, out, err = run_cli(
             capsys,
             ["verify", "counts-irred", "--ell", "13", "--f-max", "3", "--budget", budget],
@@ -671,7 +670,7 @@ def test_verify_budget_exceeded_exit_one(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: BudgetExceeded")
-        assert [scan.cache_info().misses for scan in scans] == misses
+        assert list(sweeps._scans) == held
 
 
 @pytest.mark.parametrize(
@@ -683,14 +682,25 @@ def test_verify_budget_exceeded_exit_one(capsys):
 )
 def test_verify_with_no_field_exit_one(capsys, argv):
     # a plan with no (ell, f) is refused before any scan, not reported green
-    scans = (sweeps._irred_scan, sweeps._red_scan)
-    misses = [scan.cache_info().misses for scan in scans]
+    held = list(sweeps._scans)
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ParamError: no field to verify")
     assert "--f-max" in err and "--space-cap" in err
-    assert [scan.cache_info().misses for scan in scans] == misses
+    assert list(sweeps._scans) == held
+
+
+def test_verify_space_cap_skips_fields_past_the_modulus_cap(capsys):
+    # (2, f >= 31) are over the 2^62 cap, but the space cap stops the plan
+    # at (2, 4), long before them
+    code, out, err = run_cli(
+        capsys, ["verify", "counts-irred", "--ell", "2", "--f-max", "40", "--space-cap", "1000"]
+    )
+    assert (code, err.startswith("error")) == (0, False)
+    (report,) = json.loads(out)
+    assert report["tasks"] == [{"ell": 2, "f": f} for f in range(1, 5)]
+    assert report["passed"]
 
 
 def test_verify_empty_check_over_a_field_passes(capsys):

@@ -75,6 +75,16 @@ def test_plan_tasks_and_cost():
     assert (7, 4) in capped and (11, 4) not in capped and (13, 4) not in capped
     assert (11, 3) in capped and (13, 3) in capped
     assert len(capped) == 22
+    # the first field over the cap ends each ell's run, before (2, 31) would
+    # pass the 2^62 modulus cap and before a huge f_max could spin
+    assert plan_tasks([2], 40, space_cap=1000) == [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert plan_tasks([3, 2], 10**18, space_cap=100) == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+    # with no cap, a field past the modulus cap is still refused
+    with pytest.raises(ParamError, match="exceeds the 2\\^62 cap"):
+        plan_tasks([2], 40)
+    # ell is validated even where no field would be planned
+    with pytest.raises(ParamError, match="ell = 4 is not prime"):
+        plan_tasks([4], 40, space_cap=1)
 
 
 def test_budget_guard():
@@ -174,6 +184,40 @@ def test_worker_pool_bounded_by_tasks_and_cpus(monkeypatch, fresh_tables, jobs, 
     assert r.to_dict() == verify_sweep("counts-irred", [2, 3, 5], 1, budget=10**6).to_dict()
 
 
+# the builders of each kind's scans, in the order its witnesses come
+_SCAN_ORDER = {
+    "counts-irred": ["_build_irred_scan"],
+    "injectivity-irred": ["_build_irred_scan"],
+    "counts-red": ["_build_red_scan", "_build_grid_scan"],
+    "injectivity-red": ["_build_red_scan"],
+    "generic-split": ["_build_red_scan"],
+    "det-law": ["_build_irred_scan", "_build_red_scan"],
+    "nonempty": ["_build_irred_scan", "_build_red_scan"],
+    "symmetry": ["_build_irred_scan", "_build_red_scan"],
+    "qtable-crosscheck": ["_build_qtable_scan"],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_scan_keys_in_witness_order(monkeypatch, fresh_tables, kind):
+    # small chunks and shards cut (3, 2) into five runs of n and eight grid
+    # blocks; the ratio line comes first for counts-red and last for
+    # det-law, nonempty and symmetry
+    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    monkeypatch.setattr(sweeps, "_SHARD_CELLS", 64)
+    p = FieldParams(3, 2)
+    keys = sweeps._scan_keys(kind, 3, 2)
+    assert [b for b, _ in itertools.groupby(key[0] for key in keys)] == _SCAN_ORDER[kind]
+    assert all(kind in sweeps._scan(key) for key in keys)
+    for builder, stop, count in (("_build_irred_scan", p.m_big, 5), ("_build_grid_scan", p.m_minus, 8)):
+        runs = [key[-1] for key in keys if key[0] == builder]
+        if builder in _SCAN_ORDER[kind]:
+            # increasing, and together the whole range
+            assert len(runs) == count
+            assert [r.start for r in runs] == [0] + [r.stop for r in runs[:-1]]
+            assert runs[-1].stop == stop
+
+
 def test_held_scans_run_without_a_pool(monkeypatch, fresh_tables):
     # (7, 1) in six runs of n: counts-irred builds their scans in a pool;
     # the next kinds only read them (and build one ratio line), so they run
@@ -221,14 +265,16 @@ def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch, fresh_tables)
 
 def _run_all(kind, ell, f):
     """(checked, witnesses, mismatch count) of one kind on one field: the
-    tasks of all its shards, merged in order as verify_sweep merges them."""
+    collectors of all its scans, merged in order as verify_sweep merges
+    them."""
     merged = sweeps._Mismatches()
-    for shard in sweeps._shards(kind, FieldParams(ell, f)):
-        merged.merge(sweeps._run_one((kind, ell, f), shard))
+    for key in sweeps._scan_keys(kind, ell, f):
+        merged.merge(sweeps._scan(key)[kind])
     return merged.checked, merged.witnesses, merged.count
 
 
 def _clear_table_caches():
+    sweeps._scans.clear()
     for fn in vars(sweeps).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
@@ -301,7 +347,7 @@ def test_symmetry_finds_the_one_failing_row_of_a_chunk(monkeypatch, fresh_tables
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
     monkeypatch.setattr(sweeps, "_CHUNK", 8)
-    mm = sweeps._run_one(("symmetry", 3, 3), shard)
+    mm = sweeps._scan(("_build_irred_scan", 3, 3, shard))["symmetry"]
     assert (mm.checked, mm.count) == (8, 1)
     assert mm.witnesses == [{"ell": 3, "f": 3, "check": check, "n": n}]
 
@@ -617,15 +663,15 @@ def test_nonempty_reads_the_recipe_dimension_rule(monkeypatch, fresh_tables):
 
 
 def test_verify_sweep_merges_witnesses_in_task_order(monkeypatch):
-    def failing(task, shard):
+    def failing(key):
         # (2, 1) finds 30 mismatches and (3, 1) 12, each listing up to 20
-        _, ell, f = task
+        _, ell, f, _ = key
         mm = sweeps._Mismatches(ell=ell, f=f)
         mm.add(30 if ell == 2 else 12, i=np.arange(20 if ell == 2 else 10))
         mm.checked = 100 * ell
-        return mm
+        return {"counts-irred": mm}
 
-    monkeypatch.setattr(sweeps, "_run_one", failing)
+    monkeypatch.setattr(sweeps, "_scan", failing)
     report = verify_sweep("counts-irred", [3, 2], 1, budget=10**6).to_dict()
     merged = [{"ell": 2, "f": 1, "i": i} for i in range(20)]
     merged += [{"ell": 3, "f": 1, "i": i} for i in range(5)]
@@ -761,7 +807,7 @@ def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrup
 
 def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     # the scans a pool's workers build come back to this process: the next
-    # kinds read them from its caches, without calling the kernel (or, for
+    # kinds read them from its store, without calling the kernel (or, for
     # the counts-red grid, _pairs) here
     monkeypatch.setattr(sweeps, "_CHUNK", 64)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
@@ -779,20 +825,29 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     assert len(shards) == 6  # (5, 2) in three
     assert verify_sweep("counts-irred", [3, 5], 2, budget=10**6, jobs=2).passed
     assert calls == []
-    assert sweeps._irred_scan.cache_info().currsize == len(shards)
-    hits = sweeps._irred_scan.cache_info().hits
+
+    def held(builder):
+        return {key[1:]: scan for key, scan in sweeps._scans.items() if key[0] == builder}
+
+    runs = held("_build_irred_scan")
+    assert list(runs) == shards
+    read = []
+    scan = sweeps._scan
+    monkeypatch.setattr(sweeps, "_scan", lambda key: read.append(key[1:]) or scan(key))
     for kind in ("injectivity-irred", "det-law", "nonempty"):
         assert verify_sweep(kind, [3, 5], 2, budget=10**6).passed
+    monkeypatch.setattr(sweeps, "_scan", scan)  # a pool pickles it by name
     assert calls == []
-    assert sweeps._irred_scan.cache_info().hits == hits + 3 * len(shards)
+    # each kind read every run of n, and the same scan objects stay held
+    assert Counter(key for key in read if key in runs) == {key: 3 for key in shards}
+    assert all(held("_build_irred_scan")[key] is run for key, run in runs.items())
     pairs = sweeps._pairs
     monkeypatch.setattr(sweeps, "_pairs", lambda *args: calls.append(args) or pairs(*args))
-    grid = [s for ell, f in fields for s in sweeps._grid_shards(FieldParams(ell, f))]
+    grid = [(ell, f, s) for ell, f in fields for s in sweeps._grid_shards(FieldParams(ell, f))]
     assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
-    assert sweeps._grid_scan.cache_info().currsize == len(grid)
+    assert list(held("_build_grid_scan")) == grid
     assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
     assert calls == []
-    assert sweeps._adopted == {}
 
 
 @pytest.mark.parametrize("libc", [SimpleNamespace(), None])
