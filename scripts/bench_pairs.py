@@ -15,10 +15,14 @@ per-layer metrics.
 
 The file holds what, machine, command, method, parent, change, a summary
 per workload (for every end-to-end metric, each side's quartiles, the
-relative change of the medians, the number of pairs the change won, and
+relative change of the medians, the number of pairs the change won,
 whether that shows a gain: at least ten pairs, nine in ten of them won,
-and the medians apart by more than the parent's quartile spread), the
-traced passes and every run.  It is rewritten after each run, so an
+and the medians apart by more than the parent's quartile spread, and two
+no-regression flags against the metric's bound in BENCHMARK.json:
+worse_than_bound, the change's median worse than the parent's by more than
+bound x |parent median|, and unresolved, the parent's quartile spread wider
+than that unless every change run beats every parent run), the traced
+passes and every run.  It is rewritten after each run, so an
 interrupted session keeps what it measured.  Run it from the root of a
 checkout.
 """
@@ -50,19 +54,24 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """One metric over the complete pairs, parent[i] against change[i]."""
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric over the complete pairs, parent[i] against change[i]; bound
+    is the metric's allowed relative regression."""
     sign = 1 if better == "higher" else -1
     stats = {"parent": quartiles(parent), "change": quartiles(change)}
     p_med, c_med = stats["parent"]["median"], stats["change"]["median"]
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))  # ties count for neither
     spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    allowed = bound * abs(p_med)
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         **{side: {k: round(v, 4) for k, v in s.items()} for side, s in stats.items()},
         "change_vs_parent_median": round((c_med - p_med) / p_med, 4) if p_med else 0.0,
         "pairs_change_better": won,
         "gain_shown": len(parent) >= PAIRS and 10 * won >= 9 * len(parent)
         and sign * (c_med - p_med) > spread,
+        "worse_than_bound": -sign * (c_med - p_med) > allowed,
+        "unresolved": spread > allowed and not every_run_better,
     }
 
 
@@ -86,7 +95,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             name = metric["name"]
             values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
             if pairs:
-                entry[name] = compare(values["parent"], values["change"], metric["better"])
+                entry[name] = compare(values["parent"], values["change"], metric["better"], metric["bound"])
         summary[workload] = entry
     return summary
 
@@ -134,7 +143,10 @@ def main() -> int:
                    f" pair i uses seed {FIRST_SEED} + i - 1 and alternates which side runs first; traced"
                    " passes use seed 1; quartiles are inclusive quartiles over a side's runs"
                    f" (min/median/max when fewer than four); gain_shown means at least {PAIRS} pairs, the change"
-                   " won 9 in 10 of them, and its median is better by more than the parent's q3 - q1"),
+                   " won 9 in 10 of them, and its median is better by more than the parent's q3 - q1;"
+                   " worse_than_bound means the change's median is worse than the parent's by more than"
+                   " bound x |parent median|, with the metric's bound from BENCHMARK.json; unresolved means"
+                   " the parent's q3 - q1 exceeds that, unless every change run beats every parent run"),
         "parent": revs["parent"],
         "change": revs["change"],
         "summary": {},

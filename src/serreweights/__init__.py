@@ -35,7 +35,7 @@ from .local_factors import (
     classify_local_factor,
     ext_space_dim,
 )
-from .modarith import FieldParams, Residue, reduce_mod
+from .modarith import FieldParams
 from .qtable import RationalShape, RationalShapeKind, all_legal_shapes, weights_over_Q
 from .reducible import ExtClass, ReducibleDatum, niveau_one
 from .weights import (
@@ -72,7 +72,6 @@ __all__ = [
     "RationalShape",
     "RationalShapeKind",
     "ReducibleDatum",
-    "Residue",
     "SerreWeight",
     "SerreWeightError",
     "WrongExtClass",
@@ -86,7 +85,6 @@ __all__ = [
     "format_weight_set",
     "global_weight_set",
     "niveau_two",
-    "reduce_mod",
     "niveau_one",
     "twist_global",
     "twist_weight",

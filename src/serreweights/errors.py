@@ -10,7 +10,7 @@ class ParamError(SerreWeightError):
 
 
 class ParamMismatch(SerreWeightError):
-    """Arithmetic attempted between objects with different parameters or moduli."""
+    """Arithmetic attempted between objects with different parameters."""
 
 
 class BadWeightDigits(SerreWeightError):

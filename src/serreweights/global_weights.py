@@ -11,6 +11,7 @@ into a certain part (product of the certain local sets) and a possible part
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -29,7 +30,12 @@ __all__ = [
     "DetReport",
     "check_det_compatibility",
     "global_sort_key",
+    "MAX_GLOBAL_ROWS",
 ]
+
+# Refused before any product is built: five entries of 11 weights each
+# (161 051 rows) pass, six do not.
+MAX_GLOBAL_ROWS = 2**18
 
 LocalDatum = Union[irred.NiveauTwoDatum, red.ReducibleDatum]
 
@@ -73,7 +79,19 @@ def _local_sets(d: LocalDatum) -> tuple[frozenset[SerreWeight], frozenset[SerreW
 
 
 def global_weight_set(g: GlobalDatum) -> GlobalWeightSets:
+    """Certain and possible global weights: the products of the local
+    certain sets and of the local upper sets, minus the former.
+
+    Raises ParamError before building either product when the rows,
+    certain plus possible, exceed MAX_GLOBAL_ROWS.  Each certain set lies
+    in its upper set, so they number the product of the upper set sizes.
+    """
     locals_ = [_local_sets(d) for d in g.primes]
+    rows = math.prod(len(u) for _, u in locals_)
+    if rows > MAX_GLOBAL_ROWS:
+        raise ParamError(
+            f"the global weight set has {rows} rows, over the bound of {MAX_GLOBAL_ROWS}"
+        )
     certain = frozenset(
         itertools.product(*(sorted(c, key=weight_sort_key) for c, _ in locals_))
     )

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import InvalidNiveauTwo
 from .modarith import (
     FieldParams,
-    Residue,
     alternating_classes,
     check_subset_limit,
     small_residue_witness,
@@ -77,7 +76,7 @@ class NiveauTwoDatum:
             )
 
 
-def niveau_two(params: FieldParams, n: "int | Residue") -> NiveauTwoDatum:
+def niveau_two(params: FieldParams, n: int) -> NiveauTwoDatum:
     """Construct a datum, reducing n mod ell^(2f) - 1 first."""
     return NiveauTwoDatum(params, int(n) % params.m_big)
 

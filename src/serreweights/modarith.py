@@ -28,12 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParamError, ParamMismatch
+from .errors import ParamError
 
 __all__ = [
     "FieldParams",
-    "Residue",
-    "reduce_mod",
     "digits_base_ell",
     "window_decode",
     "code_digits",
@@ -113,61 +111,7 @@ class FieldParams:
         return f"FieldParams(ell={self.ell}, f={self.f})"
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An integer known modulo a fixed positive modulus, stored canonically."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ParamError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "Residue | int") -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ParamMismatch(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}"
-                )
-            return other.value
-        return other
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other: int) -> "Residue":
-        return Residue(other - self.value, self.modulus)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    __index__ = __int__
-
-    def __repr__(self) -> str:  # noqa: D105
-        return f"Residue({self.value} mod {self.modulus})"
-
-
-def reduce_mod(x: int, modulus: int) -> Residue:
-    """Canonical residue of x modulo a positive modulus."""
-    return Residue(x, modulus)
-
-
-def digits_base_ell(a: "Residue | int", params: FieldParams) -> tuple[int, ...]:
+def digits_base_ell(a: int, params: FieldParams) -> tuple[int, ...]:
     """Base-ell digits (d_0, .., d_{f-1}) of the canonical residue of a mod q-1.
 
     The canonical representative lies in [0, q-1), so the digit vector is never

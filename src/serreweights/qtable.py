@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import IllegalShape
+from .errors import IllegalShape, ParamError
 from .modarith import FieldParams
 from .weights import SerreWeight, canonical_weight
 
@@ -37,7 +37,12 @@ __all__ = [
     "crosscheck_niveau2",
     "crosscheck_split",
     "all_legal_shapes",
+    "MAX_QTABLE_ROWS",
 ]
+
+# Refused before any shape is built: the table of ell has 3 ell - 2 rows,
+# so this admits ell <= 10 923.
+MAX_QTABLE_ROWS = 2**15
 
 
 class RationalShapeKind(Enum):
@@ -121,8 +126,18 @@ def crosscheck_split(ell: int, b: int) -> bool:
 
 
 def all_legal_shapes(ell: int) -> list[RationalShape]:
-    """Every legal shape for the prime, in a fixed deterministic order."""
+    """Every legal shape for the prime, in a fixed deterministic order.
+
+    Raises ParamError when its 3 ell - 2 rows exceed MAX_QTABLE_ROWS: each
+    b in 1..ell-1 has a niveau2 and a split row, each b > 1 a
+    nonsplit-generic row (none at ell = 2), and b = 1 a peu and a tres row.
+    """
     FieldParams(ell, 1)  # validates ell, also where range(1, ell) is empty
+    rows = 3 * ell - 2
+    if rows > MAX_QTABLE_ROWS:
+        raise ParamError(
+            f"the table of ell = {ell} has {rows} rows, over the bound of {MAX_QTABLE_ROWS}"
+        )
     kinds = [
         RationalShapeKind.NIVEAU2,
         RationalShapeKind.SPLIT,

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import NotInLabeledSet, ParamError, WrongExtClass
 from .modarith import (
     FieldParams,
-    Residue,
     alternating_classes,
     check_subset_limit,
     digits_base_ell,
@@ -110,9 +109,7 @@ class ReducibleDatum:
         return (self.n1 - self.n2) % self.params.m_minus
 
 
-def niveau_one(
-    params: FieldParams, n1: "int | Residue", n2: "int | Residue", ext: ExtClass
-) -> ReducibleDatum:
+def niveau_one(params: FieldParams, n1: int, n2: int, ext: ExtClass) -> ReducibleDatum:
     m = params.m_minus
     return ReducibleDatum(params, int(n1) % m, int(n2) % m, ext)
 

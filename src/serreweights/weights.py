@@ -18,8 +18,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import BadWeightDigits, ParamMismatch
-from .modarith import FieldParams, Residue, code_digits, digits_base_ell, subset_indices
+from .errors import BadWeightDigits
+from .modarith import FieldParams, code_digits, digits_base_ell, subset_indices
 
 __all__ = [
     "SerreWeight",
@@ -82,12 +82,8 @@ class LabeledWeight:
         return f"({self.weight}, B={{{','.join(str(i) for i in idx)}}})"
 
 
-def canonical_weight(a: "int | Residue", b: tuple[int, ...], params: FieldParams) -> SerreWeight:
+def canonical_weight(a: int, b: tuple[int, ...], params: FieldParams) -> SerreWeight:
     """Build a weight, reducing the twist exponent to its canonical residue."""
-    if isinstance(a, Residue) and a.modulus != params.m_minus:
-        raise ParamMismatch(
-            f"twist exponent modulus {a.modulus} does not match q-1 = {params.m_minus}"
-        )
     return SerreWeight(params, int(a) % params.m_minus, tuple(b))
 
 
@@ -142,12 +138,8 @@ def labeled_weights(a, bcode, B, params: FieldParams) -> frozenset[LabeledWeight
     return frozenset(map(LabeledWeight, row_weights(rows.a, rows.b, params), rows.B.tolist()))
 
 
-def twist_weight(V: SerreWeight, c: "int | Residue") -> SerreWeight:
+def twist_weight(V: SerreWeight, c: int) -> SerreWeight:
     """Twist by det^c: adds c to the twist exponent, b unchanged."""
-    if isinstance(c, Residue) and c.modulus != V.params.m_minus:
-        raise ParamMismatch(
-            f"twist exponent modulus {c.modulus} does not match q-1 = {V.params.m_minus}"
-        )
     return canonical_weight(V.a + int(c), V.b, V.params)
 
 

@@ -18,7 +18,6 @@ from serreweights.errors import ParamError
 from serreweights.irreducible import NiveauTwoDatum, niveau_two
 from serreweights.modarith import (
     FieldParams,
-    Residue,
     code_digits,
     subset_complement,
     subset_indices,
@@ -188,11 +187,10 @@ def signed_digit_solve(v: int, B: int, params: FieldParams) -> tuple[int, ...] |
     return tuple(code_digits(bcode, ell, f).tolist()) if ok else None
 
 
-def frobenius_shift(r: Residue, k: int, ell: int) -> Residue:
-    """Multiply by ell^k (k may be negative; ell is invertible mod q +- 1)."""
-    if r.modulus == 1:
-        return r
-    return Residue(r.value * pow(ell, k, r.modulus), r.modulus)
+def frobenius_shift(r: int, k: int, ell: int, modulus: int) -> int:
+    """Multiply r by ell^k modulo modulus (k may be negative; ell is
+    invertible mod q +- 1), returning the canonical residue."""
+    return r * pow(ell, k, modulus) % modulus
 
 
 def subset_from_indices(indices, f: int) -> int:

@@ -84,3 +84,31 @@ def test_summary_counts_only_complete_pairs_and_every_failure():
     assert jobs2["requests_per_s"]["pairs_change_better"] == 0  # ties count for neither
     assert summary["datum-mix"] == {"pairs": 0, "correct_all": True, "failed_total": 0}
 
+
+
+def test_summary_flags_a_regression_beyond_the_bound_and_noise_wider_than_it():
+    def wall(parent, change):
+        runs = []
+        for pair, (p, c) in enumerate(zip(parent, change), 1):
+            runs += [_run("parent", pair, p, 1.0), _run("change", pair, c, 1.0)]
+        return bench_pairs.summarize(runs, END_TO_END)["verify-jobs2"]["wall_s"]
+
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    # 0.24 x 1.0 allowed: a median 1.2 is within it, 1.3 beyond it
+    within = wall(steady, [x + 0.2 for x in steady])
+    assert (within["worse_than_bound"], within["unresolved"]) == (False, False)
+    beyond = wall(steady, [x + 0.3 for x in steady])
+    assert (beyond["worse_than_bound"], beyond["unresolved"]) == (True, False)
+    # a parent spread of 0.5 against an allowed 0.24: unresolved, whatever the medians
+    noisy = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4, 0.7, 1.3]
+    same = wall(noisy, noisy[::-1])
+    assert (same["worse_than_bound"], same["unresolved"]) == (False, True)
+    # unless every change run beats every parent run
+    faster = wall(noisy, [0.5] * 10)
+    assert (faster["worse_than_bound"], faster["unresolved"]) == (False, False)
+    # a rate is worse when lower: 3.0 against a median of 4.0 is 25 % down
+    runs = []
+    for pair in range(1, 11):
+        runs += [_run("parent", pair, 1.0, 4.0), _run("change", pair, 1.0, 3.0)]
+    rate = bench_pairs.summarize(runs, END_TO_END)["verify-jobs2"]["requests_per_s"]
+    assert (rate["worse_than_bound"], rate["unresolved"]) == (True, False)

@@ -17,13 +17,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from serreweights import cli, sweeps
+from serreweights import cli, global_weights, qtable, sweeps
 from serreweights import irreducible as irred
 from serreweights import reducible as red
 from serreweights.modarith import MAX_SUBSET_F, FieldParams, subset_indices
@@ -400,6 +401,17 @@ def test_qtable_rejects_composite(capsys):
         assert f"ell = {ell} is not prime" in err
 
 
+def test_qtable_refuses_a_huge_ell_before_any_row(capsys, monkeypatch):
+    # building a row fails the test instead of spinning through 2^31 of them
+    def no_row(*args):
+        raise RuntimeError("a qtable row was built")
+
+    monkeypatch.setattr(qtable, "RationalShape", no_row)
+    code, out, err = run_cli(capsys, ["qtable", "--ell", "2147483647"])
+    assert (code, out) == (1, "")
+    assert f"{3 * 2147483647 - 2} rows, over the bound of {qtable.MAX_QTABLE_ROWS}" in err
+
+
 # ---------------------------------------------------------------------------
 # global
 
@@ -426,6 +438,20 @@ def test_global_from_file(capsys, tmp_path):
         {"ell": 3, "f": 1, "a": 0, "b": [1]},
         {"ell": 3, "f": 1, "a": 0, "b": [3]},
     ]
+
+
+def test_global_refuses_six_entries_before_the_product(capsys, monkeypatch):
+    # six (7, 4) entries of 11 weights each: 11^6 rows, about 12 GB of output
+    def no_product(*args):
+        raise RuntimeError("a global product was built")
+
+    monkeypatch.setattr(global_weights, "itertools", SimpleNamespace(product=no_product))
+    entry = {"f": 4, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}
+    datum = {"ell": 7, "primes": [entry] * 6}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(datum)))
+    code, out, err = run_cli(capsys, ["global", "--stdin"])
+    assert (code, out) == (1, "")
+    assert f"{11**6} rows, over the bound of {global_weights.MAX_GLOBAL_ROWS}" in err
 
 
 def test_global_stdin_matches_file(capsys, tmp_path, monkeypatch):

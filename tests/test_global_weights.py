@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from serreweights import global_weights
 from serreweights.errors import ParamError, ParamMismatch
 from serreweights.global_weights import (
     GlobalDatum,
@@ -40,6 +41,16 @@ def test_validation():
     g = _g3()
     with pytest.raises(ParamMismatch):
         twist_global(g, (1,))  # two primes, one exponent
+
+
+def test_row_bound_boundary(monkeypatch):
+    # _g3 has 2 certain and 6 possible rows: 8 in all, passed at a bound of 8
+    monkeypatch.setattr(global_weights, "MAX_GLOBAL_ROWS", 8)
+    sets = global_weight_set(_g3())
+    assert len(sets.certain) + len(sets.possible) == 8
+    monkeypatch.setattr(global_weights, "MAX_GLOBAL_ROWS", 7)
+    with pytest.raises(ParamError, match="has 8 rows, over the bound of 7"):
+        global_weight_set(_g3())
 
 
 def test_product_structure():

@@ -2,15 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serreweights.errors import ParamError, ParamMismatch
+from serreweights.errors import ParamError
 from serreweights.modarith import (
     MAX_SUBSET_F,
     FieldParams,
-    Residue,
     check_subset_limit,
     digits_base_ell,
     is_prime,
-    reduce_mod,
     subset_complement,
     subset_indices,
     subsets,
@@ -69,28 +67,12 @@ def test_moduli_frozen_values():
     assert p.cyclotomic_exponent == 1
 
 
-def test_residue_ops():
-    r = reduce_mod(-3, 8)
-    assert r == Residue(5, 8)
-    assert int(r + 4) == 1
-    assert int(r - 6) == 7
-    assert int(r * 3) == 7
-    assert int(-r) == 3
-    assert int(2 - r) == 5
-    with pytest.raises(ParamMismatch):
-        r + Residue(1, 7)
-    with pytest.raises(ParamError):
-        Residue(0, 0)
-
-
 def test_frobenius_shift():
-    r = reduce_mod(3, 8)
-    assert int(frobenius_shift(r, 1, 3)) == 1  # 9 mod 8
-    assert frobenius_shift(frobenius_shift(r, 1, 3), -1, 3) == r
+    assert frobenius_shift(3, 1, 3, 8) == 1  # 9 mod 8
+    assert frobenius_shift(frobenius_shift(3, 1, 3, 8), -1, 3, 8) == 3
     # shifting f times multiplies by q = 1 mod q-1
     p = FieldParams(5, 2)
-    r = reduce_mod(7, p.m_minus)
-    assert frobenius_shift(r, 2, 5) == r
+    assert frobenius_shift(7, 2, 5, p.m_minus) == 7
 
 
 @pytest.mark.parametrize("ell,f", SMALL_PARAMS)

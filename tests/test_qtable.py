@@ -95,6 +95,8 @@ def test_tres_inside_peu(ell):
 def test_all_legal_shapes_counts_and_order():
     counts = {ell: len(all_legal_shapes(ell)) for ell in ELLS}
     assert counts == {2: 4, 3: 7, 5: 13, 7: 19, 11: 31, 13: 37}
+    # the row count the size bound is checked against
+    assert all(count == 3 * ell - 2 for ell, count in counts.items())
     shapes = all_legal_shapes(5)
     assert [s.b for s in shapes] == sorted(s.b for s in shapes)
     # kinds appear in a fixed order within each b

@@ -20,6 +20,7 @@ from serreweights.sweeps import (
     plan_tasks,
     verify_sweep,
 )
+from serreweights.weights import canonical_weight, weight_sort_key
 
 from oracles import as_labeled_set, forced_labeled_irred, forced_labeled_red
 
@@ -261,6 +262,34 @@ def test_qtable_crosscheck_surfaces_unexpected_errors(monkeypatch, fresh_tables)
     monkeypatch.setattr(qtable, "RationalShape", broken)
     with pytest.raises(RuntimeError):
         verify_sweep("qtable-crosscheck", [5], 1, budget=10**6)
+
+
+def _V5(a, b):
+    return canonical_weight(a, (b,), FieldParams(5, 1))
+
+
+@pytest.mark.parametrize(
+    "check, b, kind, mutate",
+    [
+        ("niveau2", 2, "NIVEAU2", lambda ws: set(sorted(ws, key=weight_sort_key)[1:])),
+        ("split", 2, "SPLIT", lambda ws: set(sorted(ws, key=weight_sort_key)[1:])),
+        ("sandwich-nonsplit-generic", 2, "NONSPLIT_GENERIC", lambda ws: set()),
+        ("sandwich-peu", 1, "PEU", lambda ws: ws | {_V5(2, 2)}),
+        ("sandwich-tres", 1, "TRES", lambda ws: set()),
+        ("tres-subset-peu", 1, "TRES", lambda ws: ws | {_V5(1, 3)}),
+    ],
+)
+def test_every_qtable_crosscheck_label_can_fail(monkeypatch, fresh_tables, check, b, kind, mutate):
+    # one wrong row of the ell = 5 table trips its own check and no other
+    table = qtable.weights_over_Q
+
+    def mutated(shape):
+        ws = table(shape)
+        return frozenset(mutate(ws)) if (shape.b, shape.kind.name) == (b, kind) else ws
+
+    monkeypatch.setattr(qtable, "weights_over_Q", mutated)
+    r = verify_sweep("qtable-crosscheck", [5], 1, budget=10**6)
+    assert (r.mismatch_count, r.mismatches) == (1, [{"ell": 5, "b": b, "check": check}])
 
 
 def _run_all(kind, ell, f):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serreweights
-from serreweights.errors import BadWeightDigits, ParamMismatch
-from serreweights.modarith import FieldParams, reduce_mod
+from serreweights.errors import BadWeightDigits
+from serreweights.modarith import FieldParams
 from serreweights.weights import (
     LabeledWeight,
     SerreWeight,
@@ -50,8 +50,6 @@ def test_digit_validation():
         canonical_weight(0, (4, 1), p)
     with pytest.raises(BadWeightDigits):
         canonical_weight(0, (1,), p)  # wrong length
-    with pytest.raises(ParamMismatch):
-        canonical_weight(reduce_mod(0, 7), (1, 1), p)  # modulus is 8, not 7
 
 
 def test_display_format():
