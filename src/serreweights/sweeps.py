@@ -51,6 +51,8 @@ or on the ratio n1 - n2 mod q-1 (reducible side).  So each field takes the
 recipe modules' class_tables of all those q±1 classes once, for all 2^f
 subsets, built on first use; the same builders give the single-datum
 labeled sets one row at a time, so the recipe has one implementation.
+The layouts are held one field at a time: a sweep reads the fields in
+order, so each is still built once per field and process.
 With n = k (q+1) + r, the irreducible solution is then
 a = (k + C_B[r]) mod (q-1) with the digit code of r; on the reducible side
 a = n1 - (B-part digit sum) mod (q-1).  The test suite pins the labeled
@@ -58,8 +60,10 @@ sets against the definitional oracles of tests/oracles.py exhaustively on
 small parameters, including fields where each class mod q+1 has many
 lifts, and by sampling on large ones.
 
-The sweeps evaluate every n in range, chunk by chunk, with chunks capped
-at a fixed number of (row, subset) cells, and nothing is gathered per n.
+The sweeps evaluate every n in range, chunk by chunk, and nothing is
+gathered per n.  A chunk of either side holds at most _CHUNK = 2^18
+(row, subset) cells, so a block's temporaries (a few MiB) stay in a
+core's L2 cache however wide the field.
 A chunk of the irreducible side is a subset-major (2^f, K, W) block: K
 rows of W <= q+1 consecutive n, so every n of a column has the same class
 r, and the class tables, transposed to (2^f, q+1) and doubled along r,
@@ -69,10 +73,10 @@ own a = k + C[r] on every subset.  A block of the counts-red grid reads
 the ratio-class tables the same way: reversed and doubled, the tables of
 a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
 strided view.  _pairs reads every block of pairs so, the ratio line and
-its symmetry images included.  Distinct counts sort each datum's keys
-across the contiguous subset planes, by a sorting network of plane minima
-and maxima up to 16 planes and by sort(axis=0) above, and count the
-changes between adjacent planes.
+its symmetry images included.  Distinct counts sort each datum's keys,
+by a sorting network of the contiguous subset planes' minima and maxima up
+to 16 planes, and above that in a contiguous cell-major copy along its
+last axis, and count the changes between adjacent keys.
 
 The blocks work in narrow ints.  With D = q-1, every a lies in [0, D)
 and every digit code in [0, D], so the distinct-count keys a + D bcode
@@ -185,14 +189,17 @@ def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _keep_freed_memory() -> None:
-    """Keep memory that chunks free in the heap, for the next task to reuse.
+    """Keep memory that chunks free in the heap, for the next chunk and task
+    to reuse.
 
-    A chunk's temporaries take tens of MiB.  By default glibc gives the top
-    of the heap back to the OS whenever that much lies free there, which is
-    at the end of every task, and the next task faults it all back in (about
-    14 000 page faults for each (11, 3) shard).  Setting the mmap threshold
-    to its 32 MiB maximum and the trim threshold above any chunk's working
-    set stops that; peak RSS is unchanged.  Does nothing off glibc.
+    A chunk's temporaries take a few MiB.  By default glibc maps arrays that
+    large on their own and gives them back to the OS when freed, with the
+    free top of the heap, and the next chunk faults them back in: the sweeps
+    of `verify all --ell 2 --f-max 8` take 10 855 minor page faults without
+    this setting against 3 270 with it, and those of the acceptance range
+    8 143 against 1 540.  Setting the mmap threshold to its 32 MiB maximum
+    and the trim threshold above any chunk's working set stops that; peak
+    RSS moves by under 1 MiB.  Does nothing off glibc.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -336,30 +343,43 @@ def _merge_exchange(n: int) -> tuple[tuple[int, int], ...]:
 
 
 # the widest rows that _distinct_counts sorts by a network of plane minima
-# and maxima; wider ones are sorted along the cell axis
+# and maxima; wider ones are sorted cell-major
 _NETWORK_WIDTH = 16
 
 
 def _distinct_counts(keys: np.ndarray) -> np.ndarray:
     """Number of distinct keys along the first axis, the cell axis, for each
     datum (position of the other axes), counting only keys >= 0: -1 marks
-    a cell with no key.  Clobbers keys.
+    a cell with no key.  Clobbers keys of up to _NETWORK_WIDTH planes.
 
     Each subset plane keys[i] is contiguous.  Up to _NETWORK_WIDTH planes
     are sorted by _merge_exchange, one np.minimum and one np.maximum of two
-    planes per compare-exchange; wider rows by an in-place sort(axis=0).
-    Sorted, -1 comes first, and a datum has one distinct key per change
-    between adjacent planes, plus one if its first plane holds a key.
+    planes per compare-exchange.  Wider rows are sorted cell-major: a
+    contiguous (data, planes) copy of keys, sorted along its last axis, so
+    that each datum's keys are one contiguous run.  The copy reads down the
+    planes, so a plane stride off a power of two keeps it fast (see
+    _irred_block).  Sorted, -1 comes first, and a datum has one distinct
+    key per change between adjacent keys, plus one if its first key is
+    >= 0.
     """
+    if len(keys) > _NETWORK_WIDTH:
+        width = len(keys)
+        rows = np.ascontiguousarray(keys.reshape(width, -1).T)
+        rows.sort(axis=1)
+        # one pass over the sorted keys as one run: the changes between
+        # adjacent keys, and in each row's first column, which would compare
+        # it with the row before, whether its first key is >= 0
+        flat = rows.reshape(-1)
+        change = np.empty(flat.shape, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=change[1:])
+        np.greater_equal(flat[::width], 0, out=change[::width])
+        return _row_counts(change.reshape(-1, width)).reshape(keys.shape[1:])
     planes = list(keys)
-    if len(planes) <= _NETWORK_WIDTH:
-        spare = np.empty_like(planes[0])
-        for i, j in _merge_exchange(len(planes)):
-            np.minimum(planes[i], planes[j], out=spare)
-            np.maximum(planes[i], planes[j], out=planes[j])
-            planes[i], spare = spare, planes[i]
-    else:
-        keys.sort(axis=0)
+    spare = np.empty_like(planes[0])
+    for i, j in _merge_exchange(len(planes)):
+        np.minimum(planes[i], planes[j], out=spare)
+        np.maximum(planes[i], planes[j], out=planes[j])
+        planes[i], spare = spare, planes[i]
     count = (planes[0] >= 0).astype(np.int32)
     for lo, hi in zip(planes, planes[1:]):
         count += lo != hi
@@ -426,7 +446,8 @@ class _IrredCols(NamedTuple):
         return _IrredCols._make(t[..., rs : rs + W] for t in self)
 
 
-@lru_cache(maxsize=None)
+# one field at a time: a sweep reads the fields in order
+@lru_cache(maxsize=1)
 def _irred_cols(ell: int, f: int) -> _IrredCols:
     """The field's class layout for the chunk blocks (see _IrredCols)."""
     p = FieldParams(ell, f)
@@ -472,8 +493,8 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
 
 
 def _irred_chunk_rows(p: FieldParams) -> int:
-    # cap the cells (rows x 2^f), not the rows, so wide fields stay small
-    return min(_CHUNK, (_CHUNK << 4) >> p.f)
+    # the rows of _CHUNK cells (rows x 2^f), as a grid block holds
+    return max(1, _CHUNK >> p.f)
 
 
 def _irred_shards(p: FieldParams) -> list[range]:
@@ -529,7 +550,11 @@ def _irred_block(p: FieldParams, s: int, e: int):
     t0 = (s - p.cyclotomic_exponent) % D
     t = (np.arange(t0, t0 + K * W, dtype=np.int64) % D).astype(k.dtype).reshape(K, W)
     det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
-    keys = a + cols.bcode_D[per_class]  # in the key dtype
+    # the keys in the key dtype, each plane one key longer than the K W it
+    # holds: a power-of-two plane stride (W < q+1 at ell = 2) would make
+    # the cell-major copy of _distinct_counts read one cache set
+    keys = np.empty((len(a), K * W + 1), cols.bcode_D.dtype)[:, :-1].reshape(a.shape)
+    np.add(a, cols.bcode_D[per_class], out=keys)
     del a
     np.copyto(keys, -1, where=~cols.admissible[per_class])
     distinct = _distinct_counts(keys)
@@ -781,7 +806,8 @@ class _GridTables(NamedTuple):
     generic: np.ndarray  # red.is_generic there
 
 
-@lru_cache(maxsize=None)
+# one field at a time: a sweep reads the fields in order
+@lru_cache(maxsize=1)
 def _grid_tables(ell: int, f: int) -> _GridTables:
     """The field's class layout for the counts-red grid (see _GridTables)."""
     p = FieldParams(ell, f)

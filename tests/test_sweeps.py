@@ -132,19 +132,23 @@ def test_unknown_kind_rejected():
 def test_irred_chunks_cover_valid_n_with_capped_cells():
     p = FieldParams(2, 8)
     chunks = sweeps._irred_chunks(p, range(p.m_big))
-    assert max(e - s for s, e in chunks) << p.f <= sweeps._CHUNK << 4
+    assert max(e - s for s, e in chunks) << p.f <= sweeps._CHUNK
     covered = [s + int(i) for s, e in chunks for i in np.flatnonzero(sweeps._irred_block(p, s, e)[1])]
     assert covered == [n for n in range(p.m_big) if n % p.m_plus]
 
 
 @pytest.mark.parametrize(
     "ell,f,chunk",
-    [(3, 3, sweeps._CHUNK), (3, 3, 16), (5, 2, 16), (7, 3, 1 << 10), (2, 6, 32), (2, 8, sweeps._CHUNK)],
+    [
+        (3, 3, sweeps._CHUNK), (3, 3, 16 << 3), (5, 2, 16 << 2), (7, 3, 1 << 13), (2, 6, 8 << 6),
+        (2, 8, sweeps._CHUNK),
+    ],
 )
 def test_irred_block_cells_capped(monkeypatch, ell, f, chunk):
     # a block holds fewer cells than its chunk plus 2^f (q+1), and fewer than
     # twice its chunk, also where q+1 exceeds the chunk rows ((3, 3) and
-    # (5, 2) in chunks of 16 n, (2, 6) in chunks of 8)
+    # (5, 2) in chunks of 16 n, (2, 6) in chunks of 8, (2, 8) in chunks of
+    # 2^10)
     monkeypatch.setattr(sweeps, "_CHUNK", chunk)
     p = FieldParams(ell, f)
     chunks = [c for shard in sweeps._irred_shards(p) for c in sweeps._irred_chunks(p, shard)]
@@ -201,10 +205,10 @@ _SCAN_ORDER = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_scan_keys_in_witness_order(monkeypatch, fresh_tables, kind):
-    # small chunks and shards cut (3, 2) into five runs of n and eight grid
-    # blocks; the ratio line comes first for counts-red and last for
+    # small chunks (8 n) and shards cut (3, 2) into five runs of n and eight
+    # grid blocks; the ratio line comes first for counts-red and last for
     # det-law, nonempty and symmetry
-    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 2)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 64)
     p = FieldParams(3, 2)
     keys = sweeps._scan_keys(kind, 3, 2)
@@ -224,7 +228,7 @@ def test_held_scans_run_without_a_pool(monkeypatch, fresh_tables):
     # the next kinds only read them (and build one ratio line), so they run
     # in this process, with the serial reports
     sizes = _record_pools(monkeypatch, 2)
-    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 1)  # chunks of 8 n
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 16)
     assert len(sweeps._irred_shards(FieldParams(7, 1))) == 6
     assert verify_sweep("counts-irred", [7], 1, jobs=2).passed
@@ -375,7 +379,7 @@ def test_symmetry_finds_the_one_failing_row_of_a_chunk(monkeypatch, fresh_tables
     tables = _corrupt_irred("C")
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
-    monkeypatch.setattr(sweeps, "_CHUNK", 8)
+    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 3)
     mm = sweeps._scan(("_build_irred_scan", 3, 3, shard))["symmetry"]
     assert (mm.checked, mm.count) == (8, 1)
     assert mm.witnesses == [{"ell": 3, "f": 3, "check": check, "n": n}]
@@ -388,7 +392,7 @@ def test_symmetry_witnesses_across_chunks(monkeypatch, fresh_tables):
     tables = _corrupt_irred("C")
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
-    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    monkeypatch.setattr(sweeps, "_CHUNK", 64 << 3)
     conj, frob = "conjugation-irred", "frobenius-irred"
     want = [(conj, n) for n in (5, 23, 33, 51, 61)] + [(frob, n) for n in (5, 11, 33, 39, 61)]
     want += [(conj, n) for n in (79, 89, 107, 117)] + [(frob, n) for n in (67, 89, 95, 117, 123)]
@@ -445,12 +449,15 @@ def _irred_per_n(ell, f):
     return rows
 
 
-@pytest.mark.parametrize("chunk", [8, 27, 29, 64])
-def test_irred_block_per_n_matches_oracle(monkeypatch, chunk):
-    # (3, 3): q + 1 = 28, so chunks of 8 and 27 n are shorter than a k-row,
-    # and chunks of 29 and 64 n end inside one
-    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
-    ell, f = 3, 3
+@pytest.mark.parametrize(
+    "ell,f,rows", [(3, 3, 8), (3, 3, 27), (3, 3, 29), (3, 3, 64), (2, 5, 16), (2, 5, 33), (2, 5, 50)]
+)
+def test_irred_block_per_n_matches_oracle(monkeypatch, ell, f, rows):
+    # chunks of rows n, rows 2^f cells: (3, 3) has q + 1 = 28, so chunks of
+    # 8 and 27 n are shorter than a k-row, and chunks of 29 and 64 n end
+    # inside one; (2, 5) has q + 1 = 33 and 32 planes, past the sorting
+    # network, and its chunks end before, at and inside a k-row
+    monkeypatch.setattr(sweeps, "_CHUNK", rows << f)
     p = FieldParams(ell, f)
     want = []
     for n in range(p.m_big):
@@ -736,16 +743,18 @@ def test_distinct_counts_same_on_int32_and_int64(ncols):
         assert sweeps._distinct_counts(cells).tolist() == want
 
 
-@pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 256])
+@pytest.mark.parametrize("width", [2, 4, 8, 16, 17, 32, 256, 512, 1024])
 def test_distinct_counts_against_unique(width):
     # every width the scans sort: by the network up to _NETWORK_WIDTH
-    # (2^f on the irreducible side, 2^(f+1) on the ratio line), along the
-    # cell axis above; -1 marks a cell with no key
+    # (2^f on the irreducible side, 2^(f+1) on the ratio line), cell-major
+    # above; -1 marks a cell with no key.  The data axes are powers of two,
+    # as in a block of W < q+1 columns, so the planes have a power-of-two
+    # stride
     assert (width <= sweeps._NETWORK_WIDTH) == (width <= 16)
     rng = np.random.default_rng(width)
-    rows = rng.integers(-1, width, size=(500, width))
+    rows = rng.integers(-1, width, size=(512, width))
     want = [len(np.unique(row[row >= 0])) for row in rows]
-    keys = np.ascontiguousarray(rows.T, dtype=np.int32).reshape(width, 20, 25)
+    keys = np.ascontiguousarray(rows.T, dtype=np.int32).reshape(width, 16, 32)
     assert sweeps._distinct_counts(keys).ravel().tolist() == want
 
 
@@ -814,8 +823,9 @@ def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrup
         _serve_for(monkeypatch, "_red_tables", 3, 3, tables)
     elif corrupt != "clean":
         _serve_for(monkeypatch, "_irred_tables", 3, 3, _corrupt_irred(corrupt))
-    # symmetry's witness order follows the chunk grid, so fix that first
-    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    # symmetry's witness order follows the chunk grid, so fix that first:
+    # chunks of 32 n at (3, 3) and 64 at (5, 2)
+    monkeypatch.setattr(sweeps, "_CHUNK", 256)
     whole = sweep(1)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
@@ -837,8 +847,8 @@ def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrup
 def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     # the scans a pool's workers build come back to this process: the next
     # kinds read them from its store, without calling the kernel (or, for
-    # the counts-red grid, _pairs) here
-    monkeypatch.setattr(sweeps, "_CHUNK", 64)
+    # the counts-red grid, _pairs) here; chunks of 64 n at (3, 2) and (5, 2)
+    monkeypatch.setattr(sweeps, "_CHUNK", 256)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     calls = []
