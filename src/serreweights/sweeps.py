@@ -62,8 +62,8 @@ lifts, and by sampling on large ones.
 
 The sweeps evaluate every n in range, chunk by chunk, and nothing is
 gathered per n.  A chunk of either side holds at most _CHUNK = 2^18
-(row, subset) cells, so a block's temporaries (a few MiB) stay in a
-core's L2 cache however wide the field.
+(row, subset) cells, so a block's temporaries take a few MiB, about a
+core's L2 cache, however wide the field.
 A chunk of the irreducible side is a subset-major (2^f, K, W) block: K
 rows of W <= q+1 consecutive n, so every n of a column has the same class
 r, and the class tables, transposed to (2^f, q+1) and doubled along r,
@@ -551,8 +551,8 @@ def _irred_block(p: FieldParams, s: int, e: int):
     t = (np.arange(t0, t0 + K * W, dtype=np.int64) % D).astype(k.dtype).reshape(K, W)
     det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
     # the keys in the key dtype, each plane one key longer than the K W it
-    # holds: a power-of-two plane stride (W < q+1 at ell = 2) would make
-    # the cell-major copy of _distinct_counts read one cache set
+    # holds: a power-of-two plane stride (W < q+1 at ell = 2, f >= 9) would
+    # make the cell-major copy of _distinct_counts read one cache set
     keys = np.empty((len(a), K * W + 1), cols.bcode_D.dtype)[:, :-1].reshape(a.shape)
     np.add(a, cols.bcode_D[per_class], out=keys)
     del a

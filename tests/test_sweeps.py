@@ -140,15 +140,16 @@ def test_irred_chunks_cover_valid_n_with_capped_cells():
 @pytest.mark.parametrize(
     "ell,f,chunk",
     [
-        (3, 3, sweeps._CHUNK), (3, 3, 16 << 3), (5, 2, 16 << 2), (7, 3, 1 << 13), (2, 6, 8 << 6),
-        (2, 8, sweeps._CHUNK),
+        (3, 3, sweeps._CHUNK), (3, 3, 16), (3, 3, 16 << 3), (5, 2, 16), (5, 2, 16 << 2), (7, 3, 1 << 10),
+        (7, 3, 1 << 13), (2, 6, 32), (2, 6, 8 << 6), (2, 8, sweeps._CHUNK),
     ],
 )
 def test_irred_block_cells_capped(monkeypatch, ell, f, chunk):
     # a block holds fewer cells than its chunk plus 2^f (q+1), and fewer than
     # twice its chunk, also where q+1 exceeds the chunk rows ((3, 3) and
-    # (5, 2) in chunks of 16 n, (2, 6) in chunks of 8, (2, 8) in chunks of
-    # 2^10)
+    # (5, 2) in chunks of 16 n and fewer, (2, 6) in chunks of 8, (2, 8) in
+    # chunks of 2^10) and where one row is wider than the cap ((2, 6) at 32
+    # cells)
     monkeypatch.setattr(sweeps, "_CHUNK", chunk)
     p = FieldParams(ell, f)
     chunks = [c for shard in sweeps._irred_shards(p) for c in sweeps._irred_chunks(p, shard)]
@@ -450,7 +451,9 @@ def _irred_per_n(ell, f):
 
 
 @pytest.mark.parametrize(
-    "ell,f,rows", [(3, 3, 8), (3, 3, 27), (3, 3, 29), (3, 3, 64), (2, 5, 16), (2, 5, 33), (2, 5, 50)]
+    "ell,f,rows",
+    [pytest.param(3, 3, rows, id=str(rows)) for rows in (8, 27, 29, 64)]
+    + [(2, 5, 16), (2, 5, 33), (2, 5, 50)],
 )
 def test_irred_block_per_n_matches_oracle(monkeypatch, ell, f, rows):
     # chunks of rows n, rows 2^f cells: (3, 3) has q + 1 = 28, so chunks of
