@@ -32,11 +32,7 @@ from . import qtable
 from . import reducible as red
 from . import sweeps
 from .errors import SerreWeightError
-from .global_weights import (
-    GlobalDatum,
-    global_sort_key,
-    global_weight_set,
-)
+from .global_weights import GlobalDatum, local_tables
 from .modarith import FieldParams, code_digits
 from .weights import (
     LabeledRows,
@@ -74,68 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json(payload: Any) -> str:
-    """`json.dumps(payload, indent=2)`, byte for byte, for acyclic trees of
-    dict with str keys, list, tuple, str, int, float, bool and None; a
-    `_JsonRows` leaf is written as the list of dicts it stands for.
-
-    The stdlib encodes indented output in pure Python; here only the tree
-    walk is Python.  Strings go through the C-level ASCII escaper, ints
-    through int.__repr__ (a list of plain ints in one join), row tables
-    through their columnar text at the walker's indent, and other leaves
-    through the C encoder of `json.dumps`.
-    """
-    parts: list[str] = []
-    _json_walk(payload, "\n", parts.append)
-    return "".join(parts)
-
-
-def _json_walk(x: Any, newline: str, put) -> None:
-    if isinstance(x, (list, tuple)):
-        if not x:
-            put("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, x)) == {int}:  # not bool: int.__repr__(True) is "1"
-            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
-            return
-        sep, comma = "[" + inner, "," + inner
-        for v in x:
-            put(sep)
-            _json_walk(v, inner, put)
-            sep = comma
-        put(newline + "]")
-    elif isinstance(x, dict):
-        if not x:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for k, v in x.items():
-            head = sep + _json_str(k) + ": "
-            t = type(v)  # str and plain int values inline, without a recursive call
-            if t is int:
-                put(head + int.__repr__(v))
-            elif t is str:
-                put(head + _json_str(v))
-            else:
-                put(head)
-                _json_walk(v, inner, put)
-            sep = comma
-        put(newline + "}")
-    elif isinstance(x, str):
-        put(_json_str(x))
-    elif type(x) is int:
-        put(int.__repr__(x))
-    elif isinstance(x, _JsonRows):
-        put(x.text(newline))
-    else:
-        put(json.dumps(x))
-
 
 def _weights_json(ws) -> list[dict]:
     return [weight_to_dict(V) for V in sorted(ws, key=weight_sort_key)]
@@ -259,21 +193,14 @@ class _RowCols:
             indent + "}",
         ]
 
-
-class _JsonRows:
-    """A JSON list with one item per row idx of t: the labeled item of
-    `_RowCols.labeled_json` or the weight of `_RowCols.weight_json`.
-    `_json` writes it at the walker's indent."""
-
-    def __init__(self, t: _RowCols, idx, labeled: bool) -> None:
-        self.t, self.idx, self.labeled = t, idx, labeled
-
-    def text(self, newline: str) -> str:
-        if not self.t.rows.B[self.idx].size:  # no rows
+    def json_list(self, idx, labeled: bool, newline: str) -> str:
+        """The JSON list of the rows idx, each item `labeled_json` or
+        `weight_json`, opened at newline (a newline and spaces)."""
+        if not self.rows.B[idx].size:  # no rows
             return "[]"
         inner = newline + "  "
-        item = self.t.labeled_json if self.labeled else self.t.weight_json
-        return _joined(item(self.idx, inner), "," + inner, "[" + inner, newline + "]")
+        item = self.labeled_json if labeled else self.weight_json
+        return _joined(item(idx, inner), "," + inner, "[" + inner, newline + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +212,7 @@ def _render_labeled(args, recipe, d, header: str) -> tuple[str, int]:
     projects to; recipe is the irreducible or the reducible module."""
     t = _RowCols(labeled_rows(*recipe.labeled_triples(d), d.params), d.params, args.format)
     if args.format == "json":
-        rows = _JsonRows(t, t.every, True) if args.labels else _JsonRows(t, t.firsts, False)
-        return _json(rows), EXIT_OK
+        return t.json_list(t.every if args.labels else t.firsts, args.labels, "\n"), EXIT_OK
     if args.format == "tsv":
         if args.labels:
             cells = ["\n", *t.weight_cells(t.every), "\t", t.subsets(t.every)]
@@ -318,10 +244,11 @@ def _cmd_red(args) -> tuple[str, int]:
     t = _RowCols(rows, p, args.format)
     sure, maybe = t.firsts[certain], t.firsts[~certain]
     if args.format == "json":
-        payload = {"certain": _JsonRows(t, sure, False), "possible": _JsonRows(t, maybe, False)}
+        text = '{\n  "certain": ' + t.json_list(sure, False, "\n  ")
+        text += ',\n  "possible": ' + t.json_list(maybe, False, "\n  ")
         if args.labels:
-            payload["labeled"] = _JsonRows(t, t.every, True)
-        return _json(payload), EXIT_OK
+            text += ',\n  "labeled": ' + t.json_list(t.every, True, "\n  ")
+        return text + "\n}", EXIT_OK
     if args.format == "tsv":
         text = _joined(["\ncertain\t", *t.weight_cells(sure)], head="part\ta\tb\tweight")
         return text + _joined(["\npossible\t", *t.weight_cells(maybe)]), EXIT_OK
@@ -350,7 +277,7 @@ def _cmd_qtable(args) -> tuple[str, int]:
             }
             for s, ws in rows
         ]
-        return _json(payload), EXIT_OK
+        return json.dumps(payload, indent=2), EXIT_OK
     if args.format == "tsv":
         body = [
             [str(s.ell), str(s.b), s.kind.value, ", ".join(str(V) for V in ws)]
@@ -419,30 +346,43 @@ def parse_global_datum(obj: Any) -> GlobalDatum:
 
 def _cmd_global(args) -> tuple[str, int]:
     g = parse_global_datum(_read_json_input(args))
-    sets = global_weight_set(g)
-    certain = sorted(sets.certain, key=global_sort_key)
-    possible = sorted(sets.possible, key=global_sort_key)
+    tables = local_tables(g)
+    shape = [len(t.weights) for t in tables]
+    # row r of the sorted product is the mixed-radix number idx[:, r] over
+    # the sorted local lists, the last entry counting fastest
+    idx = np.indices(shape).reshape(len(shape), -1)
+    certain = np.logical_and.reduce([np.array(t.certain)[i] for t, i in zip(tables, idx)])
+    parts = (("certain", idx[:, certain]), ("possible", idx[:, ~certain]))
+
+    def text(V) -> str:
+        if args.format != "json":
+            return str(V)
+        return json.dumps(weight_to_dict(V), indent=2).replace("\n", "\n      ")
+
+    texts = [np.array(list(map(text, t.weights)), dtype=object) for t in tables]
+
+    def weights(rows: np.ndarray, sep: str) -> list:
+        """The texts of the weights of the rows, entry by entry, sep between."""
+        cols = [texts[0][rows[0]]]
+        for table, i in zip(texts[1:], rows[1:]):
+            cols += [sep, table[i]]
+        return cols
+
     if args.format == "json":
-        payload = {
-            "ell": g.ell,
-            "certain": [[weight_to_dict(V) for V in gw] for gw in certain],
-            "possible": [[weight_to_dict(V) for V in gw] for gw in possible],
-        }
-        return _json(payload), EXIT_OK
+        lists = [
+            "[]" if not rows.shape[1] else _joined(
+                ["[\n      ", *weights(rows, ",\n      "), "\n    ]"], ",\n    ", "[\n    ", "\n  ]"
+            )
+            for _, rows in parts
+        ]
+        return '{\n  "ell": %d,\n  "certain": %s,\n  "possible": %s\n}' % (g.ell, *lists), EXIT_OK
     if args.format == "tsv":
-        header = ["part"] + [f"prime{i}" for i in range(len(g.primes))]
-        rows = [["certain"] + [str(V) for V in gw] for gw in certain]
-        rows += [["possible"] + [str(V) for V in gw] for gw in possible]
-        return _tsv(header, rows), EXIT_OK
-    lines = [
-        f"ell={g.ell} primes={len(g.primes)}"
-        f" certain={len(certain)} possible={len(possible)}"
-    ]
-    for gw in certain:
-        lines.append("  certain  (" + ", ".join(str(V) for V in gw) + ")")
-    for gw in possible:
-        lines.append("  possible (" + ", ".join(str(V) for V in gw) + ")")
-    return "\n".join(lines), EXIT_OK
+        head = "\t".join(["part"] + [f"prime{i}" for i in range(len(shape))])
+        lines = [_joined([f"\n{part}\t", *weights(rows, "\t")]) for part, rows in parts]
+    else:
+        head = f"ell={g.ell} primes={len(shape)} certain={certain.sum()} possible={(~certain).sum()}"
+        lines = [_joined([f"\n  {part:<8} (", *weights(rows, ", "), ")"]) for part, rows in parts]
+    return head + "".join(lines), EXIT_OK
 
 
 def parse_factor_input(obj: Any) -> lf.LocalFactorInput:
@@ -488,7 +428,7 @@ def _cmd_factor(args) -> tuple[str, int]:
         )
     payload = _factor_payload(inp)
     if args.format == "json":
-        return _json(payload), EXIT_OK
+        return json.dumps(payload, indent=2), EXIT_OK
     if args.format == "tsv":
         rows = [[k, json.dumps(v) if isinstance(v, list) else str(v)] for k, v in payload.items()]
         return _tsv(["field", "value"], rows), EXIT_OK
@@ -536,7 +476,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         reports.append(r)
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
     if args.format == "json":
-        return _json([r.to_dict() for r in reports]), code
+        return json.dumps([r.to_dict() for r in reports], indent=2), code
     if args.format == "tsv":
         rows = [
             [r.kind, str(len(r.tasks)), str(r.checked), str(r.mismatch_count), str(r.passed).lower()]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ParamError, ParamMismatch
 from .weights import SerreWeight, det_exponent, weight_sort_key
@@ -26,6 +26,8 @@ __all__ = [
     "GlobalDatum",
     "GlobalWeightSets",
     "global_weight_set",
+    "LocalTable",
+    "local_tables",
     "twist_global",
     "DetReport",
     "check_det_compatibility",
@@ -78,13 +80,22 @@ def _local_sets(d: LocalDatum) -> tuple[frozenset[SerreWeight], frozenset[SerreW
     return certain, certain | possible
 
 
-def global_weight_set(g: GlobalDatum) -> GlobalWeightSets:
-    """Certain and possible global weights: the products of the local
-    certain sets and of the local upper sets, minus the former.
+class LocalTable(NamedTuple):
+    """One entry's upper set in `weight_sort_key` order, and whether each
+    of its weights is certain."""
 
-    Raises ParamError before building either product when the rows,
-    certain plus possible, exceed MAX_GLOBAL_ROWS.  Each certain set lies
-    in its upper set, so they number the product of the upper set sizes.
+    weights: list[SerreWeight]
+    certain: list[bool]
+
+
+def local_tables(g: GlobalDatum) -> list[LocalTable]:
+    """The `LocalTable` of every entry of g.  Their product, in
+    `itertools.product` order, is the global product in `global_sort_key`
+    order; a row is certain when each of its weights is.
+
+    Raises ParamError when the rows, certain plus possible, exceed
+    MAX_GLOBAL_ROWS.  Each certain set lies in its upper set, so they
+    number the product of the upper set sizes.
     """
     locals_ = [_local_sets(d) for d in g.primes]
     rows = math.prod(len(u) for _, u in locals_)
@@ -92,12 +103,22 @@ def global_weight_set(g: GlobalDatum) -> GlobalWeightSets:
         raise ParamError(
             f"the global weight set has {rows} rows, over the bound of {MAX_GLOBAL_ROWS}"
         )
+    tables = []
+    for c, u in locals_:
+        ws = sorted(u, key=weight_sort_key)
+        tables.append(LocalTable(ws, [V in c for V in ws]))
+    return tables
+
+
+def global_weight_set(g: GlobalDatum) -> GlobalWeightSets:
+    """Certain and possible global weights: the products of the local
+    certain sets and of the local upper sets, minus the former.  Raises
+    as `local_tables` does, before building either product."""
+    tables = local_tables(g)
     certain = frozenset(
-        itertools.product(*(sorted(c, key=weight_sort_key) for c, _ in locals_))
+        itertools.product(*([V for V, c in zip(t.weights, t.certain) if c] for t in tables))
     )
-    upper = frozenset(
-        itertools.product(*(sorted(u, key=weight_sort_key) for _, u in locals_))
-    )
+    upper = frozenset(itertools.product(*(t.weights for t in tables)))
     return GlobalWeightSets(certain=certain, possible=upper - certain)
 
 

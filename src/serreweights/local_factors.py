@@ -142,33 +142,25 @@ def classify_local_factor(inp: LocalFactorInput) -> FactorDescriptor:
             sub=CHAR_INV_DET,
             quot=CHAR_INV_OMEGA_INV_DET,
         )
-    if inp.q_mod_ell % inp.ell == 1:
-        if inp.split:
-            return DirectSumTwo(summand=CHAR_INV_DET)
-        return Character(value=CHAR_INV_DET)
+    if inp.q_mod_ell % inp.ell == 1 and inp.split:
+        return DirectSumTwo(summand=CHAR_INV_DET)
     return Character(value=CHAR_INV_DET)
 
 
 def classification_notes(inp: LocalFactorInput) -> tuple[str, ...]:
     """Caveats attached to the classification."""
+    if inp.shape is not GaloisShape.CYC_TWIST_EXT:
+        return ()
+    minus = (inp.q_mod_ell + 1) % inp.ell == 0
     notes = []
-    if inp.shape is GaloisShape.CYC_TWIST_EXT and (inp.q_mod_ell + 1) % inp.ell == 0:
-        if inp.ell == 2:
-            notes.append(
-                "ell = 2: the extension space is two dimensional and the class is "
-                "carried along a Kummer-theory identification; the descriptor only "
-                "records split vs non-split"
-            )
+    if minus and inp.ell == 2:
         notes.append(
-            "the factor is defined directly from the Galois datum and is not "
-            "determined by the factors of its lifts"
+            "ell = 2: the extension space is two dimensional and the class is "
+            "carried along a Kummer-theory identification; the descriptor only "
+            "records split vs non-split"
         )
-    if (
-        inp.shape is GaloisShape.CYC_TWIST_EXT
-        and inp.q_mod_ell % inp.ell == 1
-        and (inp.q_mod_ell + 1) % inp.ell != 0
-        and not inp.split
-    ):
+    # the branches with a non-trivial extension: q = -1, or q = 1 and not split
+    if minus or (inp.q_mod_ell % inp.ell == 1 and not inp.split):
         notes.append(
             "the factor is defined directly from the Galois datum and is not "
             "determined by the factors of its lifts"

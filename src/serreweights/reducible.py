@@ -194,12 +194,7 @@ def labeled_count_formula(d: ReducibleDatum) -> int:
                 return 2**f + 4
             return 2**f + 3 if n % 3 == 0 else 2**f
         return 2**f + 2 if n == 0 else 2**f + 1
-    if p.ell == 3:
-        half = p.m_minus // 2
-        if (n == 0 and f % 2 == 0) or n == half:
-            return 2**f + 2
-        return 2**f + 1 if n in _ambiguous_classes_red(3, f) else 2**f
-    if n == 0 and f % 2 == 0:
+    if (n == 0 and f % 2 == 0) or (p.ell == 3 and n == p.m_minus // 2):
         return 2**f + 2
     return 2**f + 1 if n in _ambiguous_classes_red(p.ell, f) else 2**f
 

@@ -42,7 +42,8 @@ arguments, and _scan builds one only on a miss.  With jobs > 1,
 verify_sweep builds the scans missing from _scans in a pool sized by
 their number and stores what the workers return; so the next kind's pool
 forks with them in place, and no worker outlives its verify_sweep call.
-Under `verify all`, only counts-irred, counts-red and qtable-crosscheck
+qtable scans take a few ms each, less than a fork, so they are always
+built in-process.  Under `verify all`, only counts-irred and counts-red
 fork a pool; the other kinds read held scans and run in-process.
 
 The enumeration side runs on a table-driven engine.  For each subset B the
@@ -966,10 +967,10 @@ def verify_sweep(
     (sum of ell^(2f) residue classes) exceeds the budget, or the budget is
     NaN.  The report merges the kind's collectors off the scans that
     _scan_keys lists for each field, in that order, the same scans for any
-    jobs.  With jobs > 1 the scans missing from _scans are built in a
-    process pool of at most min(jobs, missing scans, CPUs) workers and
-    stored in _scans, for this kind and the next; with one missing scan or
-    none, no pool is made and _scan builds them here.  So the report is
+    jobs.  With jobs > 1 the scans missing from _scans, other than qtable
+    scans, are built in a process pool of at most min(jobs, missing scans,
+    CPUs) workers and stored in _scans, for this kind and the next; with
+    one missing scan or none, no pool is made and _scan builds them here.  So the report is
     identical to a serial run.  Raises ParamError when the plan holds no
     field.
     """
@@ -1000,7 +1001,7 @@ def verify_sweep(
     keys = [key for ell, f in tasks for key in _scan_keys(kind, ell, f)]
     # the pool forks all its workers on the first submit, so never ask for
     # more than there are scans to build or CPUs to build them
-    missing = [key for key in keys if key not in _scans]
+    missing = [key for key in keys if key not in _scans and key[0] != "_build_qtable_scan"]
     workers = min(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serreweights import cli, global_weights, qtable, sweeps
+from serreweights.global_weights import global_sort_key, global_weight_set
 from serreweights import irreducible as irred
 from serreweights import reducible as red
 from serreweights.modarith import MAX_SUBSET_F, FieldParams, subset_indices
@@ -446,6 +447,7 @@ def test_global_refuses_six_entries_before_the_product(capsys, monkeypatch):
         raise RuntimeError("a global product was built")
 
     monkeypatch.setattr(global_weights, "itertools", SimpleNamespace(product=no_product))
+    monkeypatch.setattr(np, "indices", no_product)  # the CLI's row index
     entry = {"f": 4, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}
     datum = {"ell": 7, "primes": [entry] * 6}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(datum)))
@@ -474,6 +476,82 @@ def test_global_pretty(capsys, tmp_path):
     assert lines[1] == "  certain  (V[0 ; 1], V[0 ; 3])"
     assert lines[2] == "  certain  (V[0 ; 3], V[0 ; 3])"
     assert sum(1 for ln in lines if ln.startswith("  possible")) == 6
+
+
+def _global_answers(datum: dict) -> dict[str, str]:
+    """{format: stdout} of `global` on datum, built from the library's
+    global_weight_set, sorted by global_sort_key, with json.dumps and
+    str(SerreWeight)."""
+    g = cli.parse_global_datum(datum)
+    sets = global_weight_set(g)
+    certain = sorted(sets.certain, key=global_sort_key)
+    possible = sorted(sets.possible, key=global_sort_key)
+    tree = {
+        "ell": g.ell,
+        "certain": [list(map(weight_to_dict, gw)) for gw in certain],
+        "possible": [list(map(weight_to_dict, gw)) for gw in possible],
+    }
+    tsv = ["\t".join(["part"] + [f"prime{i}" for i in range(len(g.primes))])]
+    tsv += ["\t".join(["certain", *map(str, gw)]) for gw in certain]
+    tsv += ["\t".join(["possible", *map(str, gw)]) for gw in possible]
+    pretty = [f"ell={g.ell} primes={len(g.primes)} certain={len(certain)} possible={len(possible)}"]
+    pretty += ["  certain  (" + ", ".join(map(str, gw)) + ")" for gw in certain]
+    pretty += ["  possible (" + ", ".join(map(str, gw)) + ")" for gw in possible]
+    return {
+        "json": json.dumps(tree, indent=2) + "\n",
+        "tsv": "\n".join(tsv) + "\n",
+        "pretty": "\n".join(pretty) + "\n",
+    }
+
+
+@st.composite
+def _global_data(draw) -> dict:
+    """A global datum at ell in {2, 3, 5, 7}: one to three entries with
+    f <= 2, each irreducible, split or of unknown extension."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    primes = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(st.integers(1, 2))
+        q = ell**f
+        case = draw(st.sampled_from(("irreducible", "split", "unknown")))
+        if case == "irreducible":
+            n = draw(st.integers(0, q * q - 2).filter(lambda n: n % (q + 1)))
+            primes.append({"f": f, "case": case, "n": n})
+        else:
+            n1, n2 = draw(st.integers(0, max(q - 2, 0))), draw(st.integers(0, max(q - 2, 0)))
+            primes.append({"f": f, "case": "reducible", "n1": n1, "n2": n2, "ext": case})
+    return {"ell": ell, "primes": primes}
+
+
+ONE_ENTRY_GLOBAL = {"ell": 3, "primes": [{"f": 2, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}]}
+ALL_SPLIT_GLOBAL = {
+    "ell": 5,
+    "primes": [
+        {"f": 1, "case": "reducible", "n1": 2, "n2": 0, "ext": "split"},
+        {"f": 2, "case": "irreducible", "n": 1},
+    ],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(datum=_global_data())
+@example(datum=ONE_ENTRY_GLOBAL)
+@example(datum=ALL_SPLIT_GLOBAL)
+def test_global_matches_library_oracle(datum):
+    saved = sys.stdin
+    try:
+        for fmt, expected in _global_answers(datum).items():
+            sys.stdin = io.StringIO(json.dumps(datum))
+            assert _cli_stdout(["global", "--stdin", "--format", fmt]) == expected, (datum, fmt)
+    finally:
+        sys.stdin = saved
+
+
+def test_global_oracle_covers_the_edge_cases():
+    # the explicit examples above reach a single entry with possible rows
+    # and a datum with no possible row
+    assert json.loads(_global_answers(ONE_ENTRY_GLOBAL)["json"])["possible"]
+    assert json.loads(_global_answers(ALL_SPLIT_GLOBAL)["json"])["possible"] == []
 
 
 def test_global_requires_source(capsys):
@@ -882,41 +960,12 @@ def test_one_parser_serves_every_call_like_a_fresh_one(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer
+# one JSON path: row tables write their own text, the rest is json.dumps
 
-_json_leaves = st.one_of(
-    st.text(max_size=12),  # non-ASCII and control characters included
-    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\ud800", "\U0001f600"]),
-    st.integers(),
-    st.integers(min_value=2**63 - 2, max_value=2**70),
-    st.integers(min_value=-(2**70), max_value=-(2**63) + 2),
-    st.booleans(),
-    st.none(),
-    st.lists(st.integers(min_value=-5, max_value=5), max_size=4),  # the int-list path
-)
-_json_trees = st.recursive(
-    _json_leaves,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=250, deadline=None)
-@given(_json_trees)
-def test_json_writer_matches_stdlib_indent_2(tree):
-    assert cli._json(tree) == json.dumps(tree, indent=2)
-
-
-def test_json_writer_edge_cases():
-    cases = [
-        [], {}, [[]], {"": {}}, [True, 1, False, 0], [1, True], {"k": [None]}, 2**64, -(2**64),
-        [1.5, float("inf"), float("nan")], (1, 2), {"a": (), "b": {"c": [[1], []]}},
-    ]
-    for x in cases:
-        assert cli._json(x) == json.dumps(x, indent=2), x
-    with pytest.raises(TypeError):
-        cli._json({1: 0})  # the payloads have str keys only
+THREE_ENTRY_GLOBAL = {
+    "ell": 7,
+    "primes": [{"f": 4, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}] * 3,
+}
 
 
 @pytest.mark.parametrize(
@@ -927,38 +976,17 @@ def test_json_writer_edge_cases():
         ["red", "--ell", "3", "--f", "2", "--n1", "5", "--n2", "0", "--labels"],
         ["red", "--ell", "2", "--f", "2", "--n1", "0", "--n2", "0", "--ext", "unknown", "--labels"],
         ["qtable", "--ell", "5"],
-        ["global", "--stdin"],
+        (["global", "--stdin"], GLOBAL_DATUM),
         ["factor", "--ell", "3", "--q-mod-ell", "2", "--shape", "cyc_twist_ext", "--ext-nonzero"],
         ["verify", "counts", "nonempty", "--ell", "2,3", "--f-max", "2"],
+        ["red", "--ell", "13", "--f", "4", "--n1", "1", "--n2", "0", "--ext", "unknown"],
+        (["global", "--stdin"], THREE_ENTRY_GLOBAL),
     ],
 )
 def test_json_writer_matches_stdlib_on_every_payload(capsys, monkeypatch, argv):
-    payloads = []
-    real = cli._json
-
-    def recording(payload):
-        payloads.append(payload)
-        return real(payload)
-
-    def plain(x):
-        # the stdlib's tree for a row table of the irred / red payloads,
-        # built item by item from the rows it renders
-        rows, p = x.t.rows, x.t.p
-        idx = np.arange(len(rows.a))[x.idx].tolist()
-
-        def weight(i):
-            return {"ell": p.ell, "f": p.f, "a": int(rows.a[i]), "b": rows.b[i].tolist()}
-
-        if x.labeled:
-            return [
-                {"weight": weight(i), "B": [j for j in range(p.f) if rows.B[i] >> j & 1]}
-                for i in idx
-            ]
-        return [weight(i) for i in idx]
-
-    monkeypatch.setattr(cli, "_json", recording)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GLOBAL_DATUM)))
+    # a global call is (argv, the datum it reads on stdin)
+    argv, datum = argv if isinstance(argv, tuple) else (argv, None)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(datum)))
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    (payload,) = payloads
-    assert out == json.dumps(payload, indent=2, default=plain) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -97,3 +97,35 @@ def test_notes():
     )
     assert any("lift" in n for n in notes)
     assert classification_notes(LocalFactorInput(5, 2, GaloisShape.IRREDUCIBLE)) == ()
+
+
+KUMMER_NOTE = (
+    "ell = 2: the extension space is two dimensional and the class is "
+    "carried along a Kummer-theory identification; the descriptor only "
+    "records split vs non-split"
+)
+LIFTS_NOTE = (
+    "the factor is defined directly from the Galois datum and is not "
+    "determined by the factors of its lifts"
+)
+
+
+def test_every_notes_tuple():
+    flags = ((False, False), (True, False), (False, True))
+    # only the cyclotomic-twist line has notes: q = -1 for every flag pair,
+    # q = 1 (not also -1) unless split, and the Kummer note first at ell = 2
+    want = {
+        **{(2, 1, *fl): (KUMMER_NOTE, LIFTS_NOTE) for fl in flags},
+        **{(ell, ell - 1, *fl): (LIFTS_NOTE,) for ell in (3, 5, 7) for fl in flags},
+        **{(ell, 1, False, ext): (LIFTS_NOTE,) for ell in (3, 5, 7) for ext in (False, True)},
+    }
+    for ell in (2, 3, 5, 7):
+        for q_mod in range(1, ell):
+            for shape in GaloisShape:
+                for split, ext_nonzero in flags:
+                    notes = classification_notes(
+                        LocalFactorInput(ell, q_mod, shape, split, ext_nonzero)
+                    )
+                    key = (ell, q_mod, split, ext_nonzero)
+                    expected = want.get(key, ()) if shape is GaloisShape.CYC_TWIST_EXT else ()
+                    assert notes == expected, (key, shape)
