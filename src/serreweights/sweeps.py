@@ -970,9 +970,9 @@ def verify_sweep(
     jobs.  With jobs > 1 the scans missing from _scans, other than qtable
     scans, are built in a process pool of at most min(jobs, missing scans,
     CPUs) workers and stored in _scans, for this kind and the next; with
-    one missing scan or none, no pool is made and _scan builds them here.  So the report is
-    identical to a serial run.  Raises ParamError when the plan holds no
-    field.
+    one missing scan or none, no pool is made and _scan builds them here.
+    So the report is identical to a serial run.  Raises ParamError when
+    the plan holds no field.
     """
     if jobs < 1:
         raise ParamError(f"jobs must be at least 1, got {jobs}")

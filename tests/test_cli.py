@@ -25,9 +25,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serreweights import cli, global_weights, qtable, sweeps
-from serreweights.global_weights import global_sort_key, global_weight_set
 from serreweights import irreducible as irred
 from serreweights import reducible as red
+from serreweights.global_weights import global_sort_key, global_weight_set
 from serreweights.modarith import MAX_SUBSET_F, FieldParams, subset_indices
 from serreweights.weights import format_weight_set, weight_sort_key, weight_to_dict
 
@@ -523,7 +523,10 @@ def _global_data(draw) -> dict:
     return {"ell": ell, "primes": primes}
 
 
-ONE_ENTRY_GLOBAL = {"ell": 3, "primes": [{"f": 2, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}]}
+ONE_ENTRY_GLOBAL = {
+    "ell": 3,
+    "primes": [{"f": 2, "case": "reducible", "n1": 1, "n2": 0, "ext": "unknown"}],
+}
 ALL_SPLIT_GLOBAL = {
     "ell": 5,
     "primes": [
