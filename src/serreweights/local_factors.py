@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidFactorInput
-from .modarith import is_prime
+from .modarith import _MODULUS_CAP, is_prime
 
 __all__ = [
     "GaloisShape",
@@ -68,6 +68,15 @@ class GaloisShape(Enum):
     OTHER_REDUCIBLE = "other_reducible"
 
 
+def _check_ell(ell: int) -> None:
+    # FieldParams's cap at f = 1 first, so the trial division only sees
+    # ell < 2^31
+    if ell * ell - 1 >= _MODULUS_CAP:
+        raise InvalidFactorInput(f"ell = {ell}: ell^2 - 1 exceeds the 2^62 cap")
+    if not is_prime(ell):
+        raise InvalidFactorInput(f"ell = {ell} is not prime")
+
+
 @dataclass(frozen=True)
 class LocalFactorInput:
     """ell, the class of q mod ell, the shape, and the extension data.
@@ -84,8 +93,7 @@ class LocalFactorInput:
     ext_nonzero: bool = False
 
     def __post_init__(self) -> None:
-        if not is_prime(self.ell):
-            raise InvalidFactorInput(f"ell = {self.ell} is not prime")
+        _check_ell(self.ell)
         if not 1 <= self.q_mod_ell <= self.ell - 1 and not (self.ell == 2 and self.q_mod_ell == 1):
             raise InvalidFactorInput(
                 f"q = {self.q_mod_ell} mod {self.ell} must be a nonzero class "
@@ -170,8 +178,7 @@ def classification_notes(inp: LocalFactorInput) -> tuple[str, ...]:
 
 def ext_space_dim(ell: int, q_mod_ell: int) -> int:
     """Dimension of the relevant extension space in the q = -1 branch."""
-    if not is_prime(ell):
-        raise InvalidFactorInput(f"ell = {ell} is not prime")
+    _check_ell(ell)
     if (q_mod_ell + 1) % ell != 0 or q_mod_ell % ell == 0:
         raise InvalidFactorInput(
             f"q = {q_mod_ell} mod {ell}: the extension space is only set up for q = -1"

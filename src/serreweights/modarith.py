@@ -76,14 +76,18 @@ class FieldParams:
     def __post_init__(self) -> None:
         if not isinstance(self.ell, int) or not isinstance(self.f, int):
             raise ParamError(f"ell and f must be integers, got {self.ell!r}, {self.f!r}")
-        if not is_prime(self.ell):
-            raise ParamError(f"ell = {self.ell} is not prime")
         if self.f < 1:
             raise ParamError(f"f = {self.f} must be at least 1")
-        if self.ell ** (2 * self.f) - 1 >= _MODULUS_CAP:
-            raise ParamError(
-                f"ell^(2f) - 1 = {self.ell ** (2 * self.f) - 1} exceeds the 2^62 cap"
-            )
+        # ell^(2f) >= 2^(2f (bit_length - 1)): a bound past 2^62 refuses a
+        # huge ell or f before the power is built, and the exact cap then
+        # bounds ell below 2^31, so the trial division runs last
+        if (
+            2 * self.f * (self.ell.bit_length() - 1) > 62
+            or self.ell ** (2 * self.f) - 1 >= _MODULUS_CAP
+        ):
+            raise ParamError(f"ell^(2f) - 1 exceeds the 2^62 cap at ell = {self.ell}, f = {self.f}")
+        if not is_prime(self.ell):
+            raise ParamError(f"ell = {self.ell} is not prime")
 
     @cached_property
     def q(self) -> int:

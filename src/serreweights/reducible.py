@@ -360,7 +360,7 @@ def partial_rows(d: ReducibleDatum) -> tuple[LabeledRows, np.ndarray, np.ndarray
     never empty: the full-label representative always has a full subspace.
     """
     if d.ext is not ExtClass.NONSPLIT_UNKNOWN:
-        raise WrongExtClass("weight_sets_partial requires a non-split datum")
+        raise WrongExtClass("partial_rows requires a non-split datum")
     p = d.params
     rows = labeled_rows(*labeled_triples(d), p)
     _membership_check(d, rows.a, rows.b, rows.B)

@@ -23,19 +23,20 @@ scans read.  nonempty's certain part reads reducible.dim_bounds.
 A sweep reads every result off scans.  A scan keeps one collector,
 _Mismatches (a mismatch count, the first witnesses and the number of data
 checked), per kind that reads its data, not per-n arrays:
-_build_irred_scan compares each chunk of a run of n with the per-class
-tables and runs the symmetry laws on it while the chunk is in hand,
-_build_red_scan does the same for the ratio line, _build_grid_scan
-re-enumerates a block of whole n1 rows of the counts-red (n1, n2) grid,
-and _build_qtable_scan compares the f = 1 tables of one ell with the
-general recipes.  Runs of n and grid blocks are whole chunks of at most
-_SHARD_CELLS (row, subset) cells.  _IRRED_SCAN_KINDS and _RED_SCAN_KINDS
-name the kinds that runs of n and the ratio line serve.  _scan_keys lists
-the scans of one kind on one field in its witness order: runs of n and
-grid blocks in increasing order, and the ratio line first for counts-red
-and last for det-law, nonempty and symmetry.  The list depends on the
-field alone and the collectors merge in its order, so the report never
-depends on jobs.
+_build_irred_scan compares each block of a shard of k rows of the
+irreducible (k, r) grid with the per-class tables and runs the symmetry
+laws on it while the block is in hand, _build_red_scan does the same for
+the ratio line, _build_grid_scan re-enumerates a shard of n1 rows of the
+counts-red (n1, n2) grid, and _build_qtable_scan compares the f = 1
+tables of one ell with the general recipes.  _blocks cuts a shard into
+blocks of about _CHUNK (row, subset) cells, and _shards cuts a grid into
+shards of whole blocks, at most _SHARD_CELLS cells each (one block where
+a block is larger).  _IRRED_SCAN_KINDS and _RED_SCAN_KINDS name the kinds
+that k-row shards and the ratio line serve.  _scan_keys lists the scans
+of one kind on one field in its witness order: shards in increasing
+order, and the ratio line first for counts-red and last for det-law,
+nonempty and symmetry.  The list depends on the field alone and the
+collectors merge in its order, so the report never depends on jobs.
 
 Every scan this process holds is in _scans, under its builder's name and
 arguments, and _scan builds one only on a miss.  With jobs > 1,
@@ -61,18 +62,23 @@ sets against the definitional oracles of tests/oracles.py exhaustively on
 small parameters, including fields where each class mod q+1 has many
 lifts, and by sampling on large ones.
 
-The sweeps evaluate every n in range, chunk by chunk, and nothing is
-gathered per n.  A chunk of either side holds at most _CHUNK = 2^18
-(row, subset) cells, so a block's temporaries take a few MiB, about a
-core's L2 cache, however wide the field.
-A chunk of the irreducible side is a subset-major (2^f, K, W) block: K
-rows of W <= q+1 consecutive n, so every n of a column has the same class
-r, and the class tables, transposed to (2^f, q+1) and doubled along r,
-are a view over the chunk's columns that broadcasts over its rows.  Each
-n takes its own k from its row and column, with no divmod of n, and its
-own a = k + C[r] on every subset.  A block of the counts-red grid reads
-the ratio-class tables the same way: reversed and doubled, the tables of
-a run of n2 at one n1 are a slice of them, and a block of n1 rows is a
+The sweeps evaluate every datum in range, block by block, and nothing is
+gathered per n.  Both sides are grids of rows x width data.  The
+irreducible side puts n = k (q+1) + r at row k in [0, q-1) and column r
+in [0, q+1), with 2^f (subset) cells per n; counts-red puts (n1, n2) at
+row n1 and column n2, both in [0, q-1), with 2^(f+1) (subset, slot)
+cells per pair.  _block_shape cuts both by one rule: the whole number of
+rows nearest to _CHUNK = 2^18 cells, or, where one row holds more, the
+whole number of equal pieces of a row nearest to it.  So a block holds
+fewer than 1.5 _CHUNK cells plus one datum's, and its temporaries take a
+few MiB, about a core's L2 cache, however wide the field.
+An irreducible block is a subset-major (2^f, K, W) array: K rows of k by
+W columns of r, so the class tables, transposed to (2^f, q+1), are a
+slice of columns that broadcasts over the rows.  Each n takes its k from
+its row, with no divmod of n, and its own a = k + C[r] on every subset;
+class 0 holds no datum.  A block of the counts-red grid reads the
+ratio-class tables the same way: reversed and doubled, the tables of a
+run of n2 at one n1 are a slice of them, and a block of n1 rows is a
 strided view.  _pairs reads every block of pairs so, the ratio line and
 its symmetry images included.  Distinct counts sort each datum's keys,
 by a sorting network of the contiguous subset planes' minima and maxima up
@@ -89,18 +95,17 @@ subtraction) of D, not by a modulo over cells.  The determinant law
 2a + bcode + cyc_sum = n mod D is tested the same way: with
 t = (n - cyc_sum) mod D taken once per datum, a cell passes iff
 2a + bcode - t is 0, D or 2D.  Every cell is still tested, on the a the
-counts and keys use.  The (n1, n2) grid of counts-red runs in blocks of
-whole n1 rows.
+counts and keys use.
 
-On a run of n the symmetry laws need no a.  Each law has one narrow table
-per class and subset, Delta = C[r', pi(B)] - want_C[r, B] mod q-1 for the
-image class r' and the law's subset map pi, or a sentinel: the law fails
-where the digit codes of the cell and its image differ (admissibility
-included), and holds where neither side is admissible.  Each n computes
-its image's k' in narrow ints from closed forms in (k, r), k + r - 1
-under conjugation and ell k + floor(ell r / (q+1)) under Frobenius (mod
-q-1), and a cell holds the law iff its Delta is the pass sentinel or
-want_k - k' mod q-1.  Each law tests its block with one flat any() and
+On an irreducible block the symmetry laws need no a.  Each law has one
+narrow table per class and subset, Delta = C[r', pi(B)] - want_C[r, B]
+mod q-1 for the image class r' and the law's subset map pi, or a
+sentinel: the law fails where the digit codes of the cell and its image
+differ (admissibility included), and holds where neither side is
+admissible.  Each n computes its image's k' in narrow ints from closed
+forms in (k, r), k + r - 1 under conjugation and ell k +
+floor(ell r / (q+1)) under Frobenius (mod q-1), and a cell holds the law
+iff its Delta is the pass sentinel or want_k - k' mod q-1.  Each law tests its block with one flat any() and
 reduces it per n, to name the failing n, only when that fails.
 No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
@@ -190,16 +195,16 @@ def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _keep_freed_memory() -> None:
-    """Keep memory that chunks free in the heap, for the next chunk and task
+    """Keep memory that blocks free in the heap, for the next block and task
     to reuse.
 
-    A chunk's temporaries take a few MiB.  By default glibc maps arrays that
+    A block's temporaries take a few MiB.  By default glibc maps arrays that
     large on their own and gives them back to the OS when freed, with the
-    free top of the heap, and the next chunk faults them back in: the sweeps
+    free top of the heap, and the next block faults them back in: the sweeps
     of `verify all --ell 2 --f-max 8` take 10 855 minor page faults without
     this setting against 3 270 with it, and those of the acceptance range
     8 143 against 1 540.  Setting the mmap threshold to its 32 MiB maximum
-    and the trim threshold above any chunk's working set stops that; peak
+    and the trim threshold above any block's working set stops that; peak
     RSS moves by under 1 MiB.  Does nothing off glibc.
     """
     try:
@@ -414,20 +419,19 @@ _FAIL, _PASS = -1, -2
 
 
 class _IrredCols(NamedTuple):
-    """The irreducible class tables laid out for the chunk blocks.
+    """The irreducible class tables laid out for the blocks.
 
-    Every table is subset-major, (2^f, 2(q+1)), and every vector (2(q+1),):
-    column i holds class r = i mod q+1, so the classes of a run of at most
-    q+1 consecutive n, the first in class rs, are the columns [rs, rs + W),
-    a view (`window`).  C, bcode, the symmetry tables, r and the shifts have
-    the field's sum dtype.  Class 0 holds no datum: nothing is admissible
-    there, both laws pass and its closed forms are 0.  conj and frob are the
-    symmetry laws' tables Delta[r, B] = C[r', pi(B)] - want_C[r, B] mod q-1,
-    with r' the image class, pi the law's subset map and want_C C or ell C;
-    a cell whose code differs from its image's is _FAIL, and one where both
-    are not admissible _PASS.  An n of class r with k' its image's k then
-    holds a law at B iff Delta[r, B] is _PASS or equals want_k - k' mod q-1,
-    with want_k k or ell k.
+    Every table is subset-major, (2^f, q+1), and every vector (q+1,):
+    column r holds class r, so the classes of a block's columns rs are the
+    slice [rs] (`window`).  C, bcode, the symmetry tables and the shifts
+    have the field's sum dtype.  Class 0 holds no datum: nothing is
+    admissible there, both laws pass and its closed forms are 0.  conj and
+    frob are the symmetry laws' tables Delta[r, B] = C[r', pi(B)] -
+    want_C[r, B] mod q-1, with r' the image class, pi the law's subset map
+    and want_C C or ell C; a cell whose code differs from its image's is
+    _FAIL, and one where both are not admissible _PASS.  An n of class r
+    with k' its image's k then holds a law at B iff Delta[r, B] is _PASS or
+    equals want_k - k' mod q-1, with want_k k or ell k.
     """
 
     admissible: np.ndarray
@@ -436,21 +440,20 @@ class _IrredCols(NamedTuple):
     bcode_D: np.ndarray  # D bcode, the digit part of the distinct-count key
     conj: np.ndarray
     frob: np.ndarray
-    r: np.ndarray
     labeled: np.ndarray  # admissible subsets per class
     closed: np.ndarray  # irred.labeled_count_formula on one datum per class
     crit: np.ndarray  # whether irred.injectivity_witness finds a witness there
     conj_shift: np.ndarray  # (r - 1) mod D: conjugation's k' = k + this
     frob_shift: np.ndarray  # floor(ell r / (q+1)) mod D: Frobenius's k' = ell k + this
 
-    def window(self, rs: int, W: int) -> _IrredCols:
-        return _IrredCols._make(t[..., rs : rs + W] for t in self)
+    def window(self, rs: range) -> _IrredCols:
+        return _IrredCols._make(t[..., rs.start : rs.stop] for t in self)
 
 
 # one field at a time: a sweep reads the fields in order
 @lru_cache(maxsize=1)
 def _irred_cols(ell: int, f: int) -> _IrredCols:
-    """The field's class layout for the chunk blocks (see _IrredCols)."""
+    """The field's class layout for the blocks (see _IrredCols)."""
     p = FieldParams(ell, f)
     P, D = p.m_plus, p.m_minus
     narrow = _sum_dtype(D)
@@ -478,83 +481,82 @@ def _irred_cols(ell: int, f: int) -> _IrredCols:
     frob = delta(ell * r % P, irred.frobenius_subset(cols, f), shifted, ell * C64)
 
     def lay(t):
-        # class axis last, doubled: column i holds class i mod q+1
-        return np.tile(t.T, 2)
+        # class axis last: column r holds class r
+        return np.ascontiguousarray(t.T)
 
     def lay_narrow(t):
         return lay(t.astype(narrow))
 
     laid = _IrredCols(
         admissible=lay(admissible), C=lay_narrow(C), bcode=lay_narrow(bcode),
-        bcode_D=lay(bcode * D), conj=lay(conj), frob=lay(frob), r=lay_narrow(r),
+        bcode_D=lay(bcode * D), conj=lay(conj), frob=lay(frob),
         labeled=lay(_row_counts(admissible)), closed=lay(closed), crit=lay(crit),
         conj_shift=lay_narrow((r - 1) % D), frob_shift=lay_narrow(ell * r // P % D),
     )
     return _IrredCols._make(_read_only(*laid))
 
 
-def _irred_chunk_rows(p: FieldParams) -> int:
-    # the rows of _CHUNK cells (rows x 2^f), as a grid block holds
-    return max(1, _CHUNK >> p.f)
+def _block_shape(width: int, cells: int) -> tuple[int, int]:
+    """(rows, columns) of a block of a grid of data width to a row, with
+    cells (row, subset) cells each: the whole number of rows nearest to
+    _CHUNK cells, or, where one row holds more, one row cut into the whole
+    number of equal pieces nearest to _CHUNK cells each.  So a block holds
+    fewer than 1.5 _CHUNK cells plus one datum's."""
+    per_chunk = max(1, _CHUNK // cells)
+    if per_chunk >= width:
+        return round(per_chunk / width), width
+    return 1, -(-width // round(width / per_chunk))
 
 
-def _irred_shards(p: FieldParams) -> list[range]:
-    """The field's n range cut into shards of whole chunks, at most
-    _SHARD_CELLS (row, subset) cells each (one chunk where a chunk is
-    larger), in increasing n."""
-    rows = _irred_chunk_rows(p)
-    step = rows * max(1, _SHARD_CELLS // (rows << p.f))
-    return [range(s, min(s + step, p.m_big)) for s in range(0, p.m_big, step)]
+def _shards(height: int, width: int, cells: int) -> list[range]:
+    """The rows [0, height) of a grid (see _block_shape) cut into shards of
+    whole blocks, at most _SHARD_CELLS cells each (one block where a block
+    is larger), in increasing order."""
+    rows = _block_shape(width, cells)[0]
+    step = rows * max(1, _SHARD_CELLS // (rows * width * cells))
+    return [range(s, min(s + step, height)) for s in range(0, height, step)]
 
 
-def _irred_chunks(p: FieldParams, shard: range) -> list[tuple[int, int]]:
-    """The chunks [s, e) of the shard, on the field's chunk grid."""
-    rows = _irred_chunk_rows(p)
-    return [(s, min(s + rows, shard.stop)) for s in range(shard.start, shard.stop, rows)]
+def _blocks(shard: range, width: int, cells: int) -> Iterable[tuple[range, range]]:
+    """The blocks (rows, columns) of the shard's rows of a grid (see
+    _block_shape), in increasing order: row by row, and along a row."""
+    rows, cols = _block_shape(width, cells)
+    for r in range(shard.start, shard.stop, rows):
+        for c in range(0, width, cols):
+            yield range(r, min(r + rows, shard.stop)), range(c, min(c + cols, width))
 
 
-def _irred_block_shape(p: FieldParams, s: int, e: int) -> tuple[int, int]:
-    """(K, W) of the block of the chunk [s, e): K rows of W = min(q+1, e - s)
-    consecutive n, the first at s.  So K W < (e - s) + W, and the block's
-    2^f K W cells are fewer than the chunk's plus 2^f (q+1), and fewer than
-    twice the chunk's."""
-    W = min(p.m_plus, e - s)
-    return -(-(e - s) // W), W
+def _irred_block(p: FieldParams, ks: range, rs: range):
+    """Every n = k (q+1) + r of ks x rs on every subset, as a (2^f, K, W)
+    block with K = len(ks) and W = len(rs).
 
-
-def _irred_block(p: FieldParams, s: int, e: int):
-    """Every n of the chunk [s, e) on every subset, as a (2^f, K, W) block.
-
-    n = s + j W + c sits at (B, j, c) (see _irred_block_shape), so its
-    class is column c of the window of _irred_cols at s mod q+1, and the
-    tables broadcast over j.  Each n computes its own k, a = (k + C[r]) mod
-    (q-1) by one wrap and its images' k', in narrow ints, with no divmod of
-    n, and its determinant-law residue t = (n - cyc_sum) mod q-1 from n
-    itself; cells past e, or of class 0, are not valid.  Returns (cols, valid, distinct, det_bad, laws): the window, and
-    per n (K, W) arrays of validity, weight-set sizes and determinant-law
-    failures; laws pairs each symmetry check with the n that break it.
+    n sits at (B, i, j) with k = ks[i] and r = rs[j], so its class is
+    column j of the window of _irred_cols at rs, and the tables broadcast
+    over i.  Each n computes a = (k + C[r]) mod (q-1) by one wrap and its
+    images' k', in narrow ints, with no divmod of n, and its determinant-law
+    residue t = (n - cyc_sum) mod q-1 from n itself; the n of class 0 are
+    not valid.  Returns (cols, n, valid, distinct, det_bad, laws): the
+    window, and per n (K, W) arrays of n, validity, weight-set sizes and
+    determinant-law failures; laws pairs each symmetry check with the n
+    that break it.
     """
     ell, D = p.ell, p.m_minus
-    K, W = _irred_block_shape(p, s, e)
-    k0, rs = divmod(s, p.m_plus)
-    cols = _irred_cols(ell, p.f).window(rs, W)
-    next_row = np.arange(rs, rs + W) >= p.m_plus  # columns past class q
-    k = np.arange(k0, k0 + K, dtype=cols.C.dtype)[:, np.newaxis] + next_row
-    _wrap_once(k, -D)  # k = q-1 only past the field's last n
-    valid = np.broadcast_to(cols.r != 0, (K, W)).copy()
-    valid.reshape(-1)[e - s :] = False
+    cols = _irred_cols(ell, p.f).window(rs)
+    k = np.arange(ks.start, ks.stop, dtype=cols.C.dtype)[:, np.newaxis]
+    r = np.arange(rs.start, rs.stop)
+    n = k.astype(np.int64) * p.m_plus + r
+    valid = np.broadcast_to(r != 0, n.shape)
     per_class = (slice(None), np.newaxis)
 
     a = cols.C[per_class] + k
     _wrap_once(a, -D)
     # t from n itself, not from k, so the law also checks each n's k
-    t0 = (s - p.cyclotomic_exponent) % D
-    t = (np.arange(t0, t0 + K * W, dtype=np.int64) % D).astype(k.dtype).reshape(K, W)
+    t = ((n - p.cyclotomic_exponent) % D).astype(k.dtype)
     det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
     # the keys in the key dtype, each plane one key longer than the K W it
-    # holds: a power-of-two plane stride (W < q+1 at ell = 2, f >= 9) would
-    # make the cell-major copy of _distinct_counts read one cache set
-    keys = np.empty((len(a), K * W + 1), cols.bcode_D.dtype)[:, :-1].reshape(a.shape)
+    # holds: a power-of-two plane stride would make the cell-major copy of
+    # _distinct_counts read one cache set
+    keys = np.empty((len(a), n.size + 1), cols.bcode_D.dtype)[:, :-1].reshape(a.shape)
     np.add(a, cols.bcode_D[per_class], out=keys)
     del a
     np.copyto(keys, -1, where=~cols.admissible[per_class])
@@ -575,23 +577,23 @@ def _irred_block(p: FieldParams, s: int, e: int):
         bad = delta[per_class] != want
         bad &= (delta != _PASS)[per_class]
         laws.append((kind, _per_datum(bad, out)))
-    return cols, valid, distinct, det_bad, laws
+    return cols, n, valid, distinct, det_bad, laws
 
 
-# the kinds that the scans of runs of n and of the ratio line serve
+# the kinds that the scans of k rows and of the ratio line serve
 _IRRED_SCAN_KINDS = ("counts-irred", "injectivity-irred", "nonempty", "det-law", "symmetry")
 _RED_SCAN_KINDS = ("counts-red", "injectivity-red", "generic-split", "nonempty", "det-law", "symmetry")
 
 
 def _build_irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
-    """One run of n of the irreducible side, compared chunk by chunk with the
-    closed forms and run through the symmetry laws: the mismatches of each
-    kind that reads it, each with the number of valid n."""
+    """The shard's k rows of the irreducible (k, r) grid, compared block by
+    block with the closed forms and run through the symmetry laws: the
+    mismatches of each kind that reads it, each with the number of valid n."""
     p = FieldParams(ell, f)
     scan = {kind: _Mismatches(ell=ell, f=f) for kind in _IRRED_SCAN_KINDS}
-    for s, e in _irred_chunks(p, shard):
-        cols, valid, distinct, det_bad, laws = _irred_block(p, s, e)
-        W = valid.shape[1]
+    for ks, rs in _blocks(shard, p.m_plus, 1 << f):
+        cols, n, valid, distinct, det_bad, laws = _irred_block(p, ks, rs)
+        n, W = n.ravel(), len(rs)
 
         def found(fails):
             # the valid n of the block where fails (per n, or per class)
@@ -600,19 +602,19 @@ def _build_irred_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
         # every closed form depends on n mod q+1 alone
         bad = found(cols.labeled != cols.closed)
         scan["counts-irred"].add(
-            len(bad), n=s + bad, enumerated=cols.labeled[bad % W], closed_form=cols.closed[bad % W]
+            len(bad), n=n[bad], enumerated=cols.labeled[bad % W], closed_form=cols.closed[bad % W]
         )
         fails = distinct < cols.labeled
         bad = found(fails != cols.crit)
         scan["injectivity-irred"].add(
-            len(bad), n=s + bad, enumerated_failure=fails.ravel()[bad], criterion=cols.crit[bad % W]
+            len(bad), n=n[bad], enumerated_failure=fails.ravel()[bad], criterion=cols.crit[bad % W]
         )
-        ns = s + found(cols.labeled == 0)
+        ns = n[found(cols.labeled == 0)]
         scan["nonempty"].add(len(ns), case="irreducible", n=ns)
-        ns = s + found(det_bad)
+        ns = n[found(det_bad)]
         scan["det-law"].add(len(ns), case="irreducible", n=ns)
         for kind, broken in laws:
-            ns = s + found(broken)
+            ns = n[found(broken)]
             scan["symmetry"].add(len(ns), check=kind, n=ns)
         checked = int(np.count_nonzero(valid))
         for mm in scan.values():
@@ -757,37 +759,21 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
 # the counts-red grid, and the scans that each kind reads
 
 
-def _grid_block(p: FieldParams) -> tuple[int, int]:
-    """(n1 rows, n2 columns) of one block of the counts-red (n1, n2) grid:
-    whole n1 rows, or pieces of one row when a row alone exceeds the chunk."""
-    D = p.m_minus
-    pair_chunk = max(1, _CHUNK // (2 << p.f))
-    return max(1, pair_chunk // D), min(D, pair_chunk)
-
-
-def _grid_shards(p: FieldParams) -> list[range]:
-    """The grid's n1 range cut into shards of whole blocks, at most
-    _SHARD_CELLS (pair, slot) cells each (one block of rows where that is
-    larger)."""
-    D = p.m_minus
-    rows, _ = _grid_block(p)
-    step = rows * max(1, _SHARD_CELLS // ((rows * D) << (p.f + 1)))
-    return [range(s, min(s + step, D)) for s in range(0, D, step)]
-
-
 def _scan_keys(kind: str, ell: int, f: int) -> list[tuple]:
     """The keys of the scans that hold kind's collectors on the field
-    (ell, f), in the order of its witnesses: runs of n and grid blocks in
-    increasing order, and the ratio line first for counts-red and last for
-    the kinds that also read runs of n."""
+    (ell, f), in the order of its witnesses: the shards of the irreducible
+    (k, r) grid or of the counts-red (n1, n2) grid in increasing order, and
+    the ratio line first for counts-red and last for the kinds that also
+    read k rows."""
     if kind == "qtable-crosscheck":
         return [("_build_qtable_scan", ell)]
     p = FieldParams(ell, f)
+    D = p.m_minus
     line = [("_build_red_scan", ell, f)] if kind in _RED_SCAN_KINDS else []
     if kind == "counts-red":
-        return line + [("_build_grid_scan", ell, f, s) for s in _grid_shards(p)]
-    runs = [("_build_irred_scan", ell, f, s) for s in _irred_shards(p)]
-    return (runs if kind in _IRRED_SCAN_KINDS else []) + line
+        return line + [("_build_grid_scan", ell, f, s) for s in _shards(D, D, 2 << f)]
+    rows = [("_build_irred_scan", ell, f, s) for s in _shards(D, p.m_plus, 1 << f)]
+    return (rows if kind in _IRRED_SCAN_KINDS else []) + line
 
 
 class _GridTables(NamedTuple):
@@ -862,22 +848,17 @@ def _build_grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
     with the determinant law on every pair: the counts-red mismatches (the
     ratio line's are in its scan)."""
     p = FieldParams(ell, f)
-    D = p.m_minus
     mm = _Mismatches(ell=ell, f=f)
-    rows, cols = _grid_block(p)
-    for n1_start in range(shard.start, shard.stop, rows):
-        n1s = range(n1_start, min(n1_start + rows, shard.stop))
-        for n2_start in range(0, D, cols):
-            n2s = range(n2_start, min(n2_start + cols, D))
-            labeled, closed, det_bad = _pairs(p, n1s, n2s)[3:]
-            i, j = np.divmod(np.flatnonzero(labeled != closed), len(n2s))
-            mm.add(
-                len(i), n1=n1s.start + i, n2=n2s.start + j,
-                enumerated=labeled[i, j], closed_form=closed[i, j],
-            )
-            i, j = np.divmod(np.flatnonzero(det_bad), len(n2s))
-            mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
-            mm.checked += len(n1s) * len(n2s)
+    for n1s, n2s in _blocks(shard, p.m_minus, 2 << f):
+        labeled, closed, det_bad = _pairs(p, n1s, n2s)[3:]
+        i, j = np.divmod(np.flatnonzero(labeled != closed), len(n2s))
+        mm.add(
+            len(i), n1=n1s.start + i, n2=n2s.start + j,
+            enumerated=labeled[i, j], closed_form=closed[i, j],
+        )
+        i, j = np.divmod(np.flatnonzero(det_bad), len(n2s))
+        mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
+        mm.checked += len(n1s) * len(n2s)
     return {"counts-red": mm}
 
 

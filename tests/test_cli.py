@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from serreweights import cli, global_weights, qtable, sweeps
+from serreweights import cli, global_weights, local_factors, modarith, qtable, sweeps
 from serreweights import irreducible as irred
 from serreweights import reducible as red
 from serreweights.global_weights import global_sort_key, global_weight_set
@@ -411,6 +411,37 @@ def test_qtable_refuses_a_huge_ell_before_any_row(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["qtable", "--ell", "2147483647"])
     assert (code, out) == (1, "")
     assert f"{3 * 2147483647 - 2} rows, over the bound of {qtable.MAX_QTABLE_ROWS}" in err
+
+
+_HUGE_ELL = "2305843009213693951"  # the Mersenne prime 2^61 - 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["irred", "--ell", _HUGE_ELL, "--f", "1", "--n", "1"], "ParamError: ell^(2f) - 1 exceeds the 2^62 cap"),
+        (["qtable", "--ell", _HUGE_ELL], "ParamError: ell^(2f) - 1 exceeds the 2^62 cap"),
+        (["verify", "counts-irred", "--ell", _HUGE_ELL, "--f-max", "1"], "ParamError: ell^(2f) - 1 exceeds"),
+        (["irred", "--ell", "2", "--f", "1000000000", "--n", "1"], "ParamError: ell^(2f) - 1 exceeds"),
+        (["red", "--ell", "3", "--f", "100000000", "--n1", "1", "--n2", "0"], "ParamError: ell^(2f) - 1 exceeds"),
+        (
+            ["factor", "--ell", _HUGE_ELL, "--q-mod-ell", "1", "--shape", "irreducible"],
+            "InvalidFactorInput: ell = 2305843009213693951: ell^2 - 1 exceeds the 2^62 cap",
+        ),
+    ],
+)
+def test_huge_ell_or_f_refused_before_the_primality_test(capsys, monkeypatch, argv, message):
+    # the caps come first: a trial division of a huge ell fails the test
+    # instead of spinning, and no message formats a huge ell^(2f)
+    def no_trial_division(n):
+        raise RuntimeError("is_prime ran")
+
+    monkeypatch.setattr(modarith, "is_prime", no_trial_division)
+    monkeypatch.setattr(local_factors, "is_prime", no_trial_division)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
+    assert len(err) < 200
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from serreweights import local_factors
 from serreweights.errors import InvalidFactorInput
 from serreweights.local_factors import (
     CHAR_INV_DET,
@@ -76,6 +77,22 @@ def test_precedence_at_small_ell():
         LocalFactorInput(3, 1, GaloisShape.CYC_TWIST_EXT, split=True)
     )
     assert got == DirectSumTwo(CHAR_INV_DET)
+
+
+def test_huge_ell_refused_before_the_primality_test(monkeypatch):
+    # ell^2 - 1 past FieldParams's 2^62 cap is refused first, so a trial
+    # division of a huge ell fails this test instead of spinning
+    def no_trial_division(n):
+        raise RuntimeError("is_prime ran")
+
+    monkeypatch.setattr(local_factors, "is_prime", no_trial_division)
+    huge = 2**61 - 1
+    for build in (
+        lambda: LocalFactorInput(huge, 1, GaloisShape.IRREDUCIBLE),
+        lambda: ext_space_dim(huge, huge - 1),
+    ):
+        with pytest.raises(InvalidFactorInput, match="ell\\^2 - 1 exceeds the 2\\^62 cap"):
+            build()
 
 
 def test_ext_space_dim():

@@ -46,6 +46,10 @@ def test_field_params_validation():
     with pytest.raises(ParamError):
         FieldParams(3, 20)
     FieldParams(13, 3)  # fine
+    # 2^62 - 1 is the top of the accepted range, on the bit-length bound
+    assert FieldParams(2, 31).m_big == 2**62 - 1
+    with pytest.raises(ParamError, match="exceeds the 2\\^62 cap at ell = 2, f = 32$"):
+        FieldParams(2, 32)
 
 
 def test_subset_limit_edge():

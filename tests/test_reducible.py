@@ -92,7 +92,7 @@ def test_ext_class_gating():
     unknown = niveau_one(FieldParams(3, 1), 1, 0, ExtClass.NONSPLIT_UNKNOWN)
     with pytest.raises(WrongExtClass):
         weight_set_split(unknown)
-    with pytest.raises(WrongExtClass):
+    with pytest.raises(WrongExtClass, match="partial_rows requires a non-split datum"):
         weight_sets_partial(split)
 
 

@@ -129,38 +129,57 @@ def test_unknown_kind_rejected():
         verify_sweep("counts-bogus", [3], 1, budget=10**6)
 
 
-def test_irred_chunks_cover_valid_n_with_capped_cells():
-    p = FieldParams(2, 8)
-    chunks = sweeps._irred_chunks(p, range(p.m_big))
-    assert max(e - s for s, e in chunks) << p.f <= sweeps._CHUNK
-    covered = [s + int(i) for s, e in chunks for i in np.flatnonzero(sweeps._irred_block(p, s, e)[1])]
-    assert covered == [n for n in range(p.m_big) if n % p.m_plus]
+def _grid(side, p):
+    """(rows, width, cells) of the grid that side's scans cut into blocks:
+    n = k (q+1) + r at (k, r) with 2^f cells, or (n1, n2) with 2^(f+1)."""
+    if side == "irred":
+        return p.m_minus, p.m_plus, 1 << p.f
+    return p.m_minus, p.m_minus, 2 << p.f
 
 
+# data per chunk as a function of the grid's width, or None for _CHUNK as is
+_PER_CHUNK = {
+    "chunk": None,
+    "pieces": lambda w: w // 4,  # a row cut into about four pieces
+    "uneven-pieces": lambda w: w // 3 + 1,  # into pieces of a row, the last one shorter
+    "just-wider": lambda w: w - 1,  # each row just wider than a chunk, as at (2, 9)
+    "just-narrower": lambda w: w + 1,
+    "rows": lambda w: 5 * w // 2,  # blocks of whole rows, the last cut short
+    "datum": lambda w: 1,  # a chunk of one datum's cells
+}
+
+
+@pytest.mark.parametrize("side", ["irred", "red"])
 @pytest.mark.parametrize(
-    "ell,f,chunk",
-    [
-        (3, 3, sweeps._CHUNK), (3, 3, 16), (3, 3, 16 << 3), (5, 2, 16), (5, 2, 16 << 2), (7, 3, 1 << 10),
-        (7, 3, 1 << 13), (2, 6, 32), (2, 6, 8 << 6), (2, 8, sweeps._CHUNK),
-    ],
+    "ell,f,per_chunk",
+    [(ell, f, key) for ell, f in ((3, 3), (2, 6)) for key in _PER_CHUNK] + [(2, 9, "chunk")],
 )
-def test_irred_block_cells_capped(monkeypatch, ell, f, chunk):
-    # a block holds fewer cells than its chunk plus 2^f (q+1), and fewer than
-    # twice its chunk, also where q+1 exceeds the chunk rows ((3, 3) and
-    # (5, 2) in chunks of 16 n and fewer, (2, 6) in chunks of 8, (2, 8) in
-    # chunks of 2^10) and where one row is wider than the cap ((2, 6) at 32
-    # cells)
-    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+def test_blocks_tile_the_grid_within_the_bound(monkeypatch, side, ell, f, per_chunk):
+    # both sides' blocks and shards come from one rule: the blocks of the
+    # shards, in order, are every datum of the grid once, row by row, and
+    # each holds fewer than 1.5 chunks of data plus one; a row that is less
+    # than 1.5 chunks wide is never cut, so (2, 9), whose 513-wide k rows
+    # are just wider than its 512-n chunks, runs one block per k row
     p = FieldParams(ell, f)
-    chunks = [c for shard in sweeps._irred_shards(p) for c in sweeps._irred_chunks(p, shard)]
-    for s, e in chunks:
-        K, W = sweeps._irred_block_shape(p, s, e)
-        chunk_cells, cells = (e - s) << f, (K * W) << f
-        assert cells <= min(chunk_cells + (p.m_plus << f), 2 * chunk_cells)
-    if p.m_big < 10**4:
-        assert all(
-            sweeps._irred_block(p, s, e)[2].shape == sweeps._irred_block_shape(p, s, e) for s, e in chunks
-        )
+    height, width, cells = _grid(side, p)
+    if _PER_CHUNK[per_chunk]:
+        monkeypatch.setattr(sweeps, "_CHUNK", _PER_CHUNK[per_chunk](width) * cells)
+    data = max(1, sweeps._CHUNK // cells)
+    blocks = [b for shard in sweeps._shards(height, width, cells) for b in sweeps._blocks(shard, width, cells)]
+    covered = [(i, j) for rows, cols in blocks for i in rows for j in cols]
+    assert covered == list(itertools.product(range(height), range(width)))
+    assert all(len(rows) * len(cols) < 1.5 * data + 1 for rows, cols in blocks)
+    if 2 * width < 3 * data:
+        assert all(len(cols) == width for _, cols in blocks)
+    if (ell, f) == (2, 9) and side == "irred":
+        assert len(blocks) == height == 511
+    if side == "irred" and p.m_big < 10**4:
+        # each block's n, and only those of class 0 are not valid
+        for ks, rs in blocks:
+            _, n, valid, distinct, _, _ = sweeps._irred_block(p, ks, rs)
+            assert n.tolist() == [[k * p.m_plus + r for r in rs] for k in ks]
+            assert valid.tolist() == [[r != 0 for r in rs] for _ in ks]
+            assert distinct.shape == n.shape
 
 
 def _record_pools(monkeypatch, cpus):
@@ -206,16 +225,16 @@ _SCAN_ORDER = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_scan_keys_in_witness_order(monkeypatch, fresh_tables, kind):
-    # small chunks (8 n) and shards cut (3, 2) into five runs of n and eight
-    # grid blocks; the ratio line comes first for counts-red and last for
-    # det-law, nonempty and symmetry
+    # small chunks (8 n, 4 pairs) and shards cut (3, 2) into eight shards of
+    # one k row and eight of one n1 row; the ratio line comes first for
+    # counts-red and last for det-law, nonempty and symmetry
     monkeypatch.setattr(sweeps, "_CHUNK", 8 << 2)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 64)
     p = FieldParams(3, 2)
     keys = sweeps._scan_keys(kind, 3, 2)
     assert [b for b, _ in itertools.groupby(key[0] for key in keys)] == _SCAN_ORDER[kind]
     assert all(kind in sweeps._scan(key) for key in keys)
-    for builder, stop, count in (("_build_irred_scan", p.m_big, 5), ("_build_grid_scan", p.m_minus, 8)):
+    for builder, stop, count in (("_build_irred_scan", p.m_minus, 8), ("_build_grid_scan", p.m_minus, 8)):
         runs = [key[-1] for key in keys if key[0] == builder]
         if builder in _SCAN_ORDER[kind]:
             # increasing, and together the whole range
@@ -225,13 +244,13 @@ def test_scan_keys_in_witness_order(monkeypatch, fresh_tables, kind):
 
 
 def test_held_scans_run_without_a_pool(monkeypatch, fresh_tables):
-    # (7, 1) in six runs of n: counts-irred builds their scans in a pool;
-    # the next kinds only read them (and build one ratio line), so they run
-    # in this process, with the serial reports
+    # (7, 1) in six shards of one k row: counts-irred builds their scans in
+    # a pool; the next kinds only read them (and build one ratio line), so
+    # they run in this process, with the serial reports
     sizes = _record_pools(monkeypatch, 2)
-    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 1)  # chunks of 8 n
+    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 1)  # chunks of 8 n, one k row
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 16)
-    assert len(sweeps._irred_shards(FieldParams(7, 1))) == 6
+    assert len(sweeps._shards(*_grid("irred", FieldParams(7, 1)))) == 6
     assert verify_sweep("counts-irred", [7], 1, jobs=2).passed
     assert sizes == [2]
     for kind in ("injectivity-irred", "det-law", "symmetry", "nonempty"):
@@ -373,32 +392,46 @@ def test_symmetry_one_sided_admissible_flip_fails_every_lift(monkeypatch, fresh_
 
 
 @pytest.mark.parametrize(
-    "shard,check,n", [(range(8, 16), "frobenius-irred", 11), (range(16, 24), "conjugation-irred", 23)]
+    "shard,check,n", [(range(0, 1), "frobenius-irred", 11), (range(0, 1), "conjugation-irred", 23)]
 )
 def test_symmetry_finds_the_one_failing_row_of_a_chunk(monkeypatch, fresh_tables, shard, check, n):
-    # chunks of 8 n: the corrupted C[5, 3] fails one law at one n of this
-    # chunk, and the per-row reduction must still name that n
+    # chunks of 7 n cut k row 0 into four blocks of seven classes; the
+    # corrupted C[5, 3] fails both laws at r = 5, Frobenius alone at r = 11
+    # and conjugation alone at r = 23, so the block of n holds one failing
+    # n under one law, and the per-n reduction must still name it
     tables = _corrupt_irred("C")
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
-    monkeypatch.setattr(sweeps, "_CHUNK", 8 << 3)
+    monkeypatch.setattr(sweeps, "_CHUNK", 7 << 3)
+    ((ks, rs),) = [block for block in sweeps._blocks(shard, 28, 8) if n in block[1]]
+    assert (len(ks), len(rs)) == (1, 7)
+    _, ns, _, _, _, laws = sweeps._irred_block(FieldParams(3, 3), ks, rs)
+    assert {kind: ns[broken].tolist() for kind, broken in laws} == {
+        kind: [n] if kind == check else [] for kind in ("conjugation-irred", "frobenius-irred")
+    }
+    # the scan of the row names it among the row's four failures, block by block
     mm = sweeps._scan(("_build_irred_scan", 3, 3, shard))["symmetry"]
-    assert (mm.checked, mm.count) == (8, 1)
-    assert mm.witnesses == [{"ell": 3, "f": 3, "check": check, "n": n}]
+    assert (mm.checked, mm.count) == (27, 4)
+    conj, frob = "conjugation-irred", "frobenius-irred"
+    want = [(conj, 5), (frob, 5), (frob, 11), (conj, 23)]
+    assert mm.witnesses == [{"ell": 3, "f": 3, "check": c, "n": m} for c, m in want]
 
 
 def test_symmetry_witnesses_across_chunks(monkeypatch, fresh_tables):
-    # chunks of 64 n: the 104 failures of the corrupted C[5, 3] spread over
-    # chunks, and the first 25 come in chunk order, conjugation before
-    # frobenius within a chunk
+    # chunks of 64 n, blocks of two k rows: the 104 failures of the
+    # corrupted C[5, 3] (r = 5 and 23 under conjugation, r = 5 and 11 under
+    # Frobenius, at every k) spread over blocks, and the first 25 come in
+    # block order, conjugation before frobenius within a block
     tables = _corrupt_irred("C")
     _clear_table_caches()
     monkeypatch.setattr(sweeps, "_irred_tables", lambda ell, f: tables)
     monkeypatch.setattr(sweeps, "_CHUNK", 64 << 3)
+    assert sweeps._block_shape(28, 8) == (2, 28)
     conj, frob = "conjugation-irred", "frobenius-irred"
-    want = [(conj, n) for n in (5, 23, 33, 51, 61)] + [(frob, n) for n in (5, 11, 33, 39, 61)]
-    want += [(conj, n) for n in (79, 89, 107, 117)] + [(frob, n) for n in (67, 89, 95, 117, 123)]
-    want += [(conj, n) for n in (135, 145, 163, 173, 191)] + [(frob, 145)]
+    want = [(conj, n) for n in (5, 23, 33, 51)] + [(frob, n) for n in (5, 11, 33, 39)]
+    want += [(conj, n) for n in (61, 79, 89, 107)] + [(frob, n) for n in (61, 67, 89, 95)]
+    want += [(conj, n) for n in (117, 135, 145, 163)] + [(frob, n) for n in (117, 123, 145, 151)]
+    want += [(conj, 173)]
     checked, mism, bad = _run_all("symmetry", 3, 3)
     assert (checked, bad) == (702 + 4 * 26, 104)
     assert mism == [{"ell": 3, "f": 3, "check": check, "n": n} for check, n in want]
@@ -439,29 +472,31 @@ def test_symmetry_twist_red_catches_unreduced_s_in(monkeypatch, fresh_tables):
 
 
 def _irred_per_n(ell, f):
-    """(n, labeled, distinct, det_bad) of every valid n, from the chunk
-    blocks the irreducible scan compares."""
+    """(n, labeled, distinct, det_bad) of every valid n, from the blocks
+    the irreducible scan compares."""
     p = FieldParams(ell, f)
+    height, width, cells = _grid("irred", p)
     rows = []
-    for s, e in sweeps._irred_chunks(p, range(p.m_big)):
-        cols, valid, distinct, det_bad, _ = sweeps._irred_block(p, s, e)
+    for ks, rs in sweeps._blocks(range(height), width, cells):
+        cols, n, valid, distinct, det_bad, _ = sweeps._irred_block(p, ks, rs)
         labeled = np.broadcast_to(cols.labeled, valid.shape)
-        ns = s + np.flatnonzero(valid)
-        rows += zip(ns.tolist(), *(x[valid].tolist() for x in (labeled, distinct, det_bad)))
+        rows += zip(*(x[valid].tolist() for x in (n, labeled, distinct, det_bad)))
     return rows
 
 
 @pytest.mark.parametrize(
-    "ell,f,rows",
-    [pytest.param(3, 3, rows, id=str(rows)) for rows in (8, 27, 29, 64)]
-    + [(2, 5, 16), (2, 5, 33), (2, 5, 50)],
+    "ell,f,per_chunk",
+    [pytest.param(3, 3, n, id=str(n)) for n in (8, 10, 27, 29, 64)]
+    + [(2, 5, 16), (2, 5, 32), (2, 5, 33), (2, 5, 50)],
 )
-def test_irred_block_per_n_matches_oracle(monkeypatch, ell, f, rows):
-    # chunks of rows n, rows 2^f cells: (3, 3) has q + 1 = 28, so chunks of
-    # 8 and 27 n are shorter than a k-row, and chunks of 29 and 64 n end
-    # inside one; (2, 5) has q + 1 = 33 and 32 planes, past the sorting
-    # network, and its chunks end before, at and inside a k-row
-    monkeypatch.setattr(sweeps, "_CHUNK", rows << f)
+def test_irred_block_per_n_matches_oracle(monkeypatch, ell, f, per_chunk):
+    # chunks of per_chunk n, per_chunk 2^f cells: (3, 3) has k rows of
+    # q + 1 = 28 n, so chunks of 8 and 10 n cut a row into four pieces of 7
+    # and into pieces of 10, 10 and 8, ones of 27 and 29 n leave each row
+    # whole and one of 64 n takes two rows; (2, 5) has 32 planes, past the
+    # sorting network, and its rows of 33 n are cut in two, kept whole
+    # (chunks just shorter than a row, and as long) and taken two at a time
+    monkeypatch.setattr(sweeps, "_CHUNK", per_chunk << f)
     p = FieldParams(ell, f)
     want = []
     for n in range(p.m_big):
@@ -827,15 +862,15 @@ def test_parallel_matches_serial_across_shards(monkeypatch, fresh_tables, corrup
         _serve_for(monkeypatch, "_red_tables", 3, 3, tables)
     elif corrupt != "clean":
         _serve_for(monkeypatch, "_irred_tables", 3, 3, _corrupt_irred(corrupt))
-    # symmetry's witness order follows the chunk grid, so fix that first:
+    # symmetry's witness order follows the blocks, so fix those first:
     # chunks of 32 n at (3, 3) and 64 at (5, 2)
     monkeypatch.setattr(sweeps, "_CHUNK", 256)
     whole = sweep(1)
     monkeypatch.setattr(sweeps, "_SHARD_CELLS", 1024)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     p33, p52 = FieldParams(3, 3), FieldParams(5, 2)
-    assert [len(sweeps._irred_shards(p)) for p in (p33, p52)] == [6, 3]
-    assert [len(sweeps._grid_shards(p)) for p in (p33, p52)] == [13, 5]
+    assert [len(sweeps._shards(*_grid("irred", p))) for p in (p33, p52)] == [7, 3]
+    assert [len(sweeps._shards(*_grid("red", p))) for p in (p33, p52)] == [13, 5]
     serial = sweep(1)
     assert serial == whole
     assert sweep(2) == serial
@@ -858,13 +893,13 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     calls = []
     block = sweeps._irred_block
 
-    def counting(p, s, e):
-        calls.append(e - s)  # a worker appends to its own copy of the list
-        return block(p, s, e)
+    def counting(p, ks, rs):
+        calls.append((ks, rs))  # a worker appends to its own copy of the list
+        return block(p, ks, rs)
 
     monkeypatch.setattr(sweeps, "_irred_block", counting)
     fields = plan_tasks([3, 5], 2)
-    shards = [(ell, f, s) for ell, f in fields for s in sweeps._irred_shards(FieldParams(ell, f))]
+    shards = [(ell, f, s) for ell, f in fields for s in sweeps._shards(*_grid("irred", FieldParams(ell, f)))]
     assert len(shards) == 6  # (5, 2) in three
     assert verify_sweep("counts-irred", [3, 5], 2, budget=10**6, jobs=2).passed
     assert calls == []
@@ -886,7 +921,7 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
     assert all(held("_build_irred_scan")[key] is run for key, run in runs.items())
     pairs = sweeps._pairs
     monkeypatch.setattr(sweeps, "_pairs", lambda *args: calls.append(args) or pairs(*args))
-    grid = [(ell, f, s) for ell, f in fields for s in sweeps._grid_shards(FieldParams(ell, f))]
+    grid = [(ell, f, s) for ell, f in fields for s in sweeps._shards(*_grid("red", FieldParams(ell, f)))]
     assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
     assert list(held("_build_grid_scan")) == grid
     assert verify_sweep("counts-red", [3, 5], 2, budget=10**6, jobs=2).passed
