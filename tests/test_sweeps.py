@@ -916,7 +916,7 @@ def test_parallel_scans_are_adopted(monkeypatch, fresh_tables):
         assert verify_sweep(kind, [3, 5], 2, budget=10**6).passed
     monkeypatch.setattr(sweeps, "_scan", scan)  # a pool pickles it by name
     assert calls == []
-    # each kind read every run of n, and the same scan objects stay held
+    # each kind read every k-row shard, and the same scan objects stay held
     assert Counter(key for key in read if key in runs) == {key: 3 for key in shards}
     assert all(held("_build_irred_scan")[key] is run for key, run in runs.items())
     pairs = sweeps._pairs
