@@ -49,6 +49,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_MISMATCH = 2
 # 128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ends
 EXIT_BROKEN_PIPE = 141
+# 128 + SIGINT, what a shell reports for a tool that Ctrl-C ends
+EXIT_INTERRUPTED = 130
 
 _VERIFY_ALIASES = {
     "counts": ("counts-irred", "counts-red"),
@@ -595,6 +597,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         text, code = args.run(args)

@@ -57,44 +57,47 @@ The layouts are held one field at a time: a sweep reads the fields in
 order, so each is still built once per field and process.
 With n = k (q+1) + r, the irreducible solution is then
 a = (k + C_B[r]) mod (q-1) with the digit code of r; on the reducible side
-a = n1 - (B-part digit sum) mod (q-1).  The test suite pins the labeled
-sets against the definitional oracles of tests/oracles.py exhaustively on
-small parameters, including fields where each class mod q+1 has many
-lifts, and by sampling on large ones.
+a = (n1 + C_B[c]) mod (q-1), with C = q-1 - (B-part digit sum) of the
+ratio class c.  The test suite pins the labeled sets against the
+definitional oracles of tests/oracles.py exhaustively on small
+parameters, including fields where each class mod q+1 has many lifts, and
+by sampling on large ones.
 
 The sweeps evaluate every datum in range, block by block, and nothing is
-gathered per n.  Both sides are grids of rows x width data.  The
-irreducible side puts n = k (q+1) + r at row k in [0, q-1) and column r
-in [0, q+1), with 2^f (subset) cells per n; counts-red puts (n1, n2) at
-row n1 and column n2, both in [0, q-1), with 2^(f+1) (subset, slot)
-cells per pair.  _block_shape cuts both by one rule: the whole number of
+gathered per n.  Both sides are grids of rows x width data, a row
+coordinate by a class.  The irreducible side puts n = k (q+1) + r at row
+k in [0, q-1) and column r in [0, q+1), with 2^f (subset) cells per n;
+counts-red puts (n1, n2) at row n1 and column c = n1 - n2 mod q-1, its
+ratio class, both in [0, q-1), with 2^(f+1) (subset, slot) cells per
+pair.  _block_shape cuts both by one rule: the whole number of
 rows nearest to _CHUNK = 2^18 cells, or, where one row holds more, the
 whole number of equal pieces of a row nearest to it.  So a block holds
 fewer than 1.5 _CHUNK cells plus one datum's, and its temporaries take a
 few MiB, about a core's L2 cache, however wide the field.
-An irreducible block is a subset-major (2^f, K, W) array: K rows of k by
-W columns of r, so the class tables, transposed to (2^f, q+1), are a
-slice of columns that broadcasts over the rows.  Each n takes its k from
-its row, with no divmod of n, and its own a = k + C[r] on every subset;
-class 0 holds no datum.  A block of the counts-red grid reads the
-ratio-class tables the same way: reversed and doubled, the tables of a
-run of n2 at one n1 are a slice of them, and a block of n1 rows is a
-strided view.  _pairs reads every block of pairs so, the ratio line and
-its symmetry images included.  Distinct counts sort each datum's keys,
-by a sorting network of the contiguous subset planes' minima and maxima up
-to 16 planes, and above that in a contiguous cell-major copy along its
-last axis, and count the changes between adjacent keys.
+A block is a (cells, K, W) array, one plane per subset (and slot): K rows
+by W columns of classes.  The class tables are laid out (cells, classes),
+column c holding class c, so a block's tables are a slice of columns, a
+view that broadcasts over its rows.  Each datum takes its row (k, or n1)
+from the block's row, with no divmod, and one helper, _solve, computes
+its own a = row + C[class] on every cell and the determinant law for
+both sides.  On the irreducible side class 0 holds no datum.  On the
+counts-red side _pairs reads the tables so for every block of pairs, the
+ratio line and its symmetry images included, each pair with its
+n2 = (n1 - c) mod q-1.  Distinct counts sort each datum's keys, by a
+sorting network of the contiguous subset planes' minima and maxima up to
+16 planes, and above that in a contiguous cell-major copy along its last
+axis, and count the changes between adjacent keys.
 
 The blocks work in narrow ints.  With D = q-1, every a lies in [0, D)
 and every digit code in [0, D], so the distinct-count keys a + D bcode
 stay below D (D+1): int32 holds them whenever D (D+2) < 2^31, which
 covers every field a default budget admits, and int64 is used only above
 that.  Everything else per cell lies in (-D, 3D) and is int16 whenever
-3D < 2^15.  a is brought into [0, D) by one conditional add (or
-subtraction) of D, not by a modulo over cells.  The determinant law
-2a + bcode + cyc_sum = n mod D is tested the same way: with
-t = (n - cyc_sum) mod D taken once per datum, a cell passes iff
-2a + bcode - t is 0, D or 2D.  Every cell is still tested, on the a the
+3D < 2^15.  Both tables C lie in [0, D], so a = row + C is brought into
+[0, D) by one conditional subtraction of D, not by a modulo over cells.
+The determinant law 2a + bcode + cyc_sum = n mod D (n1 + n2 for a pair)
+is tested the same way: with t = (n - cyc_sum) mod D taken once per
+datum, a cell passes iff 2a + bcode - t is 0, D or 2D.  Every cell is still tested, on the a the
 counts and keys use.
 
 On an irreducible block the symmetry laws need no a.  Each law has one
@@ -111,7 +114,9 @@ No irreducible twist law is checked: n + (q+1) has the same r and k + 1,
 so it holds by the factorization, and the labeled-set-vs-oracle tests on
 those many-lift fields pin it.  On the ratio line, swap, Frobenius and
 twist compare the arrays that the counts hold with those that _pairs
-reads at the images.
+reads at the images: the line (n, 0) is class n with n1 = n, its twist
+(n + 1, 1) class n with n1 = n + 1, and its swap (0, n) class -n with
+n1 = 0.
 
 Budget: a sweep over (ell, f) is charged ell^(2f), the number of residue
 classes enumerated (each one evaluated and compared across all 2^f subsets),
@@ -132,7 +137,6 @@ from functools import lru_cache
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, IllegalShape, ParamError
 from .modarith import FieldParams, subset_complement
@@ -392,16 +396,22 @@ def _distinct_counts(keys: np.ndarray) -> np.ndarray:
     return count
 
 
-def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
-    """Whether each datum has a valid cell that breaks the determinant law.
+def _solve(p: FieldParams, row, C, bcode, valid, n) -> tuple[np.ndarray, np.ndarray]:
+    """(a, det_bad): a = (row + C) mod q-1 on every cell, by one wrap, and
+    whether each datum has a valid cell that breaks the determinant law.
 
-    Cells run along the first axis of a, data along the others; bcode and
-    valid broadcast against a, and t against a datum.  A datum with
-    exponent sum n (n, or n1 + n2) holds triples (a, b, B), each of which
-    must satisfy 2a + bcode + cyc_sum = n mod D.  With t = (n - cyc_sum)
-    mod D per datum and 0 <= 2a + bcode < 3 D, a cell passes iff
-    2a + bcode - t is 0, D or 2 D, so no cell is reduced mod D.
+    Cells run along the first axis of C, in [0, 2D) with D = q-1, data along
+    the others; bcode and valid broadcast against C, and the row (k or n1,
+    in [0, D)) and the exponent sum n (n, or n1 + n2) against a datum.  Each
+    triple (a, b, B) must satisfy 2a + bcode + cyc_sum = n mod D.  With
+    t = (n - cyc_sum) mod D from n itself, not from the row, so that the law
+    also checks each datum's row, and 0 <= 2a + bcode < 3 D, a cell passes
+    iff 2a + bcode - t is 0, D or 2 D: no cell is reduced mod D.
     """
+    D = p.m_minus
+    a = C + row.astype(C.dtype)
+    _wrap_once(a, -D)
+    t = ((n - p.cyclotomic_exponent) % D).astype(a.dtype)
     out = np.zeros(a.shape[1:], dtype=bool)
     s = a * 2
     s += bcode
@@ -410,7 +420,7 @@ def _det_bad(a, bcode, t, valid, D: int) -> np.ndarray:
     bad &= s != D
     bad &= s != 2 * D
     bad &= valid
-    return _per_datum(bad, out)
+    return a, _per_datum(bad, out)
 
 
 # Sentinels of the symmetry laws' tables: the digit codes of a cell and of
@@ -532,10 +542,9 @@ def _irred_block(p: FieldParams, ks: range, rs: range):
 
     n sits at (B, i, j) with k = ks[i] and r = rs[j], so its class is
     column j of the window of _irred_cols at rs, and the tables broadcast
-    over i.  Each n computes a = (k + C[r]) mod (q-1) by one wrap and its
-    images' k', in narrow ints, with no divmod of n, and its determinant-law
-    residue t = (n - cyc_sum) mod q-1 from n itself; the n of class 0 are
-    not valid.  Returns (cols, n, valid, distinct, det_bad, laws): the
+    over i.  _solve gives each n its a = (k + C[r]) mod (q-1) and its
+    determinant law; each n computes its images' k', in narrow ints, with
+    no divmod of n; the n of class 0 are not valid.  Returns (cols, n, valid, distinct, det_bad, laws): the
     window, and per n (K, W) arrays of n, validity, weight-set sizes and
     determinant-law failures; laws pairs each symmetry check with the n
     that break it.
@@ -548,11 +557,7 @@ def _irred_block(p: FieldParams, ks: range, rs: range):
     valid = np.broadcast_to(r != 0, n.shape)
     per_class = (slice(None), np.newaxis)
 
-    a = cols.C[per_class] + k
-    _wrap_once(a, -D)
-    # t from n itself, not from k, so the law also checks each n's k
-    t = ((n - p.cyclotomic_exponent) % D).astype(k.dtype)
-    det_bad = _det_bad(a, cols.bcode[per_class], t, cols.admissible[per_class], D)
+    a, det_bad = _solve(p, k, cols.C[per_class], cols.bcode[per_class], cols.admissible[per_class], n)
     # the keys in the key dtype, each plane one key longer than the K W it
     # holds: a power-of-two plane stride would make the cell-major copy of
     # _distinct_counts read one cache set
@@ -648,11 +653,13 @@ def _red_counts(p: FieldParams) -> _RedLine:
     weight-set size, whether a triple breaks the determinant law, and
     whether some labeled weight provably fills H^1 (the certain part is
     nonempty); then the line's (valid, a, bcode) from _pairs, each
-    (cells, q-1), which the symmetry laws read."""
+    (cells, q-1), which the symmetry laws read.  The pair (n, 0) has ratio
+    class n, so the line reads the whole tables, with n1 = n."""
     D = p.m_minus
-    valid, a, bcode, labeled, closed, det_bad = (x[..., 0] for x in _pairs(p, range(D), range(1)))
+    line = _pairs(p, np.arange(D)[np.newaxis], slice(None))  # one row of pairs
+    valid, a, bcode, _, labeled, closed, det_bad = (x[..., 0, :] for x in line)
     tables = _grid_tables(p.ell, p.f)
-    crit, generic = (_grid_view(t, range(D), range(1))[0, :, 0] for t in (tables.crit, tables.generic))
+    crit, generic = tables.crit[0], tables.generic[0]
     keys = bcode.astype(_key_dtype(D)) * D
     keys += a
     np.copyto(keys, -1, where=~valid)
@@ -728,8 +735,8 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
 
     valid, a, bcode = by_subset(valid, a, bcode)
     lo, hi = slot_keys(valid, a, bcode)
-    # the swap of (n, 0) is (0, n)
-    valid_s, a_s, bcode_s = by_subset(*_pairs(p, range(1), range(D))[:3])
+    # the swap of (n, 0) is (0, n), of ratio class -n
+    valid_s, a_s, bcode_s = by_subset(*_pairs(p, np.zeros_like(N), -N % D)[:3])
     lo_s, hi_s = slot_keys(valid_s, a_s, bcode_s)
     conj_cols = subset_complement(cols, f)
     swap_ok = (
@@ -747,8 +754,9 @@ def _red_symmetry(p: FieldParams, valid, a, bcode, mm: _Mismatches) -> None:
     frob = (x[frob_cols][..., ell * N % D] for x in (valid, a, bcode))
     frob_ok = law_holds(*frob, (ell * a) % D, _shift_bcode(bcode, ell, f))
     # twist naturality at c = 1 (composition generates every twist): the
-    # image of (n, 0) is (n + 1, 1), whose a comes from its own n1
-    twist = (x[..., (N + 1) % D] for x in by_subset(*_pairs(p, range(D), range(1, 2))[:3]))
+    # image of (n, 0) is (n + 1, 1), of ratio class n, whose a comes from its
+    # own n1
+    twist = by_subset(*_pairs(p, (N + 1) % D, slice(None))[:3])
     twist_ok = law_holds(*twist, (a + 1) % D, bcode)
     for kind, ok in (("swap-red", swap_ok), ("frobenius-red", frob_ok), ("twist-red", twist_ok)):
         ns = N[~ok]
@@ -778,14 +786,12 @@ def _scan_keys(kind: str, ell: int, f: int) -> list[tuple]:
 
 class _GridTables(NamedTuple):
     """`_red_tables` and the per-class vectors laid out for the counts-red
-    grid, each (cells, 2(q-1)): one (subset, slot) cell per row of a table,
-    one row for a vector.  s_in and bcode have the field's sum dtype.  The
-    class axis is reversed and doubled, so column i holds ratio class
-    (D - 1 - i) mod D; row n1 of the grid, n2 = 0..D-1, is then the columns
-    from D - 1 - n1 on (see _grid_view)."""
+    grid, each (cells, q-1): one (subset, slot) cell per row of a table, one
+    row for a vector, and column c holding ratio class c, as _irred_cols
+    lays out its classes.  C and bcode have the field's sum dtype."""
 
     valid: np.ndarray
-    s_in: np.ndarray
+    C: np.ndarray  # D - s_in, in [1, D]: a = (n1 + C) mod D by one wrap
     bcode: np.ndarray
     labeled: np.ndarray  # valid slots per class
     closed: np.ndarray  # red.labeled_count_formula on one split datum per class
@@ -804,10 +810,11 @@ def _grid_tables(ell: int, f: int) -> _GridTables:
     data = [red.niveau_one(p, n, 0, red.ExtClass.SPLIT) for n in range(D)]
 
     def lay(t):
-        return np.tile(t.reshape(D, -1)[::-1].T, 2)
+        return np.ascontiguousarray(t.reshape(D, -1).T)
 
     tables = _GridTables(
-        valid=valid, s_in=s_in.astype(narrow), bcode=bcode.astype(narrow), labeled=_row_counts(valid),
+        # not reduced mod D: an s_in out of [0, D) must leave a unreduced
+        valid=valid, C=(D - s_in).astype(narrow), bcode=bcode.astype(narrow), labeled=_row_counts(valid),
         closed=np.array([red.labeled_count_formula(d) for d in data], dtype=np.int32),
         crit=np.array([red.injectivity_witness(d) is not None for d in data]),
         generic=np.array([red.is_generic(d) for d in data]),
@@ -815,50 +822,41 @@ def _grid_tables(ell: int, f: int) -> _GridTables:
     return _GridTables._make(_read_only(*map(lay, tables)))
 
 
-def _grid_view(table: np.ndarray, n1s: range, n2s: range) -> np.ndarray:
-    """(cells, len(n1s), len(n2s)) read-only view of a `_grid_tables`
-    table: the pairs (n1, n2) of n1s x n2s, with no copy."""
-    D = table.shape[1] // 2
-    windows = sliding_window_view(table, len(n2s), axis=1)
-    # the window of pair (n1, n2s[0]) starts at D - 1 - n1 + n2s[0]
-    start = D - n1s.stop + n2s.start
-    return windows[:, start : start + len(n1s)][:, ::-1]
-
-
-def _pairs(p: FieldParams, n1s: range, n2s: range):
-    """(valid, a, bcode, labeled, closed, det_bad) of the pairs n1s x n2s:
-    `_grid_tables` views of valid, bcode, the labeled count and the closed
-    form, a = n1 - s_in mod q-1 by one wrap, and whether a triple breaks
-    the determinant law; per cell (cells, len(n1s), len(n2s)), per pair
-    (len(n1s), len(n2s)).  Only a and the det-law temporaries are made."""
+def _pairs(p: FieldParams, n1: np.ndarray, c):
+    """(valid, a, bcode, n2, labeled, closed, det_bad) of the pairs (n1, n2)
+    of ratio classes c, n2 = (n1 - c) mod q-1: c indexes the class axis of
+    the `_grid_tables` (a slice is read as a view, an array gathered), and
+    n1 broadcasts against its classes to the pairs' shape (K, W).  valid and
+    bcode are (cells, 1, W), a (cells, K, W), labeled and closed (1, W) and
+    n2 and det_bad (K, W)."""
     D = p.m_minus
     tables = _grid_tables(p.ell, p.f)
-    read = (tables.valid, tables.s_in, tables.bcode, tables.labeled, tables.closed)
-    valid, s_in, bcode, labeled, closed = (_grid_view(t, n1s, n2s) for t in read)
-    n1 = np.arange(n1s.start, n1s.stop, dtype=s_in.dtype)[:, np.newaxis]
-    a = n1 - s_in
-    _wrap_once(a, D)
-    n2 = np.arange(n2s.start, n2s.stop, dtype=s_in.dtype)
-    t = (n1 + (n2 - p.cyclotomic_exponent) % D) % D
-    return valid, a, bcode, labeled[0], closed[0], _det_bad(a, bcode, t, valid, D)
+    valid, C, bcode, labeled, closed = (t[:, np.newaxis, c] for t in tables[:5])
+    # per pair in the sum dtype: n1 - c lies in (-D, D) and n1 + n2 in [0, 2D)
+    n1 = n1.astype(C.dtype)
+    n2 = n1 - np.arange(D, dtype=C.dtype)[c]
+    _wrap_once(n2, D)
+    a, det_bad = _solve(p, n1, C, bcode, valid, n1 + n2)
+    return valid, a, bcode, n2, labeled[0], closed[0], det_bad
 
 
 def _build_grid_scan(ell: int, f: int, shard: range) -> dict[str, _Mismatches]:
-    """The grid's n1 rows in shard, re-enumerated block by block by _pairs,
-    with the determinant law on every pair: the counts-red mismatches (the
-    ratio line's are in its scan)."""
+    """The grid's n1 rows in shard, re-enumerated block by block (n1 rows
+    by ratio-class columns) by _pairs, with the determinant law on every
+    pair: the counts-red mismatches (the ratio line's are in its scan), in
+    n1-major and then class order within a block."""
     p = FieldParams(ell, f)
     mm = _Mismatches(ell=ell, f=f)
-    for n1s, n2s in _blocks(shard, p.m_minus, 2 << f):
-        labeled, closed, det_bad = _pairs(p, n1s, n2s)[3:]
-        i, j = np.divmod(np.flatnonzero(labeled != closed), len(n2s))
+    for n1s, cs in _blocks(shard, p.m_minus, 2 << f):
+        n1 = np.arange(n1s.start, n1s.stop)[:, np.newaxis]
+        n2, labeled, closed, det_bad = _pairs(p, n1, slice(cs.start, cs.stop))[3:]
+        i, j = np.nonzero(np.broadcast_to(labeled != closed, n2.shape))
         mm.add(
-            len(i), n1=n1s.start + i, n2=n2s.start + j,
-            enumerated=labeled[i, j], closed_form=closed[i, j],
+            len(i), n1=n1s.start + i, n2=n2[i, j], enumerated=labeled[0, j], closed_form=closed[0, j]
         )
-        i, j = np.divmod(np.flatnonzero(det_bad), len(n2s))
-        mm.add(len(i), n1=n1s.start + i, n2=n2s.start + j, check="det-law")
-        mm.checked += len(n1s) * len(n2s)
+        i, j = np.nonzero(det_bad)
+        mm.add(len(i), n1=n1s.start + i, n2=n2[i, j], check="det-law")
+        mm.checked += n2.size
     return {"counts-red": mm}
 
 

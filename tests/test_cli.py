@@ -965,6 +965,18 @@ def test_reader_closing_the_pipe_early_exits_quietly(argv, lines_read):
     assert all(line.endswith(b"\n") for line in lines)
 
 
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    # Ctrl-C during a sweep: one stderr line, no traceback and nothing on
+    # stdout; the sweep raises here, so no process is signalled
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweeps, "verify_sweep", interrupted)
+    code, out, err = run_cli(capsys, ["verify", "counts", "--ell", "2", "--f-max", "1", "--jobs", "2"])
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert (out, err) == ("", "error: interrupted\n")
+
+
 def test_one_parser_serves_every_call_like_a_fresh_one(capsys, monkeypatch):
     # main builds its parser on the first call and reuses it; a run of calls,
     # usage errors among them, must read exactly as with a new parser each time

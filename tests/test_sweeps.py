@@ -180,6 +180,22 @@ def test_blocks_tile_the_grid_within_the_bound(monkeypatch, side, ell, f, per_ch
             assert n.tolist() == [[k * p.m_plus + r for r in rs] for k in ks]
             assert valid.tolist() == [[r != 0 for r in rs] for _ in ks]
             assert distinct.shape == n.shape
+    if side == "red" and p.m_big < 10**4:
+        # each block's pairs (n1, n1 - c mod q-1), with what one whole-grid
+        # evaluation holds at them: valid, a, bcode, n2, labeled, closed and
+        # the det law, per cell, per class or per pair
+        n1 = np.arange(height)[:, np.newaxis]
+        whole = sweeps._pairs(p, n1, slice(None))
+        assert whole[3].tolist() == [[(i - c) % width for c in range(width)] for i in range(height)]
+
+        def per_pair(x, shape):
+            return np.broadcast_to(x, x.shape[:-2] + shape)
+
+        for n1s, cs in blocks:
+            block = sweeps._pairs(p, n1[n1s.start : n1s.stop], slice(cs.start, cs.stop))
+            for got, want in zip(block, whole):
+                want = per_pair(want, (height, width))[..., n1s.start : n1s.stop, cs.start : cs.stop]
+                assert np.array_equal(per_pair(got, (len(n1s), len(cs))), want)
 
 
 def _record_pools(monkeypatch, cpus):
@@ -531,14 +547,20 @@ def test_red_line_per_n_matches_oracle(ell, f):
 
 
 def test_red_pairs_det_law_matches_oracle():
-    # every pair of (3, 2), as _pairs returns the whole grid: each carries
-    # its own a = n1 - s_in and t = n1 + n2 - cyc_sum
+    # every pair of (3, 2), as _pairs returns the whole grid of n1 rows by
+    # ratio-class columns: each carries its own a = n1 + D - s_in and
+    # t = n1 + n2 - cyc_sum, with n2 = n1 - c
     p = FieldParams(3, 2)
-    labeled, _, det_bad = sweeps._pairs(p, range(8), range(8))[3:]
-    assert det_bad.shape == (8, 8)
-    for n1, n2 in itertools.product(range(8), repeat=2):
+    n2, labeled, _, det_bad = sweeps._pairs(p, np.arange(8)[:, np.newaxis], slice(None))[3:]
+    assert n2.shape == det_bad.shape == (8, 8)
+    got = {
+        (n1, int(n2[n1, c])): (int(labeled[0, c]), bool(det_bad[n1, c]))
+        for n1, c in itertools.product(range(8), repeat=2)
+    }
+    assert sorted(got) == list(itertools.product(range(8), repeat=2))
+    for (n1, n2), value in got.items():
         want_labeled, _, want_bad = _red_oracle(3, 2, n1, n2)
-        assert (labeled[n1, n2], det_bad[n1, n2]) == (want_labeled, want_bad), (n1, n2)
+        assert value == (want_labeled, want_bad), (n1, n2)
 
 
 @pytest.mark.parametrize("which", ["C", "bcode", "admissible"])
@@ -675,6 +697,24 @@ def test_counts_red_count_witness_payload(monkeypatch, fresh_tables):
     ]
     witnesses += [{"ell": 3, "f": 2, "n1": n1, "n2": n2, "check": "det-law"} for n1, n2 in pairs]
     assert json.dumps(_run_all("counts-red", 3, 2)) == json.dumps([8 + 64, witnesses, 17])
+
+
+@pytest.mark.parametrize("chunk", [sweeps._CHUNK, 2 * 8])
+def test_counts_red_grid_witnesses_in_class_order_within_a_row(monkeypatch, fresh_tables, chunk):
+    # (3, 2): one s_in cell each of ratio classes 1 and 3 breaks the det law
+    # at their 16 grid pairs.  The grid is one block, or (chunks of two
+    # pairs) each n1 row in four pieces; either way the witnesses come
+    # n1-major and by ratio class within a row, so row 0 lists (0, 7), of
+    # class 1, before (0, 5), of class 3
+    def shift_s_in(valid, s_in, bcode):
+        s_in[[1, 3], 2, 0] += 1
+
+    _patch_tables(monkeypatch, "_red_tables", 3, 2, shift_s_in)
+    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+    pairs = [(n1, (n1 - c) % 8) for n1 in range(8) for c in (1, 3)]
+    witnesses = [{"ell": 3, "f": 2, "n1": n1, "n2": n2, "check": "det-law"} for n1, n2 in pairs]
+    assert pairs[:2] == [(0, 7), (0, 5)]
+    assert _run_all("counts-red", 3, 2) == (8 + 64, witnesses, 16)
 
 
 def _flip_witness(w):
@@ -834,7 +874,7 @@ def test_int64_fallback_matches_int32(monkeypatch, fresh_tables):
     monkeypatch.setattr(sweeps, "_sum_dtype", lambda D: np.int64)
     assert results() == narrow
     assert sweeps._irred_cols(3, 3).C.dtype == np.int64
-    assert sweeps._grid_tables(3, 3).s_in.dtype == np.int64
+    assert sweeps._grid_tables(3, 3).C.dtype == np.int64
     assert sweeps._red_counts(FieldParams(3, 3)).a.dtype == np.int64  # the ratio line's a
 
 
